@@ -57,7 +57,10 @@ def build_pipeline_config(args) -> PipelineConfig:
     values = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            values.update(json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
+        values.update(loaded)
     known = {f.name for f in fields(PipelineConfig)}
     unknown = set(values) - known
     if unknown:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,6 +26,8 @@ from .raster import (
 )
 
 MIN_REGION = 10
+# Accepted Python types per annotation; bool is rejected separately.
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
 @dataclass(frozen=True)
@@ -47,6 +49,12 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ValueError(f"config field {f.name!r} must be {f.type}, got {value!r}")
         if self.ns_model < 10 or self.ns_test < 10:
             raise ValueError("ns_model and ns_test must be >= 10")
         if self.alpha < 0:

@@ -82,6 +82,13 @@ def _read_container(base: str):
         raise FileNotFoundError(hdr_path)
     with open(hdr_path) as fh:
         header = json.load(fh)
+    if not isinstance(header, dict):
+        raise ValueError(f"header is not a JSON object in {hdr_path}")
+    for key in ("m", "n", "c"):
+        value = header.get(key)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"header key {key!r} must be a positive int, got {value!r} "
+                             f"in {hdr_path}")
     dtype_name = header["dtype"]
     if dtype_name not in _DTYPES:
         raise ValueError(f"unknown dtype {dtype_name!r} in {hdr_path}")

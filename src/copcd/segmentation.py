@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,14 +104,34 @@ def slic(r: Raster, target_count: int, compactness: float, seed: int = 0) -> Seg
             better = d < best[y0:y1, x0:x1]
             best[y0:y1, x0:x1][better] = d[better]
             assign[y0:y1, x0:x1][better] = ci
-        for ci in range(k):
-            mask = assign == ci
-            if mask.any():
-                centers_pos[ci] = (yy[mask].mean(), xx[mask].mean())
-                centers_col[ci] = data[mask].mean(axis=0)
+        _update_centers(assign, yy, xx, data, centers_pos, centers_col)
+    return _enforce_connectivity(assign, k)
 
-    # Connectivity: keep each cluster's largest component, merge orphan
-    # components into the adjacent kept region with the most pixels.
+
+def _update_centers(assign, yy, xx, data, centers_pos, centers_col) -> None:
+    """Move each non-empty cluster's centre to the mean position and colour
+    of its pixels, in place.
+
+    A stable sort groups the pixels by cluster, each cluster's slice in
+    row-major order: the order a boolean mask selects them in. So every
+    mean adds the same values in the same order as ``yy[assign == ci].mean()``
+    and is bit-identical to it, at O(P log P) instead of O(k P).
+    """
+    flat = assign.ravel()
+    order = np.argsort(flat, kind="stable")
+    bounds = np.searchsorted(flat[order], np.arange(len(centers_pos) + 1))
+    yy_s, xx_s = yy.ravel()[order], xx.ravel()[order]
+    data_s = data.reshape(flat.size, -1)[order]
+    for ci in range(len(centers_pos)):
+        lo, hi = bounds[ci], bounds[ci + 1]
+        if hi > lo:
+            centers_pos[ci] = (yy_s[lo:hi].mean(), xx_s[lo:hi].mean())
+            centers_col[ci] = data_s[lo:hi].mean(axis=0)
+
+
+def _enforce_connectivity(assign: np.ndarray, k: int) -> SegmentationMap:
+    """Keep each cluster's largest component; merge orphan components into
+    the adjacent kept region with the most pixels."""
     comp = _connected_regions(assign)
     n_comp = comp.max() + 1
     comp_sizes = np.bincount(comp.ravel(), minlength=n_comp)
@@ -156,9 +177,14 @@ def slic(r: Raster, target_count: int, compactness: float, seed: int = 0) -> Seg
 def cosegment(a: SegmentationMap, b: SegmentationMap, min_region: int = 10) -> SegmentationMap:
     """Intersect two partitions into a common refinement.
 
-    Connected components of identical (a, b) label pairs become regions;
-    regions smaller than min_region pixels are absorbed into the adjacent
-    region sharing the longest boundary (ties: lowest label).
+    Connected components of identical (a, b) label pairs become regions.
+    Then regions smaller than min_region pixels are absorbed one at a time:
+    the smallest region goes first (ties: lowest label) and merges into the
+    adjacent region sharing the longest boundary (ties: lowest label), which
+    keeps its label, gains the merged region's pixels and boundaries, and
+    goes back in the queue under its new size while it is still smaller than
+    min_region. Absorption ends when no region is small or one region is
+    left. ``tests/segmentation_oracle.py`` states this order directly.
     """
     if (a.height, a.width) != (b.height, b.width):
         raise ValueError("segmentation dimensions differ")
@@ -182,32 +208,43 @@ def _boundary_pairs(labels: np.ndarray):
 
 
 def _absorb_small(labels: np.ndarray, min_region: int) -> np.ndarray:
-    labels = labels.copy()
-    while True:
-        n_lab = labels.max() + 1
-        sizes = np.bincount(labels.ravel(), minlength=n_lab)
-        small = np.flatnonzero((sizes > 0) & (sizes < min_region))
-        if len(small) == 0 or (sizes > 0).sum() <= 1:
-            return labels
-        p, q = _boundary_pairs(labels)
-        # Boundary length between each ordered region pair.
-        pair_codes = np.concatenate([p * n_lab + q, q * n_lab + p])
-        uniq, counts = np.unique(pair_codes, return_counts=True)
-        changed = False
-        # Absorb the smallest region first; recompute after each pass.
-        for lab in small[np.argsort(sizes[small], kind="stable")]:
-            mask = (uniq // n_lab) == lab
-            if not mask.any():
-                continue
-            neighbors = uniq[mask] % n_lab
-            shared = counts[mask]
-            best = np.max(shared)
-            target = int(np.min(neighbors[shared == best]))
-            labels[labels == lab] = target
-            changed = True
-            break
-        if not changed:
-            return labels
+    """Merge regions below min_region in the order :func:`cosegment` states."""
+    n_lab = int(labels.max()) + 1
+    sizes = np.bincount(labels.ravel(), minlength=n_lab).tolist()
+    alive = sum(1 for sz in sizes if sz > 0)
+    # Region adjacency graph: shared boundary length between each pair.
+    p, q = _boundary_pairs(labels.astype(np.int64))
+    uniq, counts = np.unique(np.concatenate([p * n_lab + q, q * n_lab + p]),
+                             return_counts=True)
+    adj = {}
+    for code, cnt in zip(uniq.tolist(), counts.tolist()):
+        adj.setdefault(code // n_lab, {})[code % n_lab] = cnt
+    heap = [(sz, lab) for lab, sz in enumerate(sizes) if 0 < sz < min_region]
+    heapq.heapify(heap)
+    parent = np.arange(n_lab)
+    while heap and alive > 1:
+        size, lab = heapq.heappop(heap)
+        if sizes[lab] != size:  # merged away, or grown since pushed
+            continue
+        nbrs = adj.pop(lab)
+        target = max(nbrs, key=lambda nb: (nbrs[nb], -nb))
+        del nbrs[target]
+        tgt_nbrs = adj[target]
+        del tgt_nbrs[lab]
+        for nb, cnt in nbrs.items():
+            tgt_nbrs[nb] = tgt_nbrs.get(nb, 0) + cnt
+            nb_nbrs = adj[nb]
+            del nb_nbrs[lab]
+            nb_nbrs[target] = nb_nbrs.get(target, 0) + cnt
+        sizes[target] += size
+        sizes[lab] = 0
+        alive -= 1
+        if sizes[target] < min_region:
+            heapq.heappush(heap, (sizes[target], target))
+        parent[lab] = target
+    while not np.array_equal(parent[parent], parent):  # follow merge chains
+        parent = parent[parent]
+    return parent[labels]
 
 
 def extract_features(r: Raster, seg: SegmentationMap) -> np.ndarray:

@@ -154,7 +154,7 @@ def test_07_statistic_separates_independent_pairs():
 
 # --- synthetic end-to-end benchmark (criteria 8 and 9) ---
 
-BENCHMARK_BUDGET_SECONDS = 300.0
+BENCHMARK_BUDGET_SECONDS = 60.0
 
 
 @pytest.fixture(scope="module")

@@ -84,6 +84,41 @@ def test_unknown_config_key_is_contract_error(tmp_path, capsys):
     assert "bogus_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("values, key", [
+    ({"ns_model": "400"}, "ns_model"),
+    ({"ns_test": True}, "ns_test"),
+    ({"alpha": "5"}, "alpha"),
+    ({"pca": 2.0}, "pca"),
+])
+def test_mistyped_config_value_is_contract_error(tmp_path, capsys, values, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    code = cli.main(["detect", "--config", str(cfg)])
+    assert code == cli.EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "null", "3"])
+def test_config_that_is_not_an_object_is_contract_error(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert cli.main(["detect", "--config", str(cfg)]) == cli.EXIT_CONTRACT
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_float_config_fields_accept_ints(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 2, "eps": 1}))
+
+    class Args:
+        config = str(cfg)
+
+    built = cli.build_pipeline_config(Args())
+    assert (built.alpha, built.eps) == (2, 1)
+
+
 def test_flags_override_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"alpha": 2.0, "seed": 7}))

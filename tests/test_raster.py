@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from copcd import cli
 from copcd.raster import (
     Raster,
     export_graymap,
@@ -58,6 +59,21 @@ def test_header_payload_mismatch_errors(tmp_path):
     np.zeros(2, dtype="<f4").tofile(base + ".f32")
     with pytest.raises(ValueError):
         load_raster(base)
+
+
+@pytest.mark.parametrize("key, value", [("m", "2"), ("n", True), ("c", 0), ("m", None)])
+def test_header_dimensions_must_be_positive_ints(tmp_path, capsys, key, value):
+    base = str(tmp_path / "bad")
+    header = {"m": 2, "n": 2, "c": 1, "dtype": "u8", "layout": "row-major"}
+    header[key] = value
+    with open(base + ".hdr.json", "w") as fh:
+        json.dump(header, fh)
+    np.zeros(4, dtype="u1").tofile(base + ".u8")
+    with pytest.raises(ValueError, match=f"header key '{key}'"):
+        load_binary_map(base)
+    assert cli.main(["score", "--bcm", base, "--gt", base]) == cli.EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"'{key}'" in err
 
 
 def test_missing_file_errors(tmp_path):

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+import segmentation_oracle as oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copcd.raster import Raster
 from copcd.segmentation import (
     SegmentationMap,
+    _absorb_small,
+    _update_centers,
     cosegment,
     extract_features,
     slic,
@@ -87,6 +90,40 @@ def test_slic_rejects_bad_arguments():
         slic(r, 4, compactness=0.0)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 48), st.integers(1, 48),
+       st.integers(1, 3), st.integers(1, 60), st.booleans())
+def test_slic_matches_mask_oracle(seed, m, n, channels, target, quantized):
+    rng = np.random.default_rng(seed)
+    if quantized:  # few distinct values, so distance ties occur
+        arr = rng.integers(0, 3, size=(m, n, channels)).astype(np.float32)
+    else:
+        arr = rng.normal(size=(m, n, channels)).astype(np.float32)
+    r = Raster.from_array(arr)
+    target = min(target, m * n)
+    got = slic(r, target, compactness=10.0)
+    want = oracle.slic(r, target, compactness=10.0)
+    assert np.array_equal(got.labels, want.labels)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 48), st.integers(1, 48),
+       st.integers(1, 3), st.integers(1, 60))
+def test_update_centers_is_bit_identical_to_masks(seed, m, n, channels, k):
+    # Labels alone hide last-bit differences in the means, so compare the
+    # centres themselves; some clusters are left empty.
+    rng = np.random.default_rng(seed)
+    assign = rng.integers(0, k + 2, size=(m, n)) % k
+    data = rng.normal(size=(m, n, channels))
+    yy, xx = np.mgrid[0:m, 0:n].astype(np.float64)
+    pos, col = rng.normal(size=(k, 2)), rng.normal(size=(k, channels))
+    want_pos, want_col = pos.copy(), col.copy()
+    _update_centers(assign, yy, xx, data, pos, col)
+    oracle.update_centers(assign, yy, xx, data, want_pos, want_col)
+    assert pos.tobytes() == want_pos.tobytes()
+    assert col.tobytes() == want_col.tobytes()
+
+
 def _grid_map(m, n, rows, cols):
     """Partition an m x n image into a rows x cols grid of rectangles."""
     ys = (np.arange(m) * rows // m)[:, None]
@@ -140,6 +177,22 @@ def test_cosegment_absorbs_small_regions():
     assert out.region_sizes().min() >= 10
     out_keep = cosegment(a, b, min_region=1)
     assert out_keep.count == 3  # the sliver survives without absorption
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 30), st.integers(1, 30),
+       st.booleans(), st.integers(1, 40), st.integers(1, 4), st.integers(2, 15))
+def test_absorb_small_matches_oracle(seed, m, n, strip, n_labels, block, min_region):
+    # Block-upsampled random maps give equal region sizes and equal boundary
+    # lengths, so both tie rules are exercised; strips are 1 x N.
+    if strip:
+        m = 1
+    rng = np.random.default_rng(seed)
+    coarse = rng.integers(0, n_labels, size=(-(-m // block), -(-n // block)))
+    labels = np.kron(coarse, np.ones((block, block), dtype=np.int64))[:m, :n]
+    got = _absorb_small(labels, min_region)
+    want = oracle.absorb_small(labels, min_region)
+    assert np.array_equal(got, want)
 
 
 def test_cosegment_dimension_mismatch():
