@@ -8,7 +8,6 @@ observed log-likelihood is non-decreasing by the usual EM argument.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,13 +62,6 @@ class EmTrace:
 
     def log_likelihoods(self) -> np.ndarray:
         return np.array([r[1] for r in self.rows])
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "log_likelihood", "rho", "theta", "w",
-                             "mean_gamma1"])
-            writer.writerows(self.rows)
 
 
 def _validate_data(u, v):

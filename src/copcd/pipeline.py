@@ -64,7 +64,10 @@ class PipelineConfig:
 def worker_count(n_tasks: int) -> int:
     cap = os.environ.get("COMIC_THREADS", "")
     if cap.strip():
-        return max(1, min(int(cap), n_tasks))
+        try:
+            return max(1, min(int(cap), n_tasks))
+        except ValueError:
+            raise ValueError(f"COMIC_THREADS must be an integer, got {cap!r}") from None
     return max(1, min(4, n_tasks))
 
 
@@ -160,17 +163,19 @@ def write_traces_csv(traces: dict, path: str) -> None:
                 writer.writerow([c1, c2, *row, trace.status])
 
 
-def run_detect(config: PipelineConfig) -> dict:
-    """Full detection pipeline; returns a dict of computed artifacts."""
+def _load_translated(config: PipelineConfig):
+    """Load (and PCA-reduce) the pair, then translate the pre-event raster
+    or load the supplied translation, which must match the post shape.
+
+    Returns (x, y, y_t).
+    """
     if config.pre is None or config.post is None:
         raise StageError("load", ValueError("--pre and --post are required"))
-
     x = _stage("load", load_raster, config.pre)
     y = _stage("load", load_raster, config.post)
     if config.pca is not None:
         x = _stage("pca", pca_reduce, x, min(config.pca, x.channels))
         y = _stage("pca", pca_reduce, y, min(config.pca, y.channels))
-
     if config.translated is not None:
         y_t = _stage("translate", load_raster, config.translated)
         if (y_t.height, y_t.width, y_t.channels) != (y.height, y.width, y.channels):
@@ -179,6 +184,12 @@ def run_detect(config: PipelineConfig) -> dict:
     else:
         spec = translate.TranslationSpec(method=config.translate_method)
         y_t = _stage("translate", translate.translate_baseline, x, y, spec)
+    return x, y, y_t
+
+
+def run_detect(config: PipelineConfig) -> dict:
+    """Full detection pipeline; returns a dict of computed artifacts."""
+    x, y, y_t = _load_translated(config)
 
     seg_train = _stage("segment", cosegment_pair, x, y_t, config.ns_model,
                        config.compactness, config.seed)
@@ -258,18 +269,7 @@ def run_fit_pairs(u_samples, v_samples, config: PipelineConfig):
 
 def run_fit(config: PipelineConfig) -> dict:
     """Training half of the pipeline: translate, co-segment, fit, emit models."""
-    if config.pre is None or config.post is None:
-        raise StageError("load", ValueError("--pre and --post are required"))
-    x = _stage("load", load_raster, config.pre)
-    y = _stage("load", load_raster, config.post)
-    if config.pca is not None:
-        x = _stage("pca", pca_reduce, x, min(config.pca, x.channels))
-        y = _stage("pca", pca_reduce, y, min(config.pca, y.channels))
-    if config.translated is not None:
-        y_t = _stage("translate", load_raster, config.translated)
-    else:
-        spec = translate.TranslationSpec(method=config.translate_method)
-        y_t = _stage("translate", translate.translate_baseline, x, y, spec)
+    x, _, y_t = _load_translated(config)
     seg_train = _stage("segment", cosegment_pair, x, y_t, config.ns_model,
                        config.compactness, config.seed)
     feat_x = _stage("features", segmentation.extract_features, x, seg_train)

@@ -187,3 +187,25 @@ def test_fit_then_detect_with_model_reproduces_direct_run(small_scene, tmp_path)
         a = open(os.path.join(direct, name), "rb").read()
         b = open(os.path.join(staged, name), "rb").read()
         assert a == b, f"{name} differs between direct and staged runs"
+
+
+def test_fit_rejects_translated_raster_of_wrong_shape(small_scene, tmp_path, capsys):
+    # small_scene is 48 x 48 with one band per side; this translation has two.
+    bad = np.zeros((48, 48, 2), dtype=np.float32)
+    save_raster(Raster.from_array(bad), str(tmp_path / "translated"))
+    args = ["fit"] + _detect_args(small_scene, str(tmp_path / "fit"))[1:]
+    args += ["--translated", str(tmp_path / "translated")]
+    assert cli.main(args) == cli.EXIT_CONTRACT
+    assert "stage 'translate': translated raster shape mismatch" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "fit" / "model.json")
+
+
+def test_malformed_comic_threads_is_contract_error(tmp_path, capsys, monkeypatch):
+    data = str(tmp_path / "data")
+    assert cli.main(["synth", "--m", "32", "--n", "32", "--cx", "2",
+                     "--out-dir", data]) == cli.EXIT_OK
+    monkeypatch.setenv("COMIC_THREADS", "x")
+    args = ["fit", "--pre", os.path.join(data, "pre"), "--post", os.path.join(data, "post"),
+            "--ns-model", "20", "--out-dir", str(tmp_path / "fit")]
+    assert cli.main(args) == cli.EXIT_CONTRACT
+    assert "COMIC_THREADS must be an integer, got 'x'" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import dependence_oracle as oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,16 +17,6 @@ from copcd.dependence import (
     orient,
     tail_dependence,
 )
-
-
-def brute_force_tau(x, y):
-    """Direct pair enumeration: sum of sign((x_i-x_j)(y_i-y_j)) over i<j."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    s = np.sign(np.subtract.outer(x, x) * np.subtract.outer(y, y))
-    n = len(x)
-    iu = np.triu_indices(n, k=1)
-    return 2.0 * s[iu].sum() / (n * (n - 1))
 
 
 def test_tau_concordant():
@@ -59,15 +50,55 @@ def test_tau_matches_brute_force_with_ties():
         n = int(rng.integers(2, 60))
         x = rng.integers(0, 5, n).astype(float)  # heavy ties
         y = rng.integers(0, 5, n).astype(float)
-        assert kendall_tau(x, y) == brute_force_tau(x, y)
+        assert kendall_tau(x, y) == oracle.kendall_tau(x, y)
 
 
 def test_tau_crosses_chunk_boundary():
-    # lengths beyond the internal blocking size must still be exact
+    # many merge levels, and more rows than one oracle block
     rng = np.random.default_rng(1)
     x = rng.permutation(600).astype(float)
     y = rng.permutation(600).astype(float)
-    assert kendall_tau(x, y) == brute_force_tau(x, y)
+    assert kendall_tau(x, y) == oracle.kendall_tau(x, y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(2, 400),
+       st.sampled_from(["continuous", "ties_x", "ties_y", "ties_both", "constant",
+                        "signed_zeros"]),
+       st.booleans())
+def test_tau_matches_oracle_exactly(seed, n, kind, reverse):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n)
+    y = 0.5 * x + rng.normal(size=n)
+    levels = int(rng.integers(1, 6))
+    if kind in ("ties_x", "ties_both"):
+        x = rng.integers(0, levels, n).astype(float)
+    if kind in ("ties_y", "ties_both"):
+        y = rng.integers(0, levels, n).astype(float)
+    if kind == "constant":
+        x = np.full(n, 3.0)
+    if kind == "signed_zeros":  # -0.0 == 0.0, so they tie
+        x = rng.choice([-0.0, 0.0, 1.0], n)
+        y = rng.choice([-0.0, 0.0, -1.0], n)
+    if reverse:
+        x, y = x[::-1], y[::-1]
+    assert kendall_tau(x, y) == oracle.kendall_tau(x, y)
+    assert kendall_tau(y, x) == oracle.kendall_tau(y, x)
+
+
+def test_tau_tiny_values_are_not_lost_to_underflow():
+    # (x_i - x_j) * (y_i - y_j) underflows to 0 here; the signs do not.
+    x = [1e-200, 2e-200, 3e-200]
+    assert kendall_tau(x, x) == 1.0
+    assert oracle.kendall_tau(x, x) == 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tau_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="x and y must be finite"):
+        kendall_tau([1.0, bad, 3.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="x and y must be finite"):
+        kendall_tau([1.0, 2.0, 3.0], [bad, 2.0, 3.0])
 
 
 @settings(max_examples=30, deadline=None)

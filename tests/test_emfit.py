@@ -13,6 +13,7 @@ from copcd.emfit import (
     log_likelihood,
     m_step,
 )
+from copcd.pipeline import write_traces_csv
 
 
 def assert_monotone(trace, slack=1e-9):
@@ -155,7 +156,9 @@ def test_trace_csv_export(tmp_path):
     u, v = rng.uniform(0.05, 0.95, (2, 50))
     _, trace = fit(u, v, TAIL_CLAYTON)
     path = tmp_path / "trace.csv"
-    trace.write_csv(str(path))
+    write_traces_csv({(1, 1): trace, (1, 2): None}, str(path))
     lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("iteration,log_likelihood,rho,theta,w")
+    assert lines[0] == "c1,c2,iteration,log_likelihood,rho,theta,w,mean_gamma1,status"
     assert len(lines) == len(trace.rows) + 1
+    assert all(line.startswith("1,1,") and line.endswith("," + trace.status)
+               for line in lines[1:])

@@ -33,6 +33,13 @@ def test_worker_count_env_cap(monkeypatch):
     assert worker_count(8) == 4
 
 
+@pytest.mark.parametrize("value", ["x", "2.5", "4 threads"])
+def test_worker_count_names_malformed_env(monkeypatch, value):
+    monkeypatch.setenv("COMIC_THREADS", value)
+    with pytest.raises(ValueError, match=f"COMIC_THREADS must be an integer, got {value!r}"):
+        worker_count(3)
+
+
 def test_run_detect_requires_paths():
     with pytest.raises(StageError) as err:
         run_detect(PipelineConfig())
