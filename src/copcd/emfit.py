@@ -3,7 +3,10 @@ oriented pseudo-observations.
 
 The M-step maximizes each weighted component log-likelihood by grid search;
 the current parameter value is always included among the candidates so the
-observed log-likelihood is non-decreasing by the usual EM argument.
+observed log-likelihood is non-decreasing by the usual EM argument. The tail
+term log s(theta) of each candidate depends on the data but not on the
+responsibilities, so `fit` computes it once per candidate and reuses it in
+every iteration; each iteration then costs the same few weighted means.
 """
 
 from __future__ import annotations
@@ -102,8 +105,13 @@ def _grid_argmax(objective, grid: np.ndarray, current: float) -> float:
 
 
 def m_step(u, v, gamma1: np.ndarray, tail_mode: str, config: EmConfig,
-           rho_cur: float, theta_cur: float):
-    """Weight update plus grid-search maximization of each component term."""
+           rho_cur: float, theta_cur: float, log_s_cache: dict | None = None):
+    """Weight update plus grid-search maximization of each component term.
+
+    `log_s_cache` maps theta to its tail term log s(theta) for these u, v and
+    tail_mode; it is filled on a miss, so passing the same dict to every
+    M-step of one fit computes each candidate's term once.
+    """
     u, v = _validate_data(u, v)
     gamma1 = np.asarray(gamma1, dtype=np.float64)
     w_new = float(np.mean(gamma1))
@@ -129,8 +137,13 @@ def m_step(u, v, gamma1: np.ndarray, tail_mode: str, config: EmConfig,
     c_logsum = float(np.mean(gamma2 * (t1 + t2)))
     c_mass = float(np.mean(gamma2))
 
+    cache = {} if log_s_cache is None else log_s_cache
+
     def theta_obj(theta):
-        log_s = np.log(np.expm1(np.logaddexp(-theta * t1, -theta * t2)))
+        log_s = cache.get(theta)
+        if log_s is None:
+            log_s = np.log(np.expm1(np.logaddexp(-theta * t1, -theta * t2)))
+            cache[theta] = log_s
         return (
             np.log1p(theta) * c_mass
             + (-1 - theta) * c_logsum
@@ -155,13 +168,15 @@ def fit(u, v, tail_mode: str, config: EmConfig | None = None):
         raise ValueError("need at least 10 data pairs to fit")
 
     rho, theta, w = config.rho0, config.theta0, config.w0
+    log_s_cache = {}
     trace = EmTrace()
     l_prev = log_likelihood(u, v, rho, theta, w, tail_mode)
     gamma1 = e_step(u, v, rho, theta, w, tail_mode)
     trace.rows.append((0, l_prev, rho, theta, w, float(np.mean(gamma1))))
 
     for q in range(1, config.max_iters + 1):
-        w, rho, theta = m_step(u, v, gamma1, tail_mode, config, rho, theta)
+        w, rho, theta = m_step(u, v, gamma1, tail_mode, config, rho, theta,
+                               log_s_cache)
         l_new = log_likelihood(u, v, rho, theta, w, tail_mode)
         gamma1 = e_step(u, v, rho, theta, w, tail_mode)
         trace.rows.append((q, l_new, rho, theta, w, float(np.mean(gamma1))))

@@ -101,6 +101,25 @@ def test_m_step_recovers_clayton_theta():
     assert 1.7 <= theta <= 2.3
 
 
+@pytest.mark.parametrize("tail_mode", [TAIL_CLAYTON, TAIL_CLAYTON_SURVIVAL])
+def test_m_step_shared_cache_matches_fresh_computation(tail_mode):
+    """One cache reused across M-steps with changing responsibilities gives
+    the same updates as computing every tail term afresh."""
+    model = CopulaMixtureModel(rho=0.6, theta=3.0, w=0.4, n_train=1)
+    u, v = sample_mixture(model, 2000, seed=6)
+    rng = np.random.default_rng(7)
+    cfg = EmConfig(grid_theta=40)
+    cache = {}
+    rho, theta = 0.5, 0.5
+    for _ in range(4):
+        gamma = rng.random(2000)
+        fresh = m_step(u, v, gamma, tail_mode, cfg, rho, theta)
+        cached = m_step(u, v, gamma, tail_mode, cfg, rho, theta, cache)
+        assert cached == fresh
+        _, rho, theta = fresh
+    assert sorted(cache) == list(cfg.theta_grid())  # 0.5 is on this grid
+
+
 def test_fit_huge_eps_stops_after_one_update():
     rng = np.random.default_rng(5)
     u, v = rng.uniform(0.05, 0.95, (2, 100))
