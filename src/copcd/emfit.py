@@ -6,7 +6,9 @@ the current parameter value is always included among the candidates so the
 observed log-likelihood is non-decreasing by the usual EM argument. The tail
 term log s(theta) of each candidate depends on the data but not on the
 responsibilities, so `fit` computes it once per candidate and reuses it in
-every iteration; each iteration then costs the same few weighted means.
+every iteration; each iteration then costs the same few weighted means, and
+one evaluation of each component density gives both the log-likelihood and
+the next responsibilities.
 """
 
 from __future__ import annotations
@@ -16,12 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .copula import (
-    LOG_FLOOR,
-    gaussian_logpdf,
-    mixture_logpdf_params,
-    tail_logpdf,
-)
+from .copula import LOG_FLOOR, gaussian_logpdf, tail_logpdf
 from .dependence import TAIL_CLAYTON, TAIL_CLAYTON_SURVIVAL
 
 STATUS_CONVERGED = "converged"
@@ -77,23 +74,32 @@ def _validate_data(u, v):
     return u, v
 
 
+def _loglik_and_gamma(u, v, rho: float, theta: float, w: float, tail_mode: str):
+    """Mean log mixture density and Gaussian-component responsibilities
+    gamma_1, from one evaluation of each component density."""
+    if w >= 1.0:
+        return float(np.mean(gaussian_logpdf(u, v, rho))), np.ones_like(u)
+    if w <= 0.0:
+        return float(np.mean(tail_logpdf(u, v, theta, tail_mode))), np.zeros_like(u)
+    lg = gaussian_logpdf(u, v, rho)
+    lc = tail_logpdf(u, v, theta, tail_mode)
+    ll = float(np.mean(np.logaddexp(np.log(w) + lg, np.log1p(-w) + lc)))
+    fg = w * np.exp(lg)
+    fc = (1 - w) * np.exp(lc)
+    denom = np.maximum(fg + fc, LOG_FLOOR)
+    return ll, np.clip(fg / denom, 0.0, 1.0)
+
+
 def log_likelihood(u, v, rho: float, theta: float, w: float, tail_mode: str) -> float:
     """Mean log mixture density over the sample."""
     u, v = _validate_data(u, v)
-    return float(np.mean(mixture_logpdf_params(u, v, rho, theta, w, tail_mode)))
+    return _loglik_and_gamma(u, v, rho, theta, w, tail_mode)[0]
 
 
 def e_step(u, v, rho: float, theta: float, w: float, tail_mode: str) -> np.ndarray:
     """Gaussian-component responsibilities gamma_1 in [0, 1]."""
     u, v = _validate_data(u, v)
-    if w >= 1.0:
-        return np.ones_like(u)
-    if w <= 0.0:
-        return np.zeros_like(u)
-    fg = w * np.exp(gaussian_logpdf(u, v, rho))
-    fc = (1 - w) * np.exp(tail_logpdf(u, v, theta, tail_mode))
-    denom = np.maximum(fg + fc, LOG_FLOOR)
-    return np.clip(fg / denom, 0.0, 1.0)
+    return _loglik_and_gamma(u, v, rho, theta, w, tail_mode)[1]
 
 
 def _grid_argmax(objective, grid: np.ndarray, current: float) -> float:
@@ -170,15 +176,13 @@ def fit(u, v, tail_mode: str, config: EmConfig | None = None):
     rho, theta, w = config.rho0, config.theta0, config.w0
     log_s_cache = {}
     trace = EmTrace()
-    l_prev = log_likelihood(u, v, rho, theta, w, tail_mode)
-    gamma1 = e_step(u, v, rho, theta, w, tail_mode)
+    l_prev, gamma1 = _loglik_and_gamma(u, v, rho, theta, w, tail_mode)
     trace.rows.append((0, l_prev, rho, theta, w, float(np.mean(gamma1))))
 
     for q in range(1, config.max_iters + 1):
         w, rho, theta = m_step(u, v, gamma1, tail_mode, config, rho, theta,
                                log_s_cache)
-        l_new = log_likelihood(u, v, rho, theta, w, tail_mode)
-        gamma1 = e_step(u, v, rho, theta, w, tail_mode)
+        l_new, gamma1 = _loglik_and_gamma(u, v, rho, theta, w, tail_mode)
         trace.rows.append((q, l_new, rho, theta, w, float(np.mean(gamma1))))
         if abs(l_new - l_prev) < config.eps:
             trace.status = STATUS_CONVERGED

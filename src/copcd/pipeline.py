@@ -6,6 +6,7 @@ fitted marginals (training ECDFs) are reused for the test statistics.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -57,8 +58,13 @@ class PipelineConfig:
                 raise ValueError(f"config field {f.name!r} must be {f.type}, got {value!r}")
         if self.ns_model < 10 or self.ns_test < 10:
             raise ValueError("ns_model and ns_test must be >= 10")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        for name in ("alpha", "eps", "theta_max", "compactness"):
+            value, positive = getattr(self, name), name != "alpha"
+            if not math.isfinite(value) or value < 0 or (positive and value == 0):
+                raise ValueError(f"config field {name!r} must be finite and "
+                                 f"{'> 0' if positive else '>= 0'}, got {value!r}")
+        if self.pca is not None and self.pca < 1:
+            raise ValueError(f"config field 'pca' must be >= 1, got {self.pca!r}")
 
 
 def worker_count(n_tasks: int) -> int:

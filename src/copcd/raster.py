@@ -20,6 +20,7 @@ _DTYPES = {
     "u32le": (np.dtype("<u4"), "u32"),
     "u8": (np.dtype("u1"), "u8"),
 }
+_LAYOUTS = ("row-major-bip", "row-major")
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,10 @@ def _read_container(base: str):
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ValueError(f"header key {key!r} must be a positive int, got {value!r} "
                              f"in {hdr_path}")
+    layout = header.get("layout")
+    if layout not in _LAYOUTS:
+        raise ValueError(f"header key 'layout' must be one of {', '.join(_LAYOUTS)}, "
+                         f"got {layout!r} in {hdr_path}")
     dtype_name = header["dtype"]
     if dtype_name not in _DTYPES:
         raise ValueError(f"unknown dtype {dtype_name!r} in {hdr_path}")

@@ -6,7 +6,7 @@ import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage, sparse
+from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from .raster import Raster
@@ -84,7 +84,9 @@ def slic(r: Raster, target_count: int, compactness: float, seed: int = 0) -> Seg
     )
     k = len(centers_pos)
     win = int(np.ceil(2 * spacing))
+    ratio = compactness / spacing
     yy, xx = np.mgrid[0:m, 0:n].astype(np.float64)
+    ys, xs = yy[:, 0], xx[0]
 
     assign = np.zeros((m, n), dtype=np.int64)
     for _ in range(SLIC_ITERS):
@@ -96,16 +98,17 @@ def slic(r: Raster, target_count: int, compactness: float, seed: int = 0) -> Seg
             x1 = min(n, int(centers_pos[ci, 1]) + win + 1)
             patch = data[y0:y1, x0:x1]
             d_color = np.sqrt(((patch - centers_col[ci]) ** 2).sum(axis=2))
-            d_spatial = np.sqrt(
-                (yy[y0:y1, x0:x1] - centers_pos[ci, 0]) ** 2
-                + (xx[y0:y1, x0:x1] - centers_pos[ci, 1]) ** 2
-            )
-            d = d_color + (compactness / spacing) * d_spatial
-            better = d < best[y0:y1, x0:x1]
-            best[y0:y1, x0:x1][better] = d[better]
-            assign[y0:y1, x0:x1][better] = ci
+            # Pixel coordinates are exact floats, so the broadcast sum of the
+            # two 1-D squared offsets equals the full-window form bit for bit.
+            dy2 = (ys[y0:y1] - centers_pos[ci, 0]) ** 2
+            dx2 = (xs[x0:x1] - centers_pos[ci, 1]) ** 2
+            d = d_color + ratio * np.sqrt(dy2[:, None] + dx2[None, :])
+            best_win = best[y0:y1, x0:x1]
+            better = d < best_win
+            np.copyto(best_win, d, where=better)
+            np.copyto(assign[y0:y1, x0:x1], ci, where=better)
         _update_centers(assign, yy, xx, data, centers_pos, centers_col)
-    return _enforce_connectivity(assign, k)
+    return _enforce_connectivity(assign)
 
 
 def _update_centers(assign, yy, xx, data, centers_pos, centers_col) -> None:
@@ -113,65 +116,70 @@ def _update_centers(assign, yy, xx, data, centers_pos, centers_col) -> None:
     of its pixels, in place.
 
     A stable sort groups the pixels by cluster, each cluster's slice in
-    row-major order: the order a boolean mask selects them in. So every
-    mean adds the same values in the same order as ``yy[assign == ci].mean()``
-    and is bit-identical to it, at O(P log P) instead of O(k P).
+    row-major order: the order a boolean mask selects them in. Clusters of
+    equal size are gathered into one (clusters, size) array, one contiguous
+    row per cluster, and averaged along the rows; numpy sums a contiguous row
+    exactly as it sums the same 1-D slice, so every mean is bit-identical to
+    ``yy[assign == ci].mean()``. (``np.add.reduceat`` sums in another order
+    and is not.)
     """
     flat = assign.ravel()
     order = np.argsort(flat, kind="stable")
-    bounds = np.searchsorted(flat[order], np.arange(len(centers_pos) + 1))
+    counts = np.bincount(flat, minlength=len(centers_pos))
+    starts = np.cumsum(counts) - counts
     yy_s, xx_s = yy.ravel()[order], xx.ravel()[order]
     data_s = data.reshape(flat.size, -1)[order]
-    for ci in range(len(centers_pos)):
-        lo, hi = bounds[ci], bounds[ci + 1]
-        if hi > lo:
-            centers_pos[ci] = (yy_s[lo:hi].mean(), xx_s[lo:hi].mean())
-            centers_col[ci] = data_s[lo:hi].mean(axis=0)
+    for size in np.unique(counts[counts > 0]):
+        members = np.flatnonzero(counts == size)
+        idx = starts[members, None] + np.arange(size)
+        centers_pos[members, 0] = yy_s[idx].mean(axis=1)
+        centers_pos[members, 1] = xx_s[idx].mean(axis=1)
+        centers_col[members] = data_s[idx].mean(axis=1)
 
 
-def _enforce_connectivity(assign: np.ndarray, k: int) -> SegmentationMap:
-    """Keep each cluster's largest component; merge orphan components into
-    the adjacent kept region with the most pixels."""
-    comp = _connected_regions(assign)
+def _enforce_connectivity(assign: np.ndarray) -> SegmentationMap:
+    """Keep each cluster's largest component (ties: lowest component id);
+    merge orphan components into the adjacent kept region with the most
+    pixels.
+
+    Orphans grow in synchronous passes: every remaining orphan reads its
+    up, down, left and right neighbours, in that order, and takes the one
+    whose kept component is strictly largest; only then are the labels
+    written. Each pass labels at least one orphan: every cluster that occurs
+    keeps a component, so some pixel is labelled, and the 4-connected grid is
+    connected, so while orphans remain one of them touches a labelled pixel.
+    ``tests/segmentation_oracle.py`` keeps the whole-image form of this rule.
+    """
+    m, n = assign.shape
+    comp = _connected_regions(assign).ravel()
     n_comp = comp.max() + 1
-    comp_sizes = np.bincount(comp.ravel(), minlength=n_comp)
-    comp_cluster = np.full(n_comp, -1, dtype=np.int64)
-    comp_cluster[comp.ravel()] = assign.ravel()
+    comp_sizes = np.bincount(comp, minlength=n_comp)
+    comp_cluster = np.empty(n_comp, dtype=np.int64)
+    comp_cluster[comp] = assign.ravel()
+    # Per cluster: largest component first, then lowest id.
+    order = np.lexsort((np.arange(n_comp), -comp_sizes, comp_cluster))
+    first = np.ones(n_comp, dtype=bool)
+    first[1:] = comp_cluster[order[1:]] != comp_cluster[order[:-1]]
     keep = np.zeros(n_comp, dtype=bool)
-    for ci in range(k):
-        members = np.flatnonzero(comp_cluster == ci)
-        if len(members):
-            keep[members[np.argmax(comp_sizes[members])]] = True
+    keep[order[first]] = True
 
     final = np.where(keep[comp], comp, -1)
-    # Iteratively absorb orphan pixels into the largest adjacent kept region.
-    while (final < 0).any():
-        grown = ndimage.grey_dilation(final, size=3, mode="constant", cval=-1)
-        orphan = final < 0
-        candidates = np.where(orphan, grown, final)
-        # Prefer the largest neighboring region among the 4-neighbors.
-        best_nb = np.full(final.shape, -1, dtype=np.int64)
-        best_sz = np.full(final.shape, -1, dtype=np.int64)
-        for dy, dx in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nb = np.full(final.shape, -1, dtype=np.int64)
-            if dy == 1:
-                nb[1:, :] = final[:-1, :]
-            elif dy == -1:
-                nb[:-1, :] = final[1:, :]
-            elif dx == 1:
-                nb[:, 1:] = final[:, :-1]
-            else:
-                nb[:, :-1] = final[:, 1:]
-            sz = np.where(nb >= 0, comp_sizes[np.maximum(nb, 0)], -1)
-            upd = orphan & (sz > best_sz)
+    orphans = np.flatnonzero(final < 0)
+    while orphans.size:
+        row, col = np.divmod(orphans, n)
+        best_nb = np.full(orphans.size, -1, dtype=np.int64)
+        best_sz = np.full(orphans.size, -1, dtype=np.int64)
+        for inside, step in ((row > 0, -n), (row < m - 1, n), (col > 0, -1),
+                             (col < n - 1, 1)):
+            nb = np.where(inside, final[np.where(inside, orphans + step, 0)], -1)
+            sz = np.where(nb >= 0, comp_sizes[nb], -1)
+            upd = sz > best_sz
             best_nb[upd] = nb[upd]
             best_sz[upd] = sz[upd]
-        progressed = orphan & (best_nb >= 0)
-        if not progressed.any():
-            final[orphan] = candidates[orphan]
-            break
-        final[progressed] = best_nb[progressed]
-    return _relabel_contiguous(final)
+        done = best_nb >= 0
+        final[orphans[done]] = best_nb[done]
+        orphans = orphans[~done]
+    return _relabel_contiguous(final.reshape(m, n))
 
 
 def cosegment(a: SegmentationMap, b: SegmentationMap, min_region: int = 10) -> SegmentationMap:

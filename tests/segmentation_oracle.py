@@ -2,15 +2,23 @@
 
 ``absorb_small`` merges one region per pass and recomputes every boundary
 length after each merge; ``slic`` updates each centre through a full-image
-``assign == ci`` mask (``update_centers``). Both are slow (O(regions x
-pixels) and O(k x pixels) per iteration) but state the rules plainly, so the
-tests compare ``copcd.segmentation`` against them label for label and the
-centres bit for bit.
+``assign == ci`` mask (``update_centers``), and ``enforce_connectivity``
+picks each cluster's kept component with one mask per cluster and grows the
+orphans over whole-image shifted copies. They are slow (O(regions x pixels),
+O(k x pixels) per iteration and O(k x components)) but state the rules
+plainly, so the tests compare ``copcd.segmentation`` against them label for
+label and the centres bit for bit.
 """
 
 import numpy as np
+from scipy import ndimage
 
-from copcd.segmentation import SLIC_ITERS, _boundary_pairs, _enforce_connectivity
+from copcd.segmentation import (
+    SLIC_ITERS,
+    _boundary_pairs,
+    _connected_regions,
+    _relabel_contiguous,
+)
 
 
 def absorb_small(labels: np.ndarray, min_region: int) -> np.ndarray:
@@ -82,7 +90,7 @@ def slic(r, target_count: int, compactness: float):
             best[y0:y1, x0:x1][better] = d[better]
             assign[y0:y1, x0:x1][better] = ci
         update_centers(assign, yy, xx, data, centers_pos, centers_col)
-    return _enforce_connectivity(assign, k)
+    return enforce_connectivity(assign, k)
 
 
 def update_centers(assign, yy, xx, data, centers_pos, centers_col) -> None:
@@ -92,3 +100,48 @@ def update_centers(assign, yy, xx, data, centers_pos, centers_col) -> None:
         if mask.any():
             centers_pos[ci] = (yy[mask].mean(), xx[mask].mean())
             centers_col[ci] = data[mask].mean(axis=0)
+
+
+def enforce_connectivity(assign: np.ndarray, k: int):
+    """Keep each cluster's largest component; merge orphan components into
+    the adjacent kept region with the most pixels."""
+    comp = _connected_regions(assign)
+    n_comp = comp.max() + 1
+    comp_sizes = np.bincount(comp.ravel(), minlength=n_comp)
+    comp_cluster = np.full(n_comp, -1, dtype=np.int64)
+    comp_cluster[comp.ravel()] = assign.ravel()
+    keep = np.zeros(n_comp, dtype=bool)
+    for ci in range(k):
+        members = np.flatnonzero(comp_cluster == ci)
+        if len(members):
+            keep[members[np.argmax(comp_sizes[members])]] = True
+
+    final = np.where(keep[comp], comp, -1)
+    # Iteratively absorb orphan pixels into the largest adjacent kept region.
+    while (final < 0).any():
+        grown = ndimage.grey_dilation(final, size=3, mode="constant", cval=-1)
+        orphan = final < 0
+        candidates = np.where(orphan, grown, final)
+        # Prefer the largest neighboring region among the 4-neighbors.
+        best_nb = np.full(final.shape, -1, dtype=np.int64)
+        best_sz = np.full(final.shape, -1, dtype=np.int64)
+        for dy, dx in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            nb = np.full(final.shape, -1, dtype=np.int64)
+            if dy == 1:
+                nb[1:, :] = final[:-1, :]
+            elif dy == -1:
+                nb[:-1, :] = final[1:, :]
+            elif dx == 1:
+                nb[:, 1:] = final[:, :-1]
+            else:
+                nb[:, :-1] = final[:, 1:]
+            sz = np.where(nb >= 0, comp_sizes[np.maximum(nb, 0)], -1)
+            upd = orphan & (sz > best_sz)
+            best_nb[upd] = nb[upd]
+            best_sz[upd] = sz[upd]
+        progressed = orphan & (best_nb >= 0)
+        if not progressed.any():
+            final[orphan] = candidates[orphan]
+            break
+        final[progressed] = best_nb[progressed]
+    return _relabel_contiguous(final)

@@ -100,6 +100,25 @@ def test_mistyped_config_value_is_contract_error(tmp_path, capsys, values, key):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, value", [
+    *[(key, value) for key in ("alpha", "eps", "theta_max", "compactness")
+      for value in (float("nan"), float("inf"), float("-inf"))],
+    ("alpha", -1.0), ("eps", 0.0), ("eps", -1e-3), ("theta_max", 0.0),
+    ("theta_max", -2.0), ("compactness", 0.0), ("compactness", -10.0),
+    ("pca", 0), ("pca", -1),
+])
+def test_out_of_range_config_value_is_contract_error(tmp_path, capsys, key, value):
+    # JSON carries NaN and Infinity as bare literals; each must be refused
+    # before any stage runs, naming the field.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code = cli.main(["detect", "--config", str(cfg)])
+    assert code == cli.EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
+    assert "stage" not in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", "null", "3"])
 def test_config_that_is_not_an_object_is_contract_error(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"

@@ -1,9 +1,20 @@
 """EM estimation of the copula-mixture parameters."""
 
+import json
+
 import numpy as np
 import pytest
 
-from copcd.copula import CopulaMixtureModel, sample_clayton_pairs, sample_mixture
+from copcd import cli, emfit
+from copcd.copula import (
+    LOG_FLOOR,
+    CopulaMixtureModel,
+    gaussian_logpdf,
+    mixture_logpdf_params,
+    sample_clayton_pairs,
+    sample_mixture,
+    tail_logpdf,
+)
 from copcd.dependence import TAIL_CLAYTON, TAIL_CLAYTON_SURVIVAL
 from copcd.emfit import (
     STATUS_CONVERGED,
@@ -14,6 +25,7 @@ from copcd.emfit import (
     m_step,
 )
 from copcd.pipeline import write_traces_csv
+from copcd.raster import Raster, save_raster
 
 
 def assert_monotone(trace, slack=1e-9):
@@ -53,8 +65,6 @@ def test_log_likelihood_independence_is_zero():
 
 
 def test_log_likelihood_matches_direct_recomputation():
-    from copcd.copula import mixture_logpdf_params
-
     rng = np.random.default_rng(1)
     u, v = rng.uniform(0.05, 0.95, (2, 200))
     got = log_likelihood(u, v, 0.6, 2.0, 0.4, TAIL_CLAYTON_SURVIVAL)
@@ -181,3 +191,38 @@ def test_trace_csv_export(tmp_path):
     assert len(lines) == len(trace.rows) + 1
     assert all(line.startswith("1,1,") and line.endswith("," + trace.status)
                for line in lines[1:])
+
+
+def _two_pass_loglik_and_gamma(u, v, rho, theta, w, tail_mode):
+    """The mixture density and the responsibilities each evaluated on their
+    own, the reference for the shared one-pass helper."""
+    ll = float(np.mean(mixture_logpdf_params(u, v, rho, theta, w, tail_mode)))
+    if w >= 1.0:
+        return ll, np.ones_like(u)
+    if w <= 0.0:
+        return ll, np.zeros_like(u)
+    fg = w * np.exp(gaussian_logpdf(u, v, rho))
+    fc = (1 - w) * np.exp(tail_logpdf(u, v, theta, tail_mode))
+    return ll, np.clip(fg / np.maximum(fg + fc, LOG_FLOOR), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("tail_mode", [TAIL_CLAYTON, TAIL_CLAYTON_SURVIVAL])
+def test_one_density_pass_keeps_fit_outputs_byte_identical(tmp_path, monkeypatch,
+                                                          tail_mode):
+    model = CopulaMixtureModel(rho=0.6, theta=3.0, w=0.4, tail_mode=tail_mode,
+                               n_train=1)
+    u, v = sample_mixture(model, 2000, seed=11)
+    pairs = np.stack([u, v], axis=1)[:, :, None].astype(np.float32)
+    save_raster(Raster.from_array(pairs), str(tmp_path / "pairs"))
+
+    def run(name):
+        out = tmp_path / name
+        assert cli.main(["fit", "--pairs", str(tmp_path / "pairs"), "--eps", "1e-4",
+                         "--out-dir", str(out)]) == cli.EXIT_OK
+        return {f: (out / f).read_bytes() for f in ("model.json", "em_trace.csv")}
+
+    got = run("one_pass")
+    monkeypatch.setattr(emfit, "_loglik_and_gamma", _two_pass_loglik_and_gamma)
+    want = run("two_pass")
+    assert got == want
+    assert json.loads(got["model.json"])["pairs"]["1,1"]["tail_mode"] == tail_mode

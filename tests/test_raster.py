@@ -76,6 +76,19 @@ def test_header_dimensions_must_be_positive_ints(tmp_path, capsys, key, value):
     assert err.startswith("error:") and f"'{key}'" in err
 
 
+@pytest.mark.parametrize("value", ["weird", None, 3])
+def test_header_layout_must_be_known(tmp_path, capsys, value):
+    base = str(tmp_path / "bad")
+    with open(base + ".hdr.json", "w") as fh:
+        json.dump({"m": 2, "n": 2, "c": 1, "dtype": "u8", "layout": value}, fh)
+    np.zeros(4, dtype="u1").tofile(base + ".u8")
+    with pytest.raises(ValueError, match="header key 'layout'"):
+        load_binary_map(base)
+    assert cli.main(["score", "--bcm", base, "--gt", base]) == cli.EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'layout'" in err
+
+
 def test_missing_file_errors(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_raster(str(tmp_path / "nope"))

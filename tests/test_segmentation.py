@@ -10,6 +10,7 @@ from copcd.raster import Raster
 from copcd.segmentation import (
     SegmentationMap,
     _absorb_small,
+    _enforce_connectivity,
     _update_centers,
     cosegment,
     extract_features,
@@ -122,6 +123,37 @@ def test_update_centers_is_bit_identical_to_masks(seed, m, n, channels, k):
     oracle.update_centers(assign, yy, xx, data, want_pos, want_col)
     assert pos.tobytes() == want_pos.tobytes()
     assert col.tobytes() == want_col.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 30), st.integers(1, 30),
+       st.booleans(), st.integers(1, 8), st.integers(1, 5))
+def test_enforce_connectivity_matches_oracle(seed, m, n, strip, n_labels, block):
+    # Few labels on block-upsampled maps split clusters into several
+    # components of tied sizes; a losing block leaves orphans up to three
+    # pixels deep; strips are 1 x N; some cluster ids never occur.
+    if strip:
+        m = 1
+    rng = np.random.default_rng(seed)
+    coarse = rng.integers(0, n_labels, size=(-(-m // block), -(-n // block)))
+    assign = np.kron(coarse, np.ones((block, block), dtype=np.int64))[:m, :n]
+    assign = np.ascontiguousarray(assign)
+    got = _enforce_connectivity(assign)
+    want = oracle.enforce_connectivity(assign, n_labels)
+    assert got.count == want.count
+    assert np.array_equal(got.labels, want.labels)
+
+
+def test_enforce_connectivity_deep_orphan():
+    # Cluster 0's small square is cut off from its large kept region, so
+    # its 25 pixels are absorbed ring by ring into the surrounding cluster.
+    assign = np.ones((12, 12), dtype=np.int64)
+    assign[:, :3] = 0
+    assign[5:10, 5:10] = 0
+    got = _enforce_connectivity(assign)
+    assert got.count == 2
+    assert np.array_equal(got.labels, oracle.enforce_connectivity(assign, 2).labels)
+    assert (got.labels[:, 3:] == got.labels[0, 3]).all()
 
 
 def _grid_map(m, n, rows, cols):
