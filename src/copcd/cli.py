@@ -87,23 +87,22 @@ def cmd_detect(args) -> int:
 
 def cmd_fit(args) -> int:
     config = build_pipeline_config(args)
+    if config.model is not None:
+        raise ValueError("config field 'model' is not accepted by fit, which always "
+                         "runs EM; give the model to detect")
     if args.pairs is not None:
         pairs = load_raster(args.pairs)
         if pairs.width != 2 or pairs.channels != 1:
             raise ValueError("--pairs expects an n x 2 x 1 raster of sample columns")
-        model_set, traces = pipeline.run_fit_pairs(
-            pairs.data[:, 0, 0].astype(np.float64),
-            pairs.data[:, 1, 0].astype(np.float64),
-            config,
+        model_set, traces = pipeline.fit_model_set(
+            pairs.data[:, 0, :].astype(np.float64),
+            pairs.data[:, 1, :].astype(np.float64),
+            config.em_config(),
         )
     else:
         result = pipeline.run_fit(config)
         model_set, traces = result["model_set"], result["traces"]
-    os.makedirs(config.out_dir, exist_ok=True)
-    with open(os.path.join(config.out_dir, "model.json"), "w") as fh:
-        fh.write(model_set.to_json())
-        fh.write("\n")
-    pipeline.write_traces_csv(traces, os.path.join(config.out_dir, "em_trace.csv"))
+    pipeline.write_model(model_set, traces, config.out_dir)
     for (c1, c2), model in sorted(model_set.models.items()):
         print(f"pair {c1},{c2}: rho={model.rho:.4f} theta={model.theta:.4f} "
               f"w={model.w:.4f} tail={model.tail_mode}")

@@ -29,9 +29,6 @@ class MetricsReport:
             indent=2,
         )
 
-    def to_csv_row(self) -> str:
-        return f"{self.tp},{self.tn},{self.fp},{self.fn},{self.kc},{self.fm},{self.acc}"
-
 
 def score_counts(tp: int, tn: int, fp: int, fn: int) -> MetricsReport:
     total = tp + tn + fp + fn

@@ -14,8 +14,13 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import detector, emfit, metrics, segmentation, translate
-from .copula import ChannelPairModels, CopulaMixtureModel, clamp_pseudo_obs
-from .dependence import ORIENT_NEGATED, DependenceProfile, empirical_cdf, orient
+from .copula import (
+    ChannelPairModels,
+    CopulaMixtureModel,
+    clamp_pseudo_obs,
+    load_model_records,
+)
+from .dependence import DependenceProfile, empirical_cdf, orient
 from .raster import (
     Raster,
     export_graymap,
@@ -65,6 +70,9 @@ class PipelineConfig:
                                  f"{'> 0' if positive else '>= 0'}, got {value!r}")
         if self.pca is not None and self.pca < 1:
             raise ValueError(f"config field 'pca' must be >= 1, got {self.pca!r}")
+
+    def em_config(self) -> emfit.EmConfig:
+        return emfit.EmConfig(eps=self.eps, theta_max=self.theta_max)
 
 
 def worker_count(n_tasks: int) -> int:
@@ -149,9 +157,9 @@ def fit_model_set(feat_x: np.ndarray, feat_y: np.ndarray,
                              ecdfs_x=ecdfs_x, ecdfs_y=ecdfs_y), traces
 
 
-def cosegment_pair(a: Raster, b: Raster, target: int, compactness: float, seed: int):
-    seg_a = segmentation.slic(a, target, compactness, seed)
-    seg_b = segmentation.slic(b, target, compactness, seed)
+def cosegment_pair(a: Raster, b: Raster, target: int, compactness: float):
+    seg_a = segmentation.slic(a, target, compactness)
+    seg_b = segmentation.slic(b, target, compactness)
     return segmentation.cosegment(seg_a, seg_b, MIN_REGION)
 
 
@@ -193,26 +201,35 @@ def _load_translated(config: PipelineConfig):
     return x, y, y_t
 
 
-def run_detect(config: PipelineConfig) -> dict:
-    """Full detection pipeline; returns a dict of computed artifacts."""
+def run_fit(config: PipelineConfig) -> dict:
+    """Training half of the pipeline: translate, co-segment (X, Y'), then fit
+    every channel pair, or adopt the records of ``config.model``.
+
+    Returns the pre/post rasters, the translation, the training segmentation,
+    the model set and the EM traces (None per pair when adopted).
+    """
     x, y, y_t = _load_translated(config)
-
     seg_train = _stage("segment", cosegment_pair, x, y_t, config.ns_model,
-                       config.compactness, config.seed)
-    feat_x_train = _stage("features", segmentation.extract_features, x, seg_train)
-    feat_y_train = _stage("features", segmentation.extract_features, y_t, seg_train)
-
+                       config.compactness)
+    feat_x = _stage("features", segmentation.extract_features, x, seg_train)
+    feat_y = _stage("features", segmentation.extract_features, y_t, seg_train)
     records = None
     if config.model is not None:
-        from .copula import load_model_records
-
         records = _stage("fit", load_model_records, config.model)
-    em_config = emfit.EmConfig(eps=config.eps, theta_max=config.theta_max)
-    model_set, traces = _stage("fit", fit_model_set, feat_x_train, feat_y_train,
-                               em_config, records)
+    model_set, traces = _stage("fit", fit_model_set, feat_x, feat_y,
+                               config.em_config(), records)
+    return {"pre": x, "post": y, "translated": y_t, "seg_train": seg_train,
+            "model_set": model_set, "traces": traces}
+
+
+def run_detect(config: PipelineConfig) -> dict:
+    """Full detection pipeline; returns a dict of computed artifacts."""
+    out = run_fit(config)
+    x, y = out.pop("pre"), out.pop("post")
+    model_set = out["model_set"]
 
     seg_test = _stage("segment", cosegment_pair, x, y, config.ns_test,
-                      config.compactness, config.seed)
+                      config.compactness)
     feat_x_test = _stage("features", segmentation.extract_features, x, seg_test)
     feat_y_test = _stage("features", segmentation.extract_features, y, seg_test)
 
@@ -222,30 +239,25 @@ def run_detect(config: PipelineConfig) -> dict:
                  diff, config.alpha)
     bcm = _stage("detect", detector.two_stage_bcm, rep, diff, seg_test, config.seed)
 
-    out = {
-        "model_set": model_set,
-        "traces": traces,
-        "seg_train": seg_train,
-        "seg_test": seg_test,
-        "stat_tensor": t,
-        "diff": diff,
-        "bcm": bcm,
-        "translated": y_t,
-    }
+    out.update(seg_test=seg_test, stat_tensor=t, diff=diff, bcm=bcm)
     if config.gt is not None:
         gt = _stage("score", load_binary_map, config.gt)
         out["report"] = _stage("score", metrics.score, bcm, gt)
     return out
 
 
-def write_artifacts(result: dict, config: PipelineConfig) -> None:
-    os.makedirs(config.out_dir, exist_ok=True)
-    join = lambda name: os.path.join(config.out_dir, name)
-
-    with open(join("model.json"), "w") as fh:
-        fh.write(result["model_set"].to_json())
+def write_model(model_set: ChannelPairModels, traces: dict, out_dir: str) -> None:
+    """Write ``model.json`` and ``em_trace.csv`` into out_dir."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "model.json"), "w") as fh:
+        fh.write(model_set.to_json())
         fh.write("\n")
-    write_traces_csv(result["traces"], join("em_trace.csv"))
+    write_traces_csv(traces, os.path.join(out_dir, "em_trace.csv"))
+
+
+def write_artifacts(result: dict, config: PipelineConfig) -> None:
+    write_model(result["model_set"], result["traces"], config.out_dir)
+    join = lambda name: os.path.join(config.out_dir, name)
 
     seg_test = result["seg_test"]
     di_pixels = result["diff"].di[seg_test.labels - 1]
@@ -260,26 +272,3 @@ def write_artifacts(result: dict, config: PipelineConfig) -> None:
         with open(join("metrics.json"), "w") as fh:
             fh.write(result["report"].to_json())
             fh.write("\n")
-
-
-def run_fit_pairs(u_samples, v_samples, config: PipelineConfig):
-    """Fit a single-pair model directly from raw sample columns."""
-    em_config = emfit.EmConfig(eps=config.eps, theta_max=config.theta_max)
-    model, profile, trace = fit_channel_pair(u_samples, v_samples, em_config)
-    ecdf_u = empirical_cdf(u_samples)
-    ecdf_v = empirical_cdf(v_samples)
-    model_set = ChannelPairModels(cx=1, cy=1, models={(1, 1): model},
-                                  ecdfs_x=(ecdf_u,), ecdfs_y=(ecdf_v,))
-    return model_set, {(1, 1): trace}
-
-
-def run_fit(config: PipelineConfig) -> dict:
-    """Training half of the pipeline: translate, co-segment, fit, emit models."""
-    x, _, y_t = _load_translated(config)
-    seg_train = _stage("segment", cosegment_pair, x, y_t, config.ns_model,
-                       config.compactness, config.seed)
-    feat_x = _stage("features", segmentation.extract_features, x, seg_train)
-    feat_y = _stage("features", segmentation.extract_features, y_t, seg_train)
-    em_config = emfit.EmConfig(eps=config.eps, theta_max=config.theta_max)
-    model_set, traces = _stage("fit", fit_model_set, feat_x, feat_y, em_config)
-    return {"model_set": model_set, "traces": traces}

@@ -3,8 +3,7 @@
 A raster on disk is a two-part container: ``<name>.hdr.json`` holding the
 dimensions/dtype and ``<name>.<ext>`` holding the raw little-endian payload.
 Float rasters are stored pixel-major, band-interleaved ("row-major-bip");
-single-band integer maps (segmentations, binary change maps) are plain
-row-major.
+single-band binary change maps are plain row-major.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import numpy as np
 
 _DTYPES = {
     "f32le": (np.dtype("<f4"), "f32"),
-    "u32le": (np.dtype("<u4"), "u32"),
     "u8": (np.dtype("u1"), "u8"),
 }
 _LAYOUTS = ("row-major-bip", "row-major")
@@ -55,7 +53,7 @@ class Raster:
 
 
 def _strip_suffix(path: str) -> str:
-    for suf in (".hdr.json", ".f32", ".u32", ".u8"):
+    for suf in (".hdr.json", ".f32", ".u8"):
         if path.endswith(suf):
             return path[: -len(suf)]
     return path
@@ -122,18 +120,6 @@ def load_raster(path: str) -> Raster:
 
 def save_raster(r: Raster, path: str) -> None:
     _write_container(path, r.data, "f32le", "row-major-bip")
-
-
-def save_label_map(labels: np.ndarray, path: str) -> None:
-    """Store an M x N integer label map as a u32le single-band container."""
-    _write_container(path, np.asarray(labels, dtype=np.uint32), "u32le", "row-major")
-
-
-def load_label_map(path: str) -> np.ndarray:
-    header, arr = _read_container(path)
-    if header["dtype"] != "u32le" or header["c"] != 1:
-        raise ValueError("expected a u32le single-band label map")
-    return arr[:, :, 0].astype(np.int64)
 
 
 def save_binary_map(bcm: np.ndarray, path: str) -> None:

@@ -58,10 +58,10 @@ def _connected_regions(code: np.ndarray) -> np.ndarray:
     return comp.reshape(m, n)
 
 
-def slic(r: Raster, target_count: int, compactness: float, seed: int = 0) -> SegmentationMap:
+def slic(r: Raster, target_count: int, compactness: float) -> SegmentationMap:
     """Grid-initialized SLIC with fixed iteration count and connectivity cleanup.
 
-    Deterministic for a fixed seed (the procedure itself has no randomness).
+    Deterministic: the procedure has no randomness.
     Distance is d_color + (compactness / S) * d_spatial with Euclidean norms
     over all channels.
     """

@@ -19,20 +19,10 @@ METHOD_LINEAR = "linear_regress"
 @dataclass(frozen=True)
 class TranslationSpec:
     method: str = METHOD_HISTOGRAM
-    channel_map: tuple | None = None  # output channel -> source channel (0-based)
 
     def __post_init__(self):
         if self.method not in (METHOD_HISTOGRAM, METHOD_LINEAR):
             raise ValueError(f"unknown translation method {self.method!r}")
-
-    def resolve_map(self, cx: int, cy: int) -> tuple:
-        if self.channel_map is None:
-            return tuple(c % cx for c in range(cy))
-        if len(self.channel_map) != cy:
-            raise ValueError("channel_map length must equal the target channel count")
-        if any(not 0 <= c < cx for c in self.channel_map):
-            raise ValueError("channel_map entry out of range")
-        return tuple(self.channel_map)
 
 
 def _match_channel(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
@@ -74,14 +64,14 @@ def _affine_channel(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
 
 def translate_baseline(x: Raster, y: Raster, spec: TranslationSpec | None = None) -> Raster:
     """Produce a translated-raster candidate with y's channel count and,
-    per channel, y's marginal distribution."""
+    per channel, y's marginal distribution. Output band c is translated from
+    source band c % x.channels."""
     spec = spec or TranslationSpec()
     if (x.height, x.width) != (y.height, y.width):
         raise ValueError("raster dimensions differ")
-    chan_map = spec.resolve_map(x.channels, y.channels)
     out = np.empty((x.height, x.width, y.channels), dtype=np.float64)
-    for c2, c1 in enumerate(chan_map):
-        src = x.data[:, :, c1]
+    for c2 in range(y.channels):
+        src = x.data[:, :, c2 % x.channels]
         tgt = y.data[:, :, c2]
         if spec.method == METHOD_HISTOGRAM:
             out[:, :, c2] = _match_channel(src, tgt)

@@ -1,0 +1,76 @@
+"""Copula CDFs: verification only, never called by the pipeline.
+
+The detector needs only the densities in ``copcd.copula``; these CDFs check
+them (the density is the CDF's mixed derivative) and pin the boundary
+conditions. ``gaussian_cdf`` integrates by adaptive quadrature, which is why
+this module, and not ``copcd``, imports ``scipy.integrate``.
+"""
+
+import numpy as np
+from scipy.integrate import quad
+from scipy.special import ndtr, ndtri
+
+from copcd.copula import CopulaMixtureModel
+from copcd.dependence import TAIL_CLAYTON
+
+
+def _check_closed(u1, u2):
+    u1 = np.asarray(u1, dtype=np.float64)
+    u2 = np.asarray(u2, dtype=np.float64)
+    if (u1 < 0).any() or (u1 > 1).any() or (u2 < 0).any() or (u2 > 1).any():
+        raise ValueError("copula CDF arguments must lie in [0, 1]")
+    return u1, u2
+
+
+def gaussian_cdf(u1: float, u2: float, rho: float) -> float:
+    """Bivariate normal copula CDF via adaptive quadrature (<= 1e-6 abs)."""
+    u1, u2 = _check_closed(u1, u2)
+    if not -1 < rho < 1:
+        raise ValueError("rho must lie in (-1, 1)")
+    u1 = float(u1)
+    u2 = float(u2)
+    if u1 == 0.0 or u2 == 0.0:
+        return 0.0
+    if u1 == 1.0:
+        return u2
+    if u2 == 1.0:
+        return u1
+    a = ndtri(u1)
+    b = ndtri(u2)
+    denom = np.sqrt(1 - rho * rho)
+
+    def integrand(x):
+        return np.exp(-0.5 * x * x) / np.sqrt(2 * np.pi) * ndtr((b - rho * x) / denom)
+
+    val, _ = quad(integrand, -9.0, a, epsabs=1e-9, limit=200)
+    return float(val)
+
+
+def clayton_cdf(u1, u2, theta: float):
+    u1, u2 = _check_closed(u1, u2)
+    if theta <= 0:
+        raise ValueError("theta must be > 0")
+    with np.errstate(divide="ignore", over="ignore"):
+        s = u1 ** (-theta) + u2 ** (-theta) - 1.0
+        out = np.where((u1 > 0) & (u2 > 0), s ** (-1.0 / theta), 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def sclayton_cdf(u1, u2, theta: float):
+    u1, u2 = _check_closed(u1, u2)
+    if theta <= 0:
+        raise ValueError("theta must be > 0")
+    with np.errstate(divide="ignore", over="ignore"):
+        s = (1 - u1) ** (-theta) + (1 - u2) ** (-theta) - 1.0
+        tail = np.where((u1 < 1) & (u2 < 1), s ** (-1.0 / theta), 0.0)
+    out = np.maximum(u1 + u2 - 1.0 + tail, 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def mixture_cdf(u1, u2, model: CopulaMixtureModel):
+    """Mixture CDF; used for verification only, not in detection."""
+    if model.tail_mode == TAIL_CLAYTON:
+        tail = clayton_cdf(u1, u2, model.theta)
+    else:
+        tail = sclayton_cdf(u1, u2, model.theta)
+    return model.w * gaussian_cdf(u1, u2, model.rho) + (1 - model.w) * tail

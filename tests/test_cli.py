@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +77,35 @@ def test_fit_pairs_recovers_clayton_theta(tmp_path, capsys):
     assert 1.7 <= doc["pairs"]["1,1"]["theta"] <= 2.3
     assert os.path.exists(os.path.join(out, "em_trace.csv"))
     assert "pair 1,1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_fit_refuses_model(tmp_path, capsys, via_config):
+    # fit always runs EM; a model given to it must be refused before any
+    # stage runs (no --pre/--post here, so a stage would fail at 'load').
+    model = str(tmp_path / "model.json")
+    args = ["fit", "--out-dir", str(tmp_path / "fit")]
+    if via_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": model}))
+        args += ["--config", str(cfg)]
+    else:
+        args += ["--model", model]
+    assert cli.main(args) == cli.EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'model'" in err
+    assert "stage" not in err and "Traceback" not in err
+    assert not os.path.exists(tmp_path / "fit")
+
+
+def test_cli_import_leaves_out_verification_maths():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys, copcd.cli; "
+            "print(sorted({'scipy.integrate', 'scipy.optimize'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 def test_unknown_config_key_is_contract_error(tmp_path, capsys):

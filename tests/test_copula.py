@@ -5,23 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from copula_oracle import clayton_cdf, gaussian_cdf, mixture_cdf, sclayton_cdf
 from copcd.copula import (
     ChannelPairModels,
     CopulaMixtureModel,
     clamp_pseudo_obs,
-    clayton_cdf,
     clayton_density,
     conditional_sample,
-    gaussian_cdf,
     gaussian_density,
     joint_logpdf_superpixel,
     load_model_records,
-    mixture_cdf,
     mixture_density,
     sample_clayton_pairs,
     sample_gaussian_pairs,
     sample_mixture,
-    sclayton_cdf,
     sclayton_density,
 )
 from copcd.dependence import (

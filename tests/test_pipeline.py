@@ -12,7 +12,6 @@ from copcd.pipeline import (
     fit_channel_pair,
     fit_model_set,
     run_detect,
-    run_fit_pairs,
     worker_count,
 )
 
@@ -115,10 +114,11 @@ def test_fit_model_set_adopts_prefitted_records():
                       emfit.EmConfig(), records={(1, 1): rec})
 
 
-def test_run_fit_pairs_single_model():
+def test_fit_model_set_single_pair_from_sample_columns():
     model = CopulaMixtureModel(rho=0.0001, theta=2.0, w=0.0, n_train=1)
     u, v = sample_mixture(model, 5000, seed=6)
-    model_set, traces = run_fit_pairs(u, v, PipelineConfig())
+    model_set, traces = fit_model_set(u[:, None], v[:, None],
+                                      PipelineConfig().em_config())
     fitted = model_set.model(1, 1)
     assert fitted.tail_mode == TAIL_CLAYTON
     assert 1.7 <= fitted.theta <= 2.3

@@ -13,11 +13,9 @@ from copcd.raster import (
     Raster,
     export_graymap,
     load_binary_map,
-    load_label_map,
     load_raster,
     pca_reduce,
     save_binary_map,
-    save_label_map,
     save_raster,
 )
 
@@ -126,13 +124,6 @@ def test_round_trip_is_identity(tmp_path_factory, arr):
     r = Raster.from_array(arr)
     save_raster(r, str(tmp / "r"))
     assert np.array_equal(load_raster(str(tmp / "r")).data, r.data)
-
-
-def test_label_map_round_trip(tmp_path):
-    labels = np.arange(1, 13).reshape(3, 4)
-    base = str(tmp_path / "lab")
-    save_label_map(labels, base)
-    assert np.array_equal(load_label_map(base), labels)
 
 
 def test_binary_map_round_trip_and_validation(tmp_path):
