@@ -40,7 +40,7 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--translated", help="externally translated raster (skips baseline)")
     p.add_argument("--gt", help="ground-truth binary map for scoring")
     p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--model", help="pre-fitted model.json (skips EM)")
+    p.add_argument("--model", help="model.json from fit (detect skips training)")
     p.add_argument("--ns-model", dest="ns_model", type=int)
     p.add_argument("--ns-test", dest="ns_test", type=int)
     p.add_argument("--alpha", type=float)
@@ -54,6 +54,11 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_pipeline_config(args) -> PipelineConfig:
+    return PipelineConfig(**_config_values(args))
+
+
+def _config_values(args) -> dict:
+    """The config fields given by --config and by flags, flags winning."""
     values = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -69,7 +74,7 @@ def build_pipeline_config(args) -> PipelineConfig:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
-    return PipelineConfig(**values)
+    return values
 
 
 def cmd_detect(args) -> int:
@@ -86,10 +91,15 @@ def cmd_detect(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    config = build_pipeline_config(args)
-    if config.model is not None:
-        raise ValueError("config field 'model' is not accepted by fit, which always "
-                         "runs EM; give the model to detect")
+    values = _config_values(args)
+    if args.pairs is not None:
+        unread = set(values) - {"eps", "theta_max", "out_dir"}
+    else:
+        unread = set(values) & {"model"}  # fit always runs EM; a model goes to detect
+    if unread:
+        raise ValueError(f"config fields {sorted(unread)} are not read by "
+                         f"fit{' --pairs' if args.pairs is not None else ''}")
+    config = PipelineConfig(**values)
     if args.pairs is not None:
         pairs = load_raster(args.pairs)
         if pairs.width != 2 or pairs.channels != 1:

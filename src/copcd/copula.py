@@ -1,5 +1,5 @@
 """Bivariate Gaussian / Clayton / Clayton-survival copulas, their mixture,
-and seeded samplers.
+seeded samplers, and the model file (``model.json``) of a fitted model set.
 
 Densities are evaluated in log space; the Clayton-survival density is the
 reflection f_clayton(1-u1, 1-u2) so it stays consistent with its CDF. The
@@ -8,6 +8,7 @@ CDFs only verify the densities and live in ``tests/copula_oracle.py``.
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass
 
@@ -23,6 +24,7 @@ from .dependence import (
 )
 
 LOG_FLOOR = 1e-300
+MODEL_VERSION = 2
 
 
 def _check_interior(u1, u2):
@@ -230,22 +232,64 @@ class ChannelPairModels:
     def __post_init__(self):
         expect = {(c1, c2) for c1 in range(1, self.cx + 1) for c2 in range(1, self.cy + 1)}
         if set(self.models) != expect:
-            raise ValueError("incomplete channel-pair model grid")
+            raise ValueError(f"channel-pair model grid is not exactly {self.cx} x {self.cy}")
 
     def model(self, c1: int, c2: int) -> CopulaMixtureModel:
         return self.models[(c1, c2)]
 
     def to_json(self) -> str:
+        """The whole model: parameters per pair and each channel's sorted
+        training column, so ``load_model_set`` needs no training data."""
         recs = {f"{c1},{c2}": m.to_record() for (c1, c2), m in sorted(self.models.items())}
-        return json.dumps({"cx": self.cx, "cy": self.cy, "pairs": recs}, indent=2)
+        return json.dumps({
+            "version": MODEL_VERSION, "cx": self.cx, "cy": self.cy, "pairs": recs,
+            "x": [encode_column(e.sorted) for e in self.ecdfs_x],
+            "y": [encode_column(e.sorted) for e in self.ecdfs_y],
+        }, indent=2)
 
 
-def load_model_records(path: str) -> dict:
-    """Read the per-pair parameter records from a model JSON file."""
+def encode_column(values) -> str:
+    """Base64 of the little-endian float64 bytes: exact, and far cheaper to
+    write and parse than JSON floats at tens of thousands of values."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def decode_column(text) -> np.ndarray:
+    """Inverse of ``encode_column``; ValueError on bad base64 or a byte count
+    that is not a multiple of 8."""
+    return np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8")
+
+
+def _training_ecdfs(doc: dict, key: str, count_key: str) -> tuple:
+    columns = doc.get(key)
+    if not isinstance(columns, list) or len(columns) != doc.get(count_key):
+        raise ValueError(f"model field {key!r} must list {count_key} = "
+                         f"{doc.get(count_key)!r} training columns")
+    try:
+        return tuple(EmpiricalCdf(decode_column(text)) for text in columns)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"model field {key!r}: {exc}") from None
+
+
+def load_model_set(path: str) -> ChannelPairModels:
+    """Read a model file written by ``ChannelPairModels.to_json``.
+
+    A file of another version (a parameters-only file included), a column
+    count that differs from cx/cy, a malformed column or record, or a pair
+    grid that is not exactly cx x cy raises ValueError naming the field.
+    """
     with open(path) as fh:
         doc = json.load(fh)
-    out = {}
-    for key, rec in doc["pairs"].items():
-        c1, c2 = (int(t) for t in key.split(","))
-        out[(c1, c2)] = CopulaMixtureModel.from_record(rec)
-    return out
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if version != MODEL_VERSION:
+        raise ValueError(f"model field 'version' must be {MODEL_VERSION}, got {version!r}; "
+                         "refit the model with this version of copcd")
+    ecdfs_x = _training_ecdfs(doc, "x", "cx")
+    ecdfs_y = _training_ecdfs(doc, "y", "cy")
+    try:
+        models = {tuple(int(t) for t in key.split(",")): CopulaMixtureModel.from_record(rec)
+                  for key, rec in doc["pairs"].items()}
+        return ChannelPairModels(cx=doc["cx"], cy=doc["cy"], models=models,
+                                 ecdfs_x=ecdfs_x, ecdfs_y=ecdfs_y)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"model field 'pairs': {exc}") from None

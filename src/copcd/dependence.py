@@ -148,11 +148,3 @@ class DependenceProfile:
     @property
     def tail_mode(self) -> str:
         return TAIL_CLAYTON if self.eta_lower > self.eta_upper else TAIL_CLAYTON_SURVIVAL
-
-    @classmethod
-    def from_samples(cls, x, y) -> "DependenceProfile":
-        tau = kendall_tau(x, y)
-        u = empirical_cdf(x)(x)
-        v = orient(empirical_cdf(y)(y), tau)
-        lower, upper = tail_dependence(u, v)
-        return cls(tau=tau, eta_lower=lower, eta_upper=upper)

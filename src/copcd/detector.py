@@ -34,7 +34,8 @@ def test_statistics(feat_x: np.ndarray, feat_y: np.ndarray,
     if feat_x.shape[0] != feat_y.shape[0]:
         raise ValueError("feature matrices have different superpixel counts")
     if feat_x.shape[1] != models.cx or feat_y.shape[1] != models.cy:
-        raise ValueError("feature channel counts do not match the model grid")
+        raise ValueError(f"feature channel counts {feat_x.shape[1]}, {feat_y.shape[1]} do "
+                         f"not match the model grid cx={models.cx}, cy={models.cy}")
     n = feat_x.shape[0]
     t = np.empty((n, models.cx, models.cy), dtype=np.float64)
     for c1 in range(1, models.cx + 1):

@@ -18,9 +18,15 @@ from .copula import (
     ChannelPairModels,
     CopulaMixtureModel,
     clamp_pseudo_obs,
-    load_model_records,
+    load_model_set,
 )
-from .dependence import DependenceProfile, empirical_cdf, orient
+from .dependence import (
+    DependenceProfile,
+    empirical_cdf,
+    kendall_tau,
+    orient,
+    tail_dependence,
+)
 from .raster import (
     Raster,
     export_graymap,
@@ -43,7 +49,7 @@ class PipelineConfig:
     translated: str = None
     gt: str = None
     out_dir: str = "."
-    model: str = None  # pre-fitted model.json, skips EM
+    model: str = None  # fitted model.json: detect skips the training half
     ns_model: int = 1000
     ns_test: int = 2000
     alpha: float = 5.0
@@ -104,14 +110,17 @@ def _stage(name, fn, *args, **kwargs):
 
 
 def fit_channel_pair(x_samples, y_samples, em_config: emfit.EmConfig):
-    """Dependence profile + EM fit for one channel pair's feature samples."""
-    profile = DependenceProfile.from_samples(x_samples, y_samples)
+    """Dependence profile + EM fit for one channel pair's feature samples.
+
+    The profile reads the raw pseudo-observations; EM reads them clamped.
+    """
     n = len(x_samples)
-    ecdf_x = empirical_cdf(x_samples)
-    ecdf_y = empirical_cdf(y_samples)
-    u = clamp_pseudo_obs(ecdf_x(x_samples), n)
-    v = clamp_pseudo_obs(orient(ecdf_y(y_samples), profile.tau), n)
-    (rho, theta, w), trace = emfit.fit(u, v, profile.tail_mode, em_config)
+    tau = kendall_tau(x_samples, y_samples)
+    u = empirical_cdf(x_samples)(x_samples)
+    v = orient(empirical_cdf(y_samples)(y_samples), tau)
+    profile = DependenceProfile(tau, *tail_dependence(u, v))
+    (rho, theta, w), trace = emfit.fit(clamp_pseudo_obs(u, n), clamp_pseudo_obs(v, n),
+                                       profile.tail_mode, em_config)
     model = CopulaMixtureModel(
         rho=rho, theta=theta, w=w, tail_mode=profile.tail_mode,
         orientation=profile.orientation, n_train=n,
@@ -119,12 +128,10 @@ def fit_channel_pair(x_samples, y_samples, em_config: emfit.EmConfig):
     return model, profile, trace
 
 
-def fit_model_set(feat_x: np.ndarray, feat_y: np.ndarray,
-                  em_config: emfit.EmConfig,
-                  records: dict | None = None):
-    """Fit (or adopt pre-fitted) models for every channel pair.
+def fit_model_set(feat_x: np.ndarray, feat_y: np.ndarray, em_config: emfit.EmConfig):
+    """Fit a model for every channel pair.
 
-    Returns (ChannelPairModels, {pair: EmTrace or None}).
+    Returns (ChannelPairModels, {pair: EmTrace}).
     """
     cx = feat_x.shape[1]
     cy = feat_y.shape[1]
@@ -132,27 +139,17 @@ def fit_model_set(feat_x: np.ndarray, feat_y: np.ndarray,
     ecdfs_y = tuple(empirical_cdf(feat_y[:, c]) for c in range(cy))
     pairs = [(c1, c2) for c1 in range(1, cx + 1) for c2 in range(1, cy + 1)]
 
-    models = {}
-    traces = {}
-    if records is not None:
-        for pair in pairs:
-            if pair not in records:
-                raise ValueError(f"model file lacks channel pair {pair}")
-            models[pair] = records[pair]
-            traces[pair] = None
-    else:
-        def job(pair):
-            c1, c2 = pair
-            return fit_channel_pair(feat_x[:, c1 - 1], feat_y[:, c2 - 1], em_config)
+    def job(pair):
+        c1, c2 = pair
+        return fit_channel_pair(feat_x[:, c1 - 1], feat_y[:, c2 - 1], em_config)
 
-        if len(pairs) > 1 and worker_count(len(pairs)) > 1:
-            with ThreadPoolExecutor(max_workers=worker_count(len(pairs))) as pool:
-                results = list(pool.map(job, pairs))
-        else:
-            results = [job(p) for p in pairs]
-        for pair, (model, _profile, trace) in zip(pairs, results):
-            models[pair] = model
-            traces[pair] = trace
+    if len(pairs) > 1 and worker_count(len(pairs)) > 1:
+        with ThreadPoolExecutor(max_workers=worker_count(len(pairs))) as pool:
+            results = list(pool.map(job, pairs))
+    else:
+        results = [job(p) for p in pairs]
+    models = {pair: model for pair, (model, _profile, _trace) in zip(pairs, results)}
+    traces = {pair: trace for pair, (_model, _profile, trace) in zip(pairs, results)}
     return ChannelPairModels(cx=cx, cy=cy, models=models,
                              ecdfs_x=ecdfs_x, ecdfs_y=ecdfs_y), traces
 
@@ -171,18 +168,12 @@ def write_traces_csv(traces: dict, path: str) -> None:
         writer.writerow(["c1", "c2", "iteration", "log_likelihood", "rho", "theta",
                          "w", "mean_gamma1", "status"])
         for (c1, c2), trace in sorted(traces.items()):
-            if trace is None:
-                continue
             for row in trace.rows:
                 writer.writerow([c1, c2, *row, trace.status])
 
 
-def _load_translated(config: PipelineConfig):
-    """Load (and PCA-reduce) the pair, then translate the pre-event raster
-    or load the supplied translation, which must match the post shape.
-
-    Returns (x, y, y_t).
-    """
+def _load_pair(config: PipelineConfig):
+    """Load the pre/post rasters and PCA-reduce them if asked."""
     if config.pre is None or config.post is None:
         raise StageError("load", ValueError("--pre and --post are required"))
     x = _stage("load", load_raster, config.pre)
@@ -190,6 +181,18 @@ def _load_translated(config: PipelineConfig):
     if config.pca is not None:
         x = _stage("pca", pca_reduce, x, min(config.pca, x.channels))
         y = _stage("pca", pca_reduce, y, min(config.pca, y.channels))
+    return x, y
+
+
+def run_fit(config: PipelineConfig) -> dict:
+    """Training half of the pipeline: translate the pre-event raster (or load
+    the supplied translation, which must match the post shape), co-segment
+    (X, Y'), then fit every channel pair.
+
+    Returns the pre/post rasters, the translation, the training segmentation,
+    the model set and the EM traces.
+    """
+    x, y = _load_pair(config)
     if config.translated is not None:
         y_t = _stage("translate", load_raster, config.translated)
         if (y_t.height, y_t.width, y_t.channels) != (y.height, y.width, y.channels):
@@ -198,34 +201,27 @@ def _load_translated(config: PipelineConfig):
     else:
         spec = translate.TranslationSpec(method=config.translate_method)
         y_t = _stage("translate", translate.translate_baseline, x, y, spec)
-    return x, y, y_t
-
-
-def run_fit(config: PipelineConfig) -> dict:
-    """Training half of the pipeline: translate, co-segment (X, Y'), then fit
-    every channel pair, or adopt the records of ``config.model``.
-
-    Returns the pre/post rasters, the translation, the training segmentation,
-    the model set and the EM traces (None per pair when adopted).
-    """
-    x, y, y_t = _load_translated(config)
     seg_train = _stage("segment", cosegment_pair, x, y_t, config.ns_model,
                        config.compactness)
     feat_x = _stage("features", segmentation.extract_features, x, seg_train)
     feat_y = _stage("features", segmentation.extract_features, y_t, seg_train)
-    records = None
-    if config.model is not None:
-        records = _stage("fit", load_model_records, config.model)
-    model_set, traces = _stage("fit", fit_model_set, feat_x, feat_y,
-                               config.em_config(), records)
+    model_set, traces = _stage("fit", fit_model_set, feat_x, feat_y, config.em_config())
     return {"pre": x, "post": y, "translated": y_t, "seg_train": seg_train,
             "model_set": model_set, "traces": traces}
 
 
 def run_detect(config: PipelineConfig) -> dict:
-    """Full detection pipeline; returns a dict of computed artifacts."""
-    out = run_fit(config)
-    x, y = out.pop("pre"), out.pop("post")
+    """Full detection pipeline; returns a dict of computed artifacts.
+
+    With ``config.model`` set, the model file replaces the training half:
+    only the pre/post rasters are read, and there are no EM traces.
+    """
+    if config.model is None:
+        out = run_fit(config)
+        x, y = out.pop("pre"), out.pop("post")
+    else:
+        x, y = _load_pair(config)
+        out = {"model_set": _stage("load", load_model_set, config.model), "traces": {}}
     model_set = out["model_set"]
 
     seg_test = _stage("segment", cosegment_pair, x, y, config.ns_test,

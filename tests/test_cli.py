@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, stage isolation."""
 
+import base64
 import json
 import os
 import subprocess
@@ -9,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from copcd import cli
-from copcd.copula import CopulaMixtureModel, sample_mixture
+from copcd import cli, pipeline, translate
+from copcd.copula import CopulaMixtureModel, encode_column, sample_mixture
 from copcd.raster import Raster, load_binary_map, load_raster, save_binary_map, save_raster
 
 
@@ -96,6 +97,53 @@ def test_fit_refuses_model(tmp_path, capsys, via_config):
     assert err.startswith("error:") and "'model'" in err
     assert "stage" not in err and "Traceback" not in err
     assert not os.path.exists(tmp_path / "fit")
+
+
+@pytest.fixture()
+def pairs_raster(tmp_path):
+    model = CopulaMixtureModel(rho=0.5, theta=2.0, w=0.5, n_train=1)
+    u, v = sample_mixture(model, 500, seed=2)
+    path = str(tmp_path / "pairs")
+    save_raster(Raster.from_array(np.stack([u, v], axis=1)[:, :, None]
+                                  .astype(np.float32)), path)
+    return path
+
+
+@pytest.mark.parametrize("flags, config, key", [
+    (["--pre", "nope"], {}, "pre"),
+    (["--post", "nope"], {}, "post"),
+    (["--translated", "nope"], {}, "translated"),
+    (["--pca", "3"], {}, "pca"),
+    (["--ns-model", "50000"], {}, "ns_model"),
+    (["--compactness", "3"], {}, "compactness"),
+    (["--seed", "1"], {}, "seed"),
+    (["--model", "model.json"], {}, "model"),
+    ([], {"pre": "nope"}, "pre"),
+    ([], {"ns_test": 50}, "ns_test"),
+])
+def test_fit_pairs_refuses_fields_it_does_not_read(tmp_path, capsys, pairs_raster,
+                                                   flags, config, key):
+    args = ["fit", "--pairs", pairs_raster, "--eps", "1e-4",
+            "--out-dir", str(tmp_path / "fit"), *flags]
+    if config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args += ["--config", str(cfg)]
+    assert cli.main(args) == cli.EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
+    assert "stage" not in err and "Traceback" not in err
+    assert not os.path.exists(tmp_path / "fit")
+
+
+def test_fit_pairs_reads_eps_theta_max_and_out_dir(tmp_path, pairs_raster):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theta_max": 15.0, "out_dir": str(tmp_path / "cfg_out")}))
+    out = tmp_path / "fit"
+    args = ["fit", "--pairs", pairs_raster, "--eps", "1e-4", "--config", str(cfg),
+            "--out-dir", str(out)]
+    assert cli.main(args) == cli.EXIT_OK
+    assert list(json.loads((out / "model.json").read_text())["pairs"]) == ["1,1"]
 
 
 def test_cli_import_leaves_out_verification_maths():
@@ -260,3 +308,64 @@ def test_malformed_comic_threads_is_contract_error(tmp_path, capsys, monkeypatch
             "--ns-model", "20", "--out-dir", str(tmp_path / "fit")]
     assert cli.main(args) == cli.EXIT_CONTRACT
     assert "COMIC_THREADS must be an integer, got 'x'" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def fitted_model(small_scene, tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("fitted"))
+    assert cli.main(["fit"] + _detect_args(small_scene, out)[1:]) == cli.EXIT_OK
+    return os.path.join(out, "model.json")
+
+
+def test_detect_with_model_runs_only_the_test_half(small_scene, fitted_model, tmp_path,
+                                                   monkeypatch):
+    segmented = []
+    cosegment_pair = pipeline.cosegment_pair
+
+    def counting_cosegment_pair(*args):
+        segmented.append(args[2])
+        return cosegment_pair(*args)
+
+    def no_translation(*args):
+        raise RuntimeError("detect --model must not translate")
+
+    monkeypatch.setattr(pipeline, "cosegment_pair", counting_cosegment_pair)
+    monkeypatch.setattr(translate, "translate_baseline", no_translation)
+    out = tmp_path / "staged"
+    args = _detect_args(small_scene, str(out)) + ["--model", fitted_model]
+    assert cli.main(args) == cli.EXIT_OK
+    assert segmented == [80]  # the test co-segmentation only, at --ns-test
+    assert (out / "model.json").read_bytes() == Path(fitted_model).read_bytes()
+    assert (out / "em_trace.csv").read_text().count("\n") == 1  # header only
+
+
+def _three_band(doc):
+    doc.update(cx=3, cy=3, x=doc["x"] * 3, y=doc["y"] * 3,
+               pairs={f"{a},{b}": doc["pairs"]["1,1"] for a in (1, 2, 3) for b in (1, 2, 3)})
+
+
+@pytest.mark.parametrize("mutate, key", [
+    (lambda d: [d.pop(k) for k in ("version", "x", "y")], "'version'"),
+    (lambda d: d.update(version=3), "'version'"),
+    (lambda d: d["x"].__setitem__(0, "not base64!"), "'x'"),
+    (lambda d: d["y"].__setitem__(0, base64.b64encode(bytes(7)).decode()), "'y'"),
+    (lambda d: d["x"].__setitem__(0, encode_column([0.5, float("nan")])), "'x'"),
+    (lambda d: d.update(x=d["x"] * 2), "'x'"),
+    (lambda d: d["pairs"].pop("1,1"), "'pairs'"),
+    (lambda d: d["pairs"].update({"1,2": d["pairs"]["1,1"]}), "'pairs'"),
+    (_three_band, "cx=3"),
+], ids=["parameters-only", "version-3", "not-base64", "bytes-not-multiple-of-8",
+        "nan", "two-x-columns", "missing-pair", "extra-pair", "three-band-model"])
+def test_malformed_model_is_contract_error(small_scene, fitted_model, tmp_path, capsys,
+                                           mutate, key):
+    doc = json.loads(Path(fitted_model).read_text())
+    mutate(doc)
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert cli.main(_detect_args(small_scene, str(out)) + ["--model", str(bad)]) \
+        == cli.EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert "Traceback" not in err
+    assert not (out / "bcm.u8").exists()

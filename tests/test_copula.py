@@ -14,7 +14,9 @@ from copcd.copula import (
     conditional_sample,
     gaussian_density,
     joint_logpdf_superpixel,
-    load_model_records,
+    decode_column,
+    encode_column,
+    load_model_set,
     mixture_density,
     sample_clayton_pairs,
     sample_gaussian_pairs,
@@ -192,13 +194,35 @@ def test_model_record_round_trip(tmp_path):
                                orientation=ORIENT_NEGATED, n_train=500)
     assert CopulaMixtureModel.from_record(model.to_record()) == model
 
-    ecdf = empirical_cdf(np.arange(10.0))
     ms = ChannelPairModels(cx=1, cy=1, models={(1, 1): model},
-                           ecdfs_x=(ecdf,), ecdfs_y=(ecdf,))
+                           ecdfs_x=(empirical_cdf(np.arange(10.0)),),
+                           ecdfs_y=(empirical_cdf([3.5, -1.0, 3.5, 2e-310]),))
     path = tmp_path / "model.json"
     path.write_text(ms.to_json())
-    records = load_model_records(str(path))
-    assert records[(1, 1)] == model
+    loaded = load_model_set(str(path))
+    assert loaded.models == {(1, 1): model}
+    assert (loaded.cx, loaded.cy) == (1, 1)
+    for a, b in zip(ms.ecdfs_x + ms.ecdfs_y, loaded.ecdfs_x + loaded.ecdfs_y):
+        assert a.sorted.tobytes() == b.sorted.tobytes() and a.n == b.n
+    assert loaded.to_json() == ms.to_json()
+
+
+_COLUMN_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                     1e308, -1e308, 1.0]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=st.lists(_COLUMN_VALUES, min_size=1, max_size=60))
+def test_column_encoding_round_trips_exactly(values):
+    column = np.sort(np.array(values + values[: len(values) // 2]))  # with ties
+    back = decode_column(encode_column(column))
+    assert back.dtype == np.float64 and back.shape == column.shape
+    assert (back == column).all()
+    assert (np.signbit(back) == np.signbit(column)).all()
+    assert back.tobytes() == column.tobytes()
 
 
 def test_channel_pair_models_requires_full_grid():

@@ -229,10 +229,12 @@ def test_profile_orientation_and_tail_mode_rules():
 
 def test_profile_from_clayton_samples_selects_clayton():
     from copcd.copula import sample_clayton_pairs
+    from copcd.emfit import EmConfig
+    from copcd.pipeline import fit_channel_pair
 
     rng = np.random.default_rng(3)
     u, v = sample_clayton_pairs(2.0, 3000, rng)
-    profile = DependenceProfile.from_samples(u, v)
+    _, profile, _ = fit_channel_pair(u, v, EmConfig())
     assert profile.tau > 0.3
     assert profile.tail_mode == TAIL_CLAYTON
     assert profile.orientation == ORIENT_IDENTITY

@@ -185,12 +185,15 @@ def test_trace_csv_export(tmp_path):
     u, v = rng.uniform(0.05, 0.95, (2, 50))
     _, trace = fit(u, v, TAIL_CLAYTON)
     path = tmp_path / "trace.csv"
-    write_traces_csv({(1, 1): trace, (1, 2): None}, str(path))
+    write_traces_csv({(1, 1): trace}, str(path))
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "c1,c2,iteration,log_likelihood,rho,theta,w,mean_gamma1,status"
+    header = "c1,c2,iteration,log_likelihood,rho,theta,w,mean_gamma1,status"
+    assert lines[0] == header
     assert len(lines) == len(trace.rows) + 1
     assert all(line.startswith("1,1,") and line.endswith("," + trace.status)
                for line in lines[1:])
+    write_traces_csv({}, str(path))  # detect --model: no EM, header only
+    assert path.read_text().strip() == header
 
 
 def _two_pass_loglik_and_gamma(u, v, rho, theta, w, tail_mode):

@@ -100,20 +100,6 @@ def test_fit_model_set_threaded_matches_serial(monkeypatch):
     assert serial.models == threaded.models
 
 
-def test_fit_model_set_adopts_prefitted_records():
-    rng = np.random.default_rng(5)
-    feat_x = rng.normal(size=(100, 1))
-    feat_y = rng.normal(size=(100, 1))
-    rec = CopulaMixtureModel(rho=0.4, theta=1.5, w=0.6, n_train=77)
-    model_set, traces = fit_model_set(feat_x, feat_y, emfit.EmConfig(),
-                                      records={(1, 1): rec})
-    assert model_set.model(1, 1) == rec
-    assert traces[(1, 1)] is None
-    with pytest.raises(ValueError):
-        fit_model_set(feat_x, np.column_stack([feat_y, feat_y]),
-                      emfit.EmConfig(), records={(1, 1): rec})
-
-
 def test_fit_model_set_single_pair_from_sample_columns():
     model = CopulaMixtureModel(rho=0.0001, theta=2.0, w=0.0, n_train=1)
     u, v = sample_mixture(model, 5000, seed=6)
