@@ -51,6 +51,17 @@ def gaussian_density(u1, u2, rho: float):
     return np.exp(gaussian_logpdf(u1, u2, rho))
 
 
+def log_expm1(x):
+    """log(e^x - 1) for x > 0, as log(expm1(x)); only where expm1 overflows
+    is it x + log(-expm1(-x)), so every other value keeps its bits."""
+    with np.errstate(over="ignore"):
+        s = np.expm1(x)
+    big = np.isinf(s)
+    if not big.any():
+        return np.log(s)
+    return np.where(big, x + np.log(-np.expm1(-x)), np.log(s))
+
+
 def clayton_logpdf(u1, u2, theta: float):
     u1, u2 = _check_interior(u1, u2)
     if theta <= 0:
@@ -58,9 +69,7 @@ def clayton_logpdf(u1, u2, theta: float):
     l1 = np.log(u1)
     l2 = np.log(u2)
     # s = u1^-t + u2^-t - 1, computed via log terms to survive small u.
-    log_s = np.logaddexp(-theta * l1, -theta * l2)
-    s_minus = np.expm1(log_s)  # s - 1 relative to... exp(log_s) - 1 = s
-    log_sum = np.log(s_minus)
+    log_sum = log_expm1(np.logaddexp(-theta * l1, -theta * l2))
     return np.log1p(theta) + (-1 - theta) * (l1 + l2) + (-1 / theta - 2) * log_sum
 
 

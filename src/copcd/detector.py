@@ -4,6 +4,7 @@ K-means binary change map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,7 +65,15 @@ def representative_vectors(feat_x: np.ndarray, feat_y: np.ndarray,
     """[features_x, features_y, alpha * centered DI] per superpixel."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    return np.column_stack([feat_x, feat_y, alpha * diff.di_centered])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = np.column_stack([feat_x, feat_y, alpha * diff.di_centered])
+        span = rep.max(axis=0) - rep.min(axis=0)
+        # k-means adds up to n squared distances, each at most |span|^2.
+        bound = len(rep) * float(np.sum(span * span))
+    if not math.isfinite(bound):
+        raise ArithmeticError(f"alpha * DI overflows the k-means distances "
+                              f"(alpha={alpha!r})")
+    return rep
 
 
 def kmeans(points: np.ndarray, k: int, seed: int):

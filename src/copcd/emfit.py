@@ -1,14 +1,18 @@
 """EM estimation of the copula-mixture parameters (rho, theta, w) from
 oriented pseudo-observations.
 
-The M-step maximizes each weighted component log-likelihood by grid search;
-the current parameter value is always included among the candidates so the
-observed log-likelihood is non-decreasing by the usual EM argument. The tail
-term log s(theta) of each candidate depends on the data but not on the
-responsibilities, so `fit` computes it once per candidate and reuses it in
-every iteration; each iteration then costs the same few weighted means, and
-one evaluation of each component density gives both the log-likelihood and
+The M-step maximizes each weighted component log-likelihood exactly: rho in
+closed form, as the best of the interval bounds and the roots of the
+stationarity cubic, and theta by Brent's bounded search (golden section with
+parabolic steps; Brent, "Algorithms for Minimization without Derivatives",
+1973, ch. 5). The current value of each parameter competes with its update,
+so the observed log-likelihood is non-decreasing by the usual EM argument.
+One evaluation of each component density gives both the log-likelihood and
 the next responsibilities.
+
+rho stays in [0.01, 0.99] and theta in (0, theta_max], the intervals of the
+grids this search replaced: on the 256 x 256 acceptance scene with seed 1 an
+unconstrained rho fits 0.9973, and KC falls from 0.94 to 0.65.
 """
 
 from __future__ import annotations
@@ -18,11 +22,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .copula import LOG_FLOOR, gaussian_logpdf, tail_logpdf
+from .copula import LOG_FLOOR, gaussian_logpdf, log_expm1, tail_logpdf
 from .dependence import TAIL_CLAYTON, TAIL_CLAYTON_SURVIVAL
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters"
+
+RHO_MIN, RHO_MAX = 0.01, 0.99
+THETA_MIN_DIVISOR = 200  # theta is searched on [theta_max / 200, theta_max]
+THETA_XTOL = 1e-6  # absolute part of the search tolerance, times theta_max
+_GOLDEN = (3.0 - 5.0 ** 0.5) / 2.0
+_SQRT_EPS = float(np.finfo(np.float64).eps) ** 0.5
 
 
 @dataclass(frozen=True)
@@ -32,8 +42,6 @@ class EmConfig:
     w0: float = 0.5
     eps: float = 0.01
     theta_max: float = 20.0
-    grid_rho: int = 99
-    grid_theta: int = 200
     max_iters: int = 200
 
     def __post_init__(self):
@@ -41,16 +49,6 @@ class EmConfig:
             raise ValueError("eps must be > 0")
         if self.theta_max <= 0:
             raise ValueError("theta_max must be > 0")
-        if self.grid_rho < 2 or self.grid_theta < 2:
-            raise ValueError("grids need at least 2 points")
-
-    def rho_grid(self) -> np.ndarray:
-        g = self.grid_rho
-        return np.linspace(1.0 / (g + 1), g / (g + 1.0), g)
-
-    def theta_grid(self) -> np.ndarray:
-        return np.linspace(self.theta_max / self.grid_theta, self.theta_max,
-                           self.grid_theta)
 
 
 @dataclass
@@ -102,28 +100,84 @@ def e_step(u, v, rho: float, theta: float, w: float, tail_mode: str) -> np.ndarr
     return _loglik_and_gamma(u, v, rho, theta, w, tail_mode)[1]
 
 
-def _grid_argmax(objective, grid: np.ndarray, current: float) -> float:
-    """Maximize over the grid plus the current value; ties go to the
-    smallest parameter (candidates are sorted ascending)."""
-    cand = np.unique(np.append(grid, current))
+def _best(objective, candidates) -> float:
+    """The candidate of largest objective; NaN ranks last and ties go to the
+    smallest candidate."""
+    cand = np.unique(candidates)
     vals = np.array([objective(c) for c in cand])
-    return float(cand[int(np.argmax(vals))])
+    return float(cand[int(np.argmax(np.where(np.isnan(vals), -np.inf, vals)))])
+
+
+def _brent_max(f, a: float, b: float, xtol: float) -> float:
+    """Brent's bounded maximization of f on [a, b]: a local maximum.
+
+    Golden-section steps, with a parabola through the three best points
+    (x, x2, x3) taken instead when it falls well inside the bracket and
+    shrinks the step. Stops once the bracket around the best point x is
+    within 2 * tol of it, tol = sqrt(eps) * |x| + xtol. The bounds
+    themselves are never evaluated. A NaN value ranks below every number.
+    """
+    x = x2 = x3 = a + _GOLDEN * (b - a)
+    fx = f2 = f3 = f(x)
+    step = prev = 0.0  # the last two steps; a parabola must beat half of prev
+    while True:
+        mid = a + 0.5 * (b - a)  # a + b can overflow near the float maximum
+        tol = _SQRT_EPS * abs(x) + xtol
+        if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
+            return x
+        parabolic = False
+        if abs(prev) > tol:
+            # Offset p / q of the vertex of the parabola through the three.
+            r = (x - x2) * (fx - f3)
+            q = (x - x3) * (fx - f2)
+            p = (x - x3) * q - (x - x2) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            limit, prev = prev, step
+            if abs(p) < abs(0.5 * q * limit) and q * (a - x) < p < q * (b - x):
+                parabolic = True
+                step = p / q
+                if x + step - a < 2.0 * tol or b - (x + step) < 2.0 * tol:
+                    step = tol if x < mid else -tol
+        if not parabolic:
+            prev = (b - x) if x < mid else (a - x)
+            step = _GOLDEN * prev
+        x_new = x + (step if abs(step) >= tol else (tol if step > 0 else -tol))
+        f_new = f(x_new)
+        if f_new >= fx:
+            if x_new < x:
+                b = x
+            else:
+                a = x
+            x3, f3, x2, f2, x, fx = x2, f2, x, fx, x_new, f_new
+        else:
+            if x_new < x:
+                a = x_new
+            else:
+                b = x_new
+            if f_new >= f2 or x2 == x:
+                x3, f3, x2, f2 = x2, f2, x_new, f_new
+            elif f_new >= f3 or x3 == x or x3 == x2:
+                x3, f3 = x_new, f_new
 
 
 def m_step(u, v, gamma1: np.ndarray, tail_mode: str, config: EmConfig,
-           rho_cur: float, theta_cur: float, log_s_cache: dict | None = None):
-    """Weight update plus grid-search maximization of each component term.
+           rho_cur: float, theta_cur: float):
+    """Weight update plus exact maximization of each component term.
 
-    `log_s_cache` maps theta to its tail term log s(theta) for these u, v and
-    tail_mode; it is filled on a miss, so passing the same dict to every
-    M-step of one fit computes each candidate's term once.
+    rho is the best of rho_cur, RHO_MIN, RHO_MAX and the cubic's roots in
+    between; theta the best of theta_cur, the bounds theta_max / 200 and
+    theta_max, and Brent's search between them. The search finds a local
+    maximum, and the objective can also peak at a bound, as theta -> 0
+    approaches the independence copula. Ties go to the smaller value.
     """
     u, v = _validate_data(u, v)
     gamma1 = np.asarray(gamma1, dtype=np.float64)
     w_new = float(np.mean(gamma1))
     gamma2 = 1.0 - gamma1
 
-    # Precompute sufficient statistics so the grids reuse them.
     x1 = ndtri(u)
     x2 = ndtri(v)
     g_sq = float(np.mean(gamma1 * (x1 * x1 + x2 * x2)))
@@ -143,21 +197,28 @@ def m_step(u, v, gamma1: np.ndarray, tail_mode: str, config: EmConfig,
     c_logsum = float(np.mean(gamma2 * (t1 + t2)))
     c_mass = float(np.mean(gamma2))
 
-    cache = {} if log_s_cache is None else log_s_cache
+    # logaddexp(-theta t1, -theta t2), expanded around the larger term:
+    # four vectorized passes per theta where np.logaddexp takes twice as long.
+    t_hi = -np.minimum(t1, t2)
+    t_gap = np.abs(t1 - t2)
 
     def theta_obj(theta):
-        log_s = cache.get(theta)
-        if log_s is None:
-            log_s = np.log(np.expm1(np.logaddexp(-theta * t1, -theta * t2)))
-            cache[theta] = log_s
+        log_s = log_expm1(theta * t_hi + np.log1p(np.exp(-theta * t_gap)))
         return (
             np.log1p(theta) * c_mass
             + (-1 - theta) * c_logsum
             + (-1 / theta - 2) * float(np.mean(gamma2 * log_s))
         )
 
-    rho_new = _grid_argmax(rho_obj, config.rho_grid(), rho_cur)
-    theta_new = _grid_argmax(theta_obj, config.theta_grid(), theta_cur)
+    # Stationary points of rho_obj: m rho^3 - C rho^2 + (S - m) rho - C = 0.
+    # A near-double root can come back as a complex pair; its real part is
+    # then one more candidate.
+    roots = np.roots([g_mass, -g_cross, g_sq - g_mass, -g_cross]).real
+    rho_new = _best(rho_obj, [rho_cur, RHO_MIN, RHO_MAX,
+                              *roots[(roots >= RHO_MIN) & (roots <= RHO_MAX)]])
+    lo, hi = config.theta_max / THETA_MIN_DIVISOR, config.theta_max
+    theta_new = _best(theta_obj, [theta_cur, lo, hi,
+                                  _brent_max(theta_obj, lo, hi, THETA_XTOL * hi)])
     return w_new, rho_new, theta_new
 
 
@@ -165,6 +226,8 @@ def fit(u, v, tail_mode: str, config: EmConfig | None = None):
     """Iterate E/M until the log-likelihood change drops below eps.
 
     Returns ((rho, theta, w), EmTrace). Deterministic given data and config.
+    theta starts at min(theta0, theta_max). Overflow in the densities shows
+    as a non-finite log-likelihood, which raises ArithmeticError.
     """
     if tail_mode not in (TAIL_CLAYTON, TAIL_CLAYTON_SURVIVAL):
         raise ValueError(f"unknown tail_mode {tail_mode!r}")
@@ -173,19 +236,24 @@ def fit(u, v, tail_mode: str, config: EmConfig | None = None):
     if len(u) < 10:
         raise ValueError("need at least 10 data pairs to fit")
 
-    rho, theta, w = config.rho0, config.theta0, config.w0
-    log_s_cache = {}
-    trace = EmTrace()
-    l_prev, gamma1 = _loglik_and_gamma(u, v, rho, theta, w, tail_mode)
-    trace.rows.append((0, l_prev, rho, theta, w, float(np.mean(gamma1))))
+    def evaluate(rho, theta, w):
+        ll, gamma1 = _loglik_and_gamma(u, v, rho, theta, w, tail_mode)
+        if not np.isfinite(ll):
+            raise ArithmeticError(f"EM log-likelihood is not finite at theta={theta!r} "
+                                  f"(theta_max={config.theta_max!r})")
+        return ll, gamma1
 
-    for q in range(1, config.max_iters + 1):
-        w, rho, theta = m_step(u, v, gamma1, tail_mode, config, rho, theta,
-                               log_s_cache)
-        l_new, gamma1 = _loglik_and_gamma(u, v, rho, theta, w, tail_mode)
-        trace.rows.append((q, l_new, rho, theta, w, float(np.mean(gamma1))))
-        if abs(l_new - l_prev) < config.eps:
-            trace.status = STATUS_CONVERGED
-            break
-        l_prev = l_new
+    rho, theta, w = config.rho0, min(config.theta0, config.theta_max), config.w0
+    trace = EmTrace()
+    with np.errstate(all="ignore"):
+        l_prev, gamma1 = evaluate(rho, theta, w)
+        trace.rows.append((0, l_prev, rho, theta, w, float(np.mean(gamma1))))
+        for q in range(1, config.max_iters + 1):
+            w, rho, theta = m_step(u, v, gamma1, tail_mode, config, rho, theta)
+            l_new, gamma1 = evaluate(rho, theta, w)
+            trace.rows.append((q, l_new, rho, theta, w, float(np.mean(gamma1))))
+            if abs(l_new - l_prev) < config.eps:
+                trace.status = STATUS_CONVERGED
+                break
+            l_prev = l_new
     return (rho, theta, w), trace

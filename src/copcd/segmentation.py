@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,6 +86,8 @@ def slic(r: Raster, target_count: int, compactness: float) -> SegmentationMap:
     k = len(centers_pos)
     win = int(np.ceil(2 * spacing))
     ratio = compactness / spacing
+    if not math.isfinite(float(ratio) * math.hypot(m, n)):  # bounds every spatial term
+        raise ArithmeticError(f"compactness={compactness!r} overflows the SLIC distance")
     yy, xx = np.mgrid[0:m, 0:n].astype(np.float64)
     ys, xs = yy[:, 0], xx[0]
 

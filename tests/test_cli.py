@@ -1,14 +1,20 @@
 """Command-line interface: subcommands, exit codes, stage isolation."""
 
 import base64
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copcd import cli, pipeline, translate
 from copcd.copula import CopulaMixtureModel, encode_column, sample_mixture
@@ -146,14 +152,19 @@ def test_fit_pairs_reads_eps_theta_max_and_out_dir(tmp_path, pairs_raster):
     assert list(json.loads((out / "model.json").read_text())["pairs"]) == ["1,1"]
 
 
-def test_cli_import_leaves_out_verification_maths():
+def test_cli_import_leaves_out_verification_maths(tmp_path, pairs_raster):
+    """Neither importing the CLI nor an EM fit loads scipy.integrate or
+    scipy.optimize (the latter costs about as much as a pairs20k op)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
+    fit = ["fit", "--pairs", pairs_raster, "--out-dir", str(tmp_path / "fit")]
     code = ("import sys, copcd.cli; "
-            "print(sorted({'scipy.integrate', 'scipy.optimize'} & set(sys.modules)))")
+            "loaded = lambda: sorted({'scipy.integrate', 'scipy.optimize'} & "
+            "set(sys.modules)); print(loaded()); "
+            f"assert copcd.cli.main({fit!r}) == 0; print(loaded())")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines()[0] == "[]" and out.splitlines()[-1] == "[]"
 
 
 def test_unknown_config_key_is_contract_error(tmp_path, capsys):
@@ -369,3 +380,57 @@ def test_malformed_model_is_contract_error(small_scene, fitted_model, tmp_path, 
     assert err.startswith("error:") and key in err
     assert "Traceback" not in err
     assert not (out / "bcm.u8").exists()
+
+
+def _detect_with_config(data_dir, out_dir, config):
+    """Exit code, stderr and the RuntimeWarnings of one in-process detect."""
+    cfg = Path(out_dir + ".json")
+    cfg.write_text(json.dumps(config))
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(_detect_args(data_dir, out_dir) + ["--config", str(cfg)])
+    return code, err.getvalue(), [w for w in caught if w.category is RuntimeWarning]
+
+
+def test_theta_stays_within_a_small_theta_max(small_scene, tmp_path):
+    out = str(tmp_path / "run")
+    code, err, runtime = _detect_with_config(small_scene, out, {"theta_max": 1e-3})
+    assert (code, err, runtime) == (cli.EXIT_OK, "", [])
+    theta = json.loads(Path(out, "model.json").read_text())["pairs"]["1,1"]["theta"]
+    assert 0 < theta <= 1e-3
+
+
+@pytest.mark.parametrize("config, code, needle", [
+    ({"theta_max": 1e-310}, cli.EXIT_NUMERICAL, "theta_max=1e-310"),
+    ({"theta_max": 5000.0}, cli.EXIT_OK, ""),
+    ({"alpha": 1e308}, cli.EXIT_NUMERICAL, "alpha=1e+308"),
+    ({"alpha": 1e300}, cli.EXIT_NUMERICAL, "alpha=1e+300"),
+    ({"compactness": 1e308}, cli.EXIT_NUMERICAL, "compactness=1e+308"),
+], ids=["theta_max-1e-310", "theta_max-5000", "alpha-1e308", "alpha-1e300",
+        "compactness-1e308"])
+def test_extreme_config_values_end_cleanly(small_scene, tmp_path, config, code, needle):
+    got, err, runtime = _detect_with_config(small_scene, str(tmp_path / "run"), config)
+    assert got == code and runtime == []
+    assert needle in err and "Traceback" not in err
+
+
+_EXTREME_FLOATS = st.one_of(
+    st.sampled_from([5e-324, 1e-310, 1e-300, 1e-8, 1e8, 1e300, 1e306, 1e308,
+                     1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(config=st.fixed_dictionaries({}, optional={
+    key: _EXTREME_FLOATS for key in ("alpha", "eps", "theta_max", "compactness")}))
+def test_extreme_finite_config_values_keep_the_exit_contract(small_scene, config):
+    """Any finite alpha, eps, theta_max and compactness ends in exit 0, 2 or
+    3, with no traceback and no numpy RuntimeWarning."""
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err, runtime = _detect_with_config(small_scene, os.path.join(tmp, "run"),
+                                                 config)
+    assert code in (cli.EXIT_OK, cli.EXIT_CONTRACT, cli.EXIT_NUMERICAL)
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert runtime == [], [str(w.message) for w in runtime]

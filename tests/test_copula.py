@@ -1,5 +1,7 @@
 """Copula densities, CDFs, the mixture model, and the seeded samplers."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,12 +13,14 @@ from copcd.copula import (
     CopulaMixtureModel,
     clamp_pseudo_obs,
     clayton_density,
+    clayton_logpdf,
     conditional_sample,
     gaussian_density,
     joint_logpdf_superpixel,
     decode_column,
     encode_column,
     load_model_set,
+    log_expm1,
     mixture_density,
     sample_clayton_pairs,
     sample_gaussian_pairs,
@@ -66,6 +70,33 @@ def test_clayton_density_symmetry():
         u1, u2 = rng.uniform(0.01, 0.99, 2)
         theta = rng.uniform(0.1, 10)
         assert clayton_density(u1, u2, theta) == clayton_density(u2, u1, theta)
+
+
+def test_log_expm1_switches_form_only_where_expm1_overflows():
+    x = np.array([1e-300, 0.7, 30.0, 709.0, 709.78, 709.79, 800.0, 1e300, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = log_expm1(x)
+        with np.errstate(over="ignore"):
+            s = np.expm1(x)
+    fits = np.isfinite(s)
+    assert fits.tolist() == [True] * 5 + [False] * 4
+    assert np.array_equal(got[fits], np.log(s[fits]))
+    assert np.array_equal(got[~fits], x[~fits] + np.log(-np.expm1(-x[~fits])))
+    assert np.isfinite(got[:-1]).all() and got[-1] == np.inf
+
+
+def test_clayton_logpdf_keeps_its_bits_and_survives_large_theta():
+    rng = np.random.default_rng(2)
+    u1, u2 = rng.uniform(0.001, 0.999, (2, 500))
+    l1, l2 = np.log(u1), np.log(u2)
+    for theta in (0.05, 2.0, 20.0):
+        old = (np.log1p(theta) + (-1 - theta) * (l1 + l2) + (-1 / theta - 2)
+               * np.log(np.expm1(np.logaddexp(-theta * l1, -theta * l2))))
+        assert np.array_equal(clayton_logpdf(u1, u2, theta), old)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(clayton_logpdf(u1, u2, 5000.0)).all()
 
 
 def test_sclayton_is_reflection():

@@ -2,8 +2,11 @@
 
 import json
 
+import emfit_oracle
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copcd import cli, emfit
 from copcd.copula import (
@@ -17,6 +20,8 @@ from copcd.copula import (
 )
 from copcd.dependence import TAIL_CLAYTON, TAIL_CLAYTON_SURVIVAL
 from copcd.emfit import (
+    RHO_MAX,
+    RHO_MIN,
     STATUS_CONVERGED,
     EmConfig,
     e_step,
@@ -38,16 +43,6 @@ def test_config_validation():
         EmConfig(eps=0.0)
     with pytest.raises(ValueError):
         EmConfig(theta_max=-1.0)
-    with pytest.raises(ValueError):
-        EmConfig(grid_rho=1)
-
-
-def test_grids_cover_open_intervals():
-    cfg = EmConfig()
-    rho = cfg.rho_grid()
-    theta = cfg.theta_grid()
-    assert len(rho) == 99 and 0 < rho[0] and rho[-1] < 1
-    assert len(theta) == 200 and 0 < theta[0] and theta[-1] == cfg.theta_max
 
 
 def test_log_likelihood_single_point_hand_value():
@@ -111,23 +106,61 @@ def test_m_step_recovers_clayton_theta():
     assert 1.7 <= theta <= 2.3
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(10, 400),
+       tail_mode=st.sampled_from([TAIL_CLAYTON, TAIL_CLAYTON_SURVIVAL]),
+       theta_max=st.floats(0.05, 5.0), rho_cur=st.floats(RHO_MIN, RHO_MAX),
+       theta_frac=st.floats(0.001, 1.0))
+def test_exact_m_step_beats_grid_oracle(seed, n, tail_mode, theta_max, rho_cur,
+                                        theta_frac):
+    """On random responsibilities the exact M-step's rho and theta score at
+    least as well as the grid search's under the grid's own objectives, and
+    stay inside [0.01, 0.99] and (0, theta_max]."""
+    rng = np.random.default_rng(seed)
+    model = CopulaMixtureModel(rho=float(rng.uniform(0, 0.95)),
+                               theta=float(rng.uniform(0.2, 8)),
+                               w=float(rng.uniform(0, 1)), tail_mode=tail_mode,
+                               n_train=1)
+    u, v = sample_mixture(model, n, seed=seed)
+    gamma = rng.random(n) ** float(rng.uniform(0.2, 5))
+    theta_cur = theta_frac * theta_max
+    cfg = EmConfig(theta_max=theta_max)
+    w, rho, theta = m_step(u, v, gamma, tail_mode, cfg, rho_cur, theta_cur)
+    w_grid, rho_grid, theta_grid = emfit_oracle.m_step(u, v, gamma, tail_mode,
+                                                       theta_max, rho_cur, theta_cur)
+    _, rho_obj, theta_obj = emfit_oracle.component_objectives(u, v, gamma, tail_mode)
+    assert w == w_grid
+    assert RHO_MIN <= rho <= RHO_MAX and 0 < theta <= theta_max
+    for obj, exact, grid in ((rho_obj, rho, rho_grid), (theta_obj, theta, theta_grid)):
+        assert obj(exact) >= obj(grid) - 1e-12 * abs(obj(grid))
+
+
+@pytest.mark.parametrize("peak, max_calls", [(1.234, 10), (6.1, 10), (0.0005, 30),
+                                              (9.9999, 30)])
+def test_brent_max_takes_parabolic_steps(peak, max_calls):
+    """A quadratic's peak is found inside the open bracket in a handful of
+    evaluations (more near a bound); golden section alone takes 36-47."""
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return -(x - peak) ** 2
+
+    x = emfit._brent_max(f, 0.0, 10.0, 1e-9)
+    assert abs(x - peak) < 1e-6 and 0.0 < min(calls) and max(calls) < 10.0
+    assert len(calls) <= max_calls
+
+
 @pytest.mark.parametrize("tail_mode", [TAIL_CLAYTON, TAIL_CLAYTON_SURVIVAL])
-def test_m_step_shared_cache_matches_fresh_computation(tail_mode):
-    """One cache reused across M-steps with changing responsibilities gives
-    the same updates as computing every tail term afresh."""
-    model = CopulaMixtureModel(rho=0.6, theta=3.0, w=0.4, n_train=1)
-    u, v = sample_mixture(model, 2000, seed=6)
-    rng = np.random.default_rng(7)
-    cfg = EmConfig(grid_theta=40)
-    cache = {}
-    rho, theta = 0.5, 0.5
-    for _ in range(4):
-        gamma = rng.random(2000)
-        fresh = m_step(u, v, gamma, tail_mode, cfg, rho, theta)
-        cached = m_step(u, v, gamma, tail_mode, cfg, rho, theta, cache)
-        assert cached == fresh
-        _, rho, theta = fresh
-    assert sorted(cache) == list(cfg.theta_grid())  # 0.5 is on this grid
+def test_m_step_keeps_theta_at_a_binding_bound(tail_mode):
+    """Comonotone data push theta up to theta_max and rho up to its cap;
+    both updates land exactly on the bound, not a search step short of it."""
+    u = (np.arange(1, 201) - 0.5) / 200
+    cfg = EmConfig(theta_max=3.0)
+    for gamma in (np.full(200, 0.5), np.zeros(200)):
+        assert m_step(u, u, gamma, tail_mode, cfg, 0.5, 0.5)[2] == 3.0
+    _, rho, _ = m_step(u, u, np.ones(200), tail_mode, cfg, 0.5, 0.5)
+    assert rho == RHO_MAX
 
 
 def test_fit_huge_eps_stops_after_one_update():
