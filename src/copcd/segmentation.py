@@ -118,25 +118,28 @@ def _update_centers(assign, yy, xx, data, centers_pos, centers_col) -> None:
     """Move each non-empty cluster's centre to the mean position and colour
     of its pixels, in place.
 
-    A stable sort groups the pixels by cluster, each cluster's slice in
-    row-major order: the order a boolean mask selects them in. Clusters of
-    equal size are gathered into one (clusters, size) array, one contiguous
-    row per cluster, and averaged along the rows; numpy sums a contiguous row
-    exactly as it sums the same 1-D slice, so every mean is bit-identical to
-    ``yy[assign == ci].mean()``. (``np.add.reduceat`` sums in another order
-    and is not.)
+    Every mean is bit-identical to ``yy[assign == ci].mean()``. Positions
+    are pixel coordinates, integers whose sums are exact in any order below
+    2**53, so ``np.bincount`` forms the same sum that ``np.mean`` divides by
+    the same count. Colours need the mask's order: a stable sort groups the
+    pixels by cluster, each cluster's slice in row-major order, the order a
+    boolean mask selects them in. Clusters of equal size are gathered into
+    one (clusters, size) array, one contiguous row per cluster, and averaged
+    along the rows; numpy sums a contiguous row exactly as it sums the same
+    1-D slice. (``np.add.reduceat`` sums in another order and is not exact.)
     """
     flat = assign.ravel()
+    k = len(centers_pos)
+    counts = np.bincount(flat, minlength=k)
+    nz = counts > 0
+    centers_pos[nz, 0] = np.bincount(flat, weights=yy.ravel(), minlength=k)[nz] / counts[nz]
+    centers_pos[nz, 1] = np.bincount(flat, weights=xx.ravel(), minlength=k)[nz] / counts[nz]
     order = np.argsort(flat, kind="stable")
-    counts = np.bincount(flat, minlength=len(centers_pos))
     starts = np.cumsum(counts) - counts
-    yy_s, xx_s = yy.ravel()[order], xx.ravel()[order]
     data_s = data.reshape(flat.size, -1)[order]
-    for size in np.unique(counts[counts > 0]):
+    for size in np.unique(counts[nz]):
         members = np.flatnonzero(counts == size)
         idx = starts[members, None] + np.arange(size)
-        centers_pos[members, 0] = yy_s[idx].mean(axis=1)
-        centers_pos[members, 1] = xx_s[idx].mean(axis=1)
         centers_col[members] = data_s[idx].mean(axis=1)
 
 

@@ -4,6 +4,7 @@ import base64
 import contextlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -348,6 +349,24 @@ def test_detect_with_model_runs_only_the_test_half(small_scene, fitted_model, tm
     assert segmented == [80]  # the test co-segmentation only, at --ns-test
     assert (out / "model.json").read_bytes() == Path(fitted_model).read_bytes()
     assert (out / "em_trace.csv").read_text().count("\n") == 1  # header only
+
+
+@pytest.mark.parametrize("flags, code, needle", [
+    (["--ns-model", "3000", "--ns-test", "3000"], cli.EXIT_CONTRACT,
+     "stage 'segment': target_count=3000 out of range [1, 2304]"),
+    (["--compactness", "1e308"], cli.EXIT_NUMERICAL, "compactness=1e+308"),
+], ids=["ns-above-pixel-count", "compactness-overflow"])
+def test_slic_failure_in_the_forked_worker_ends_cleanly(small_scene, tmp_path, capsys,
+                                                         flags, code, needle):
+    # Both rasters fail alike; the pre-event one, segmented by the worker,
+    # raises the error that is reported.
+    out = tmp_path / "run"
+    assert cli.main(_detect_args(small_scene, str(out)) + flags) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and needle in err
+    assert "Traceback" not in err
+    assert not (out / "bcm.u8").exists()
+    assert multiprocessing.active_children() == []
 
 
 def _three_band(doc):

@@ -1,19 +1,25 @@
-"""Pipeline orchestration: per-pair fitting, stage errors, worker capping."""
+"""Pipeline orchestration: per-pair fitting, forked co-segmentation, stage
+errors, worker capping."""
+
+import multiprocessing
 
 import numpy as np
 import pytest
 
-from copcd import emfit
+from copcd import emfit, segmentation
 from copcd.copula import CopulaMixtureModel, sample_mixture
 from copcd.dependence import ORIENT_NEGATED, TAIL_CLAYTON
 from copcd.pipeline import (
+    MIN_REGION,
     PipelineConfig,
     StageError,
+    cosegment_pair,
     fit_channel_pair,
     fit_model_set,
     run_detect,
     worker_count,
 )
+from copcd.raster import Raster
 
 
 def test_pipeline_config_validation():
@@ -109,3 +115,16 @@ def test_fit_model_set_single_pair_from_sample_columns():
     assert fitted.tail_mode == TAIL_CLAYTON
     assert 1.7 <= fitted.theta <= 2.3
     assert traces[(1, 1)] is not None
+
+
+@pytest.mark.parametrize("size, bands", [(64, 1), (48, 3)])
+def test_forked_cosegment_pair_matches_in_process_segmentation(size, bands):
+    rng = np.random.default_rng(size)
+    a = Raster.from_array(rng.normal(size=(size, size, bands)))
+    b = Raster.from_array(rng.normal(size=(size, size, bands)) + a.data)
+    got = cosegment_pair(a, b, 60, 10.0)
+    assert multiprocessing.active_children() == []
+    want = segmentation.cosegment(segmentation.slic(a, 60, 10.0),
+                                  segmentation.slic(b, 60, 10.0), MIN_REGION)
+    assert got.count == want.count
+    assert got.labels.tobytes() == want.labels.tobytes()
