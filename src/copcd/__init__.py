@@ -13,7 +13,7 @@ from .pipeline import PipelineConfig, run_detect
 from .raster import Raster, load_raster, save_raster
 from .segmentation import SegmentationMap, cosegment, extract_features, slic
 from .synth import SynthConfig, generate_pair
-from .translate import TranslationSpec, translate_baseline
+from .translate import translate_baseline
 
 __all__ = [
     "CopulaMixtureModel",
@@ -32,6 +32,5 @@ __all__ = [
     "slic",
     "SynthConfig",
     "generate_pair",
-    "TranslationSpec",
     "translate_baseline",
 ]

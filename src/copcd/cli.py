@@ -48,8 +48,6 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta-max", dest="theta_max", type=float)
     p.add_argument("--pca", type=int)
     p.add_argument("--compactness", type=float)
-    p.add_argument("--translate-method", dest="translate_method",
-                   choices=[translate.METHOD_HISTOGRAM, translate.METHOD_LINEAR])
     p.add_argument("--seed", type=int)
 
 
@@ -155,8 +153,7 @@ def cmd_score(args) -> int:
 def cmd_translate(args) -> int:
     x = load_raster(args.pre)
     y = load_raster(args.post)
-    spec = translate.TranslationSpec(method=args.method)
-    y_t = translate.translate_baseline(x, y, spec)
+    y_t = translate.translate_baseline(x, y)
     save_raster(y_t, args.out)
     print(f"wrote translated raster to {args.out}")
     return EXIT_OK
@@ -206,8 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pre", required=True)
     p.add_argument("--post", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--method", default=translate.METHOD_HISTOGRAM,
-                   choices=[translate.METHOD_HISTOGRAM, translate.METHOD_LINEAR])
     p.set_defaults(func=cmd_translate)
     return parser
 

@@ -21,11 +21,10 @@ class DifferenceMap:
     """Fused statistic per superpixel plus its mean-centered version."""
 
     di: np.ndarray
-    di_centered: np.ndarray = field(default=None)
+    di_centered: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.di_centered is None:
-            object.__setattr__(self, "di_centered", self.di - self.di.mean())
+        object.__setattr__(self, "di_centered", self.di - self.di.mean())
 
 
 def test_statistics(feat_x: np.ndarray, feat_y: np.ndarray,

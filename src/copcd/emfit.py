@@ -31,15 +31,13 @@ STATUS_MAX_ITERS = "max_iters"
 RHO_MIN, RHO_MAX = 0.01, 0.99
 THETA_MIN_DIVISOR = 200  # theta is searched on [theta_max / 200, theta_max]
 THETA_XTOL = 1e-6  # absolute part of the search tolerance, times theta_max
+RHO_START, THETA_START, W_START = 0.5, 0.5, 0.5  # theta capped at theta_max
 _GOLDEN = (3.0 - 5.0 ** 0.5) / 2.0
 _SQRT_EPS = float(np.finfo(np.float64).eps) ** 0.5
 
 
 @dataclass(frozen=True)
 class EmConfig:
-    rho0: float = 0.5
-    theta0: float = 0.5
-    w0: float = 0.5
     eps: float = 0.01
     theta_max: float = 20.0
     max_iters: int = 200
@@ -226,8 +224,9 @@ def fit(u, v, tail_mode: str, config: EmConfig | None = None):
     """Iterate E/M until the log-likelihood change drops below eps.
 
     Returns ((rho, theta, w), EmTrace). Deterministic given data and config.
-    theta starts at min(theta0, theta_max). Overflow in the densities shows
-    as a non-finite log-likelihood, which raises ArithmeticError.
+    The start is (RHO_START, min(THETA_START, theta_max), W_START). Overflow
+    in the densities shows as a non-finite log-likelihood, which raises
+    ArithmeticError.
     """
     if tail_mode not in (TAIL_CLAYTON, TAIL_CLAYTON_SURVIVAL):
         raise ValueError(f"unknown tail_mode {tail_mode!r}")
@@ -243,7 +242,7 @@ def fit(u, v, tail_mode: str, config: EmConfig | None = None):
                                   f"(theta_max={config.theta_max!r})")
         return ll, gamma1
 
-    rho, theta, w = config.rho0, min(config.theta0, config.theta_max), config.w0
+    rho, theta, w = RHO_START, min(THETA_START, config.theta_max), W_START
     trace = EmTrace()
     with np.errstate(all="ignore"):
         l_prev, gamma1 = evaluate(rho, theta, w)

@@ -39,6 +39,7 @@ from .raster import (
 )
 
 MIN_REGION = 10
+FIT_WORKERS = 4  # most threads fitting channel pairs; a single pair fits serially
 # Accepted Python types per annotation; bool is rejected separately.
 _FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 
@@ -58,7 +59,6 @@ class PipelineConfig:
     theta_max: float = 20.0
     pca: int = None
     compactness: float = 10.0
-    translate_method: str = translate.METHOD_HISTOGRAM
     seed: int = 0
 
     def __post_init__(self):
@@ -80,16 +80,6 @@ class PipelineConfig:
 
     def em_config(self) -> emfit.EmConfig:
         return emfit.EmConfig(eps=self.eps, theta_max=self.theta_max)
-
-
-def worker_count(n_tasks: int) -> int:
-    cap = os.environ.get("COMIC_THREADS", "")
-    if cap.strip():
-        try:
-            return max(1, min(int(cap), n_tasks))
-        except ValueError:
-            raise ValueError(f"COMIC_THREADS must be an integer, got {cap!r}") from None
-    return max(1, min(4, n_tasks))
 
 
 class StageError(Exception):
@@ -144,8 +134,8 @@ def fit_model_set(feat_x: np.ndarray, feat_y: np.ndarray, em_config: emfit.EmCon
         c1, c2 = pair
         return fit_channel_pair(feat_x[:, c1 - 1], feat_y[:, c2 - 1], em_config)
 
-    if len(pairs) > 1 and worker_count(len(pairs)) > 1:
-        with ThreadPoolExecutor(max_workers=worker_count(len(pairs))) as pool:
+    if len(pairs) > 1:
+        with ThreadPoolExecutor(max_workers=FIT_WORKERS) as pool:
             results = list(pool.map(job, pairs))
     else:
         results = [job(p) for p in pairs]
@@ -220,8 +210,7 @@ def run_fit(config: PipelineConfig) -> dict:
             raise StageError("translate",
                              ValueError("translated raster shape mismatch"))
     else:
-        spec = translate.TranslationSpec(method=config.translate_method)
-        y_t = _stage("translate", translate.translate_baseline, x, y, spec)
+        y_t = _stage("translate", translate.translate_baseline, x, y)
     seg_train = _stage("segment", cosegment_pair, x, y_t, config.ns_model,
                        config.compactness)
     feat_x = _stage("features", segmentation.extract_features, x, seg_train)

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -169,11 +170,31 @@ def test_cli_import_leaves_out_verification_maths(tmp_path, pairs_raster):
 
 
 def test_unknown_config_key_is_contract_error(tmp_path, capsys):
+    # translate_method was a field; histogram matching is now the only
+    # built-in translation.
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"bogus_key": 1}))
-    code = cli.main(["detect", "--config", str(cfg)])
-    assert code == cli.EXIT_CONTRACT
-    assert "bogus_key" in capsys.readouterr().err
+    for key in ("bogus_key", "translate_method"):
+        cfg.write_text(json.dumps({key: "histogram_match"}))
+        code = cli.main(["detect", "--config", str(cfg)])
+        assert code == cli.EXIT_CONTRACT
+        assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["detect", "--translate-method", "histogram_match"],
+    ["translate", "--pre", "x", "--post", "y", "--out", "z", "--method", "linear_regress"],
+])
+def test_removed_translation_flags_are_contract_errors(capsys, args):
+    assert cli.main(args) == cli.EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: " + " ".join(args[-2:]) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, extra", [("detect", set()), ("fit", {"pairs"})])
+def test_pipeline_flags_match_config_fields(command, extra):
+    dests = set(vars(cli.build_parser().parse_args([command]))) - {"command", "func"}
+    assert dests == {f.name for f in fields(pipeline.PipelineConfig)} | {"config"} | extra
 
 
 @pytest.mark.parametrize("values, key", [
@@ -309,17 +330,6 @@ def test_fit_rejects_translated_raster_of_wrong_shape(small_scene, tmp_path, cap
     assert cli.main(args) == cli.EXIT_CONTRACT
     assert "stage 'translate': translated raster shape mismatch" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "fit" / "model.json")
-
-
-def test_malformed_comic_threads_is_contract_error(tmp_path, capsys, monkeypatch):
-    data = str(tmp_path / "data")
-    assert cli.main(["synth", "--m", "32", "--n", "32", "--cx", "2",
-                     "--out-dir", data]) == cli.EXIT_OK
-    monkeypatch.setenv("COMIC_THREADS", "x")
-    args = ["fit", "--pre", os.path.join(data, "pre"), "--post", os.path.join(data, "post"),
-            "--ns-model", "20", "--out-dir", str(tmp_path / "fit")]
-    assert cli.main(args) == cli.EXIT_CONTRACT
-    assert "COMIC_THREADS must be an integer, got 'x'" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,5 @@
 """Pipeline orchestration: per-pair fitting, forked co-segmentation, stage
-errors, worker capping."""
+errors."""
 
 import multiprocessing
 
@@ -17,7 +17,6 @@ from copcd.pipeline import (
     fit_channel_pair,
     fit_model_set,
     run_detect,
-    worker_count,
 )
 from copcd.raster import Raster
 
@@ -27,22 +26,6 @@ def test_pipeline_config_validation():
         PipelineConfig(ns_model=5)
     with pytest.raises(ValueError):
         PipelineConfig(alpha=-1.0)
-
-
-def test_worker_count_env_cap(monkeypatch):
-    monkeypatch.setenv("COMIC_THREADS", "1")
-    assert worker_count(8) == 1
-    monkeypatch.setenv("COMIC_THREADS", "16")
-    assert worker_count(3) == 3
-    monkeypatch.delenv("COMIC_THREADS")
-    assert worker_count(8) == 4
-
-
-@pytest.mark.parametrize("value", ["x", "2.5", "4 threads"])
-def test_worker_count_names_malformed_env(monkeypatch, value):
-    monkeypatch.setenv("COMIC_THREADS", value)
-    with pytest.raises(ValueError, match=f"COMIC_THREADS must be an integer, got {value!r}"):
-        worker_count(3)
 
 
 def test_run_detect_requires_paths():
@@ -95,15 +78,16 @@ def test_fit_model_set_covers_all_channel_pairs():
         assert (np.diff(ll) >= -1e-9).all()
 
 
-def test_fit_model_set_threaded_matches_serial(monkeypatch):
+def test_fit_model_set_threaded_matches_serial():
     rng = np.random.default_rng(4)
     feat_x = rng.normal(size=(200, 2))
-    feat_y = rng.normal(size=(200, 2))
-    monkeypatch.setenv("COMIC_THREADS", "1")
-    serial, _ = fit_model_set(feat_x, feat_y, emfit.EmConfig())
-    monkeypatch.setenv("COMIC_THREADS", "4")
-    threaded, _ = fit_model_set(feat_x, feat_y, emfit.EmConfig())
-    assert serial.models == threaded.models
+    feat_y = rng.normal(size=(200, 3))
+    config = emfit.EmConfig()
+    threaded, _ = fit_model_set(feat_x, feat_y, config)
+    assert len(threaded.models) == 6
+    for (c1, c2), model in threaded.models.items():
+        direct, _, _ = fit_channel_pair(feat_x[:, c1 - 1], feat_y[:, c2 - 1], config)
+        assert model == direct
 
 
 def test_fit_model_set_single_pair_from_sample_columns():

@@ -1,15 +1,10 @@
-"""Baseline translation: histogram matching and rank-aligned affine fit."""
+"""Baseline translation: per-channel histogram matching."""
 
 import numpy as np
 import pytest
 
 from copcd.raster import Raster
-from copcd.translate import (
-    METHOD_HISTOGRAM,
-    METHOD_LINEAR,
-    TranslationSpec,
-    translate_baseline,
-)
+from copcd.translate import translate_baseline
 
 
 def _raster(arr):
@@ -17,9 +12,7 @@ def _raster(arr):
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        TranslationSpec(method="neural")
-    # cyclic default: 2 source bands feed 3 output bands as (0, 1, 0)
+    # 2 source bands feed 3 output bands as (0, 1, 0)
     rng = np.random.default_rng(5)
     x = _raster(rng.normal(size=(6, 6, 2)))
     y = _raster(rng.gamma(2.0, size=(6, 6, 3)))
@@ -88,20 +81,21 @@ def test_tied_source_values_share_mean_target_slice():
     assert flat[2] == 30.0 and flat[3] == 40.0
 
 
-def test_linear_regress_recovers_affine_map():
-    rng = np.random.default_rng(4)
-    base = rng.normal(size=(12, 12, 1))
-    x = _raster(base)
-    y = _raster(3.0 * base + 5.0)
-    out = translate_baseline(x, y, TranslationSpec(method=METHOD_LINEAR))
-    assert np.allclose(out.data, y.data, atol=1e-4)
-
-
-def test_linear_regress_constant_source():
-    x = _raster(np.full((3, 3, 1), 2.0))
-    y = _raster(np.arange(9.0).reshape(3, 3, 1))
-    out = translate_baseline(x, y, TranslationSpec(method=METHOD_LINEAR))
-    assert np.allclose(out.data, 4.0)
+def test_quantized_source_groups_take_the_mean_of_their_target_slice():
+    rng = np.random.default_rng(6)
+    src = np.floor(rng.random((64, 64)) * 8.0)  # 8 levels, every one tied
+    tgt = rng.gamma(2.0, size=(64, 64))
+    out = translate_baseline(_raster(src[:, :, None]), _raster(tgt[:, :, None]))
+    got = out.data[:, :, 0]
+    tgt_sorted = np.sort(tgt.astype(np.float32).ravel()).astype(np.float64)
+    start = 0
+    for level in np.unique(src):
+        group = src == level
+        end = start + int(group.sum())
+        expected = np.float32(np.mean(tgt_sorted[start:end]))
+        assert np.unique(got[group]).tolist() == [expected]
+        start = end
+    assert start == src.size
 
 
 def test_dimension_mismatch():
