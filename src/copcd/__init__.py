@@ -7,7 +7,7 @@ difference map into a binary change map.
 """
 
 from .copula import CopulaMixtureModel
-from .dependence import DependenceProfile, kendall_tau
+from .dependence import kendall_tau
 from .metrics import MetricsReport, score
 from .pipeline import PipelineConfig, run_detect
 from .raster import Raster, load_raster, save_raster
@@ -17,7 +17,6 @@ from .translate import translate_baseline
 
 __all__ = [
     "CopulaMixtureModel",
-    "DependenceProfile",
     "kendall_tau",
     "MetricsReport",
     "score",

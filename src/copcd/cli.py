@@ -19,14 +19,7 @@ from . import metrics, pipeline, synth, translate
 from .copula import CopulaMixtureModel
 from .dependence import TAIL_CLAYTON, TAIL_CLAYTON_SURVIVAL
 from .pipeline import PipelineConfig, StageError
-from .raster import (
-    Raster,
-    export_graymap,
-    load_binary_map,
-    load_raster,
-    save_binary_map,
-    save_raster,
-)
+from .raster import export_graymap, load_binary_map, load_raster, save_binary_map, save_raster
 
 EXIT_OK = 0
 EXIT_CONTRACT = 2
@@ -223,7 +216,7 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
 

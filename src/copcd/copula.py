@@ -100,8 +100,12 @@ class CopulaMixtureModel:
     def __post_init__(self):
         if not 0 <= self.rho < 1:
             raise ValueError("rho must lie in [0, 1)")
-        if self.theta <= 0:
-            raise ValueError("theta must be > 0")
+        # Past theta ~ 1.8e16 Clayton's tau = theta/(theta+2) rounds to 1: the
+        # copula is numerically comonotone, and near 1e308 the theta * log(u)
+        # terms of its density overflow.
+        if not (self.theta > 0 and self.theta / (self.theta + 2) < 1):
+            raise ValueError(f"theta must be finite and > 0 with theta/(theta+2) < 1, "
+                             f"got {self.theta!r}")
         if not 0 <= self.w <= 1:
             raise ValueError("w must lie in [0, 1]")
         if self.tail_mode not in (TAIL_CLAYTON, TAIL_CLAYTON_SURVIVAL):
@@ -154,21 +158,30 @@ def clamp_pseudo_obs(u, n_train: int):
     return np.clip(u, delta, 1.0 - delta)
 
 
+def pseudo_obs(hx, hy, ecdf_x: EmpiricalCdf, ecdf_y: EmpiricalCdf, negated: bool,
+               n_train: int):
+    """Copula arguments (u, v) of feature pairs, one rule for fitting and
+    detection: the training ECDFs, v reflected to 1 - v for a negatively
+    associated pair, both clamped into [delta, 1-delta], delta = 1/(2 n_train).
+    """
+    u = np.asarray(ecdf_x(hx))
+    v = np.asarray(ecdf_y(hy))
+    if negated:
+        v = 1.0 - v
+    return clamp_pseudo_obs(u, n_train), clamp_pseudo_obs(v, n_train)
+
+
 def joint_logpdf_superpixel(hx, hy, ecdf_x: EmpiricalCdf, ecdf_y: EmpiricalCdf,
                             model: CopulaMixtureModel):
     """Log copula density of a feature pair under a fitted model.
 
     Marginal pdf factors cancel in the detection statistic and are never
-    estimated; only the copula factor appears here. Pseudo-observations are
-    clamped into [delta, 1-delta] with delta = 1/(2 * n_train).
+    estimated; only the copula factor appears here.
     """
     if model.n_train < 1:
         raise ValueError("model has no training-set size")
-    u = clamp_pseudo_obs(np.asarray(ecdf_x(hx)), model.n_train)
-    v = np.asarray(ecdf_y(hy))
-    if model.orientation == ORIENT_NEGATED:
-        v = 1.0 - v
-    v = clamp_pseudo_obs(v, model.n_train)
+    u, v = pseudo_obs(hx, hy, ecdf_x, ecdf_y, model.orientation == ORIENT_NEGATED,
+                      model.n_train)
     return mixture_logpdf_params(u, v, model.rho, model.theta, model.w, model.tail_mode)
 
 
@@ -280,12 +293,21 @@ def _training_ecdfs(doc: dict, key: str, count_key: str) -> tuple:
         raise ValueError(f"model field {key!r}: {exc}") from None
 
 
+def _pair_model(rec: dict, lengths: set) -> CopulaMixtureModel:
+    n_train = rec["n_train"]
+    if isinstance(n_train, bool) or not isinstance(n_train, int) or {n_train} != lengths:
+        raise ValueError(f"n_train must be an integer equal to the length of every "
+                         f"training column {sorted(lengths)}, got {n_train!r}")
+    return CopulaMixtureModel.from_record(rec)
+
+
 def load_model_set(path: str) -> ChannelPairModels:
     """Read a model file written by ``ChannelPairModels.to_json``.
 
     A file of another version (a parameters-only file included), a column
-    count that differs from cx/cy, a malformed column or record, or a pair
-    grid that is not exactly cx x cy raises ValueError naming the field.
+    count that differs from cx/cy, a malformed column or record, an n_train
+    other than the length of the training columns, or a pair grid that is not
+    exactly cx x cy raises ValueError naming the field.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -295,8 +317,9 @@ def load_model_set(path: str) -> ChannelPairModels:
                          "refit the model with this version of copcd")
     ecdfs_x = _training_ecdfs(doc, "x", "cx")
     ecdfs_y = _training_ecdfs(doc, "y", "cy")
+    lengths = {e.n for e in ecdfs_x + ecdfs_y}
     try:
-        models = {tuple(int(t) for t in key.split(",")): CopulaMixtureModel.from_record(rec)
+        models = {tuple(int(t) for t in key.split(",")): _pair_model(rec, lengths)
                   for key, rec in doc["pairs"].items()}
         return ChannelPairModels(cx=doc["cx"], cy=doc["cy"], models=models,
                                  ecdfs_x=ecdfs_x, ecdfs_y=ecdfs_y)

@@ -1,11 +1,8 @@
-"""Rank-based dependence measures: Kendall's tau, empirical CDFs,
-orientation for negative association, and nonparametric tail-dependence
-estimates.
+"""Rank-based dependence measures: Kendall's tau, empirical CDFs and
+nonparametric tail-dependence estimates.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,17 +95,9 @@ def empirical_cdf(samples) -> EmpiricalCdf:
     return EmpiricalCdf(samples)
 
 
-def orient(u, tau: float):
-    """Reflect pseudo-observations when the association is negative."""
-    u = np.asarray(u, dtype=np.float64)
-    if (u < 0).any() or (u > 1).any():
-        raise ValueError("pseudo-observations must lie in [0, 1]")
-    return 1.0 - u if tau < 0 else u.copy()
-
-
 def tail_dependence(u, v):
-    """Empirical lower/upper tail-dependence estimates from oriented
-    pseudo-observations, clipped to [0, 1].
+    """Empirical lower/upper tail-dependence estimates from pseudo-observations,
+    clipped to [0, 1].
 
     Uses k = floor(sqrt(N)) corner cells of width k/N; comparisons are
     inclusive.
@@ -127,24 +116,3 @@ def tail_dependence(u, v):
     lower = np.count_nonzero((u <= t) & (v <= t)) / k
     upper = np.count_nonzero((u >= 1 - t) & (v >= 1 - t)) / k
     return float(np.clip(lower, 0.0, 1.0)), float(np.clip(upper, 0.0, 1.0))
-
-
-@dataclass(frozen=True)
-class DependenceProfile:
-    """Summary of a channel pair's dependence structure.
-
-    tail_mode and orientation are pure functions of (tau, eta_lower,
-    eta_upper).
-    """
-
-    tau: float
-    eta_lower: float
-    eta_upper: float
-
-    @property
-    def orientation(self) -> str:
-        return ORIENT_NEGATED if self.tau < 0 else ORIENT_IDENTITY
-
-    @property
-    def tail_mode(self) -> str:
-        return TAIL_CLAYTON if self.eta_lower > self.eta_upper else TAIL_CLAYTON_SURVIVAL

@@ -5,7 +5,6 @@ K-means binary change map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -14,17 +13,6 @@ from .segmentation import SegmentationMap
 
 KMEANS_MAX_ITERS = 300
 KMEANS_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class DifferenceMap:
-    """Fused statistic per superpixel plus its mean-centered version."""
-
-    di: np.ndarray
-    di_centered: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "di_centered", self.di - self.di.mean())
 
 
 def test_statistics(feat_x: np.ndarray, feat_y: np.ndarray,
@@ -52,20 +40,20 @@ def test_statistics(feat_x: np.ndarray, feat_y: np.ndarray,
     return t
 
 
-def fuse_difference(t: np.ndarray) -> DifferenceMap:
-    """Max over channel pairs, then mean-centering."""
+def fuse_difference(t: np.ndarray) -> np.ndarray:
+    """Difference map: the largest statistic over channel pairs, per superpixel."""
     if t.size == 0:
         raise ValueError("empty statistic tensor")
-    return DifferenceMap(di=t.max(axis=(1, 2)))
+    return t.max(axis=(1, 2))
 
 
 def representative_vectors(feat_x: np.ndarray, feat_y: np.ndarray,
-                           diff: DifferenceMap, alpha: float) -> np.ndarray:
-    """[features_x, features_y, alpha * centered DI] per superpixel."""
+                           di: np.ndarray, alpha: float) -> np.ndarray:
+    """[features_x, features_y, alpha * mean-centred DI] per superpixel."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     with np.errstate(over="ignore", invalid="ignore"):
-        rep = np.column_stack([feat_x, feat_y, alpha * diff.di_centered])
+        rep = np.column_stack([feat_x, feat_y, alpha * (di - di.mean())])
         span = rep.max(axis=0) - rep.min(axis=0)
         # k-means adds up to n squared distances, each at most |span|^2.
         bound = len(rep) * float(np.sum(span * span))
@@ -123,7 +111,7 @@ def kmeans(points: np.ndarray, k: int, seed: int):
     return assign, centroids
 
 
-def two_stage_bcm(rep: np.ndarray, diff: DifferenceMap, seg_test: SegmentationMap,
+def two_stage_bcm(rep: np.ndarray, di: np.ndarray, seg_test: SegmentationMap,
                   seed: int) -> np.ndarray:
     """Stage 1: k=3 clusters, pick the one with the largest mean DI.
     Stage 2: k=2 clusters, pick the one overlapping it the most (ties toward
@@ -132,7 +120,6 @@ def two_stage_bcm(rep: np.ndarray, diff: DifferenceMap, seg_test: SegmentationMa
     All-identical representative vectors yield an all-unchanged map.
     """
     rep = np.asarray(rep, dtype=np.float64)
-    di = diff.di
     if rep.shape[0] != len(di) or rep.shape[0] != seg_test.count:
         raise ValueError("representative vectors, DI, and segmentation disagree")
 

@@ -15,17 +15,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import detector, emfit, metrics, segmentation, translate
-from .copula import (
-    ChannelPairModels,
-    CopulaMixtureModel,
-    clamp_pseudo_obs,
-    load_model_set,
-)
+from .copula import ChannelPairModels, CopulaMixtureModel, load_model_set, pseudo_obs
 from .dependence import (
-    DependenceProfile,
+    ORIENT_IDENTITY,
+    ORIENT_NEGATED,
+    TAIL_CLAYTON,
+    TAIL_CLAYTON_SURVIVAL,
     empirical_cdf,
     kendall_tau,
-    orient,
     tail_dependence,
 )
 from .raster import (
@@ -101,22 +98,24 @@ def _stage(name, fn, *args, **kwargs):
 
 
 def fit_channel_pair(x_samples, y_samples, em_config: emfit.EmConfig):
-    """Dependence profile + EM fit for one channel pair's feature samples.
+    """EM fit of one channel pair's feature samples; returns (model, trace).
 
-    The profile reads the raw pseudo-observations; EM reads them clamped.
+    The pseudo-observations follow ``pseudo_obs``, the rule detection applies
+    with the same marginals: v is reflected when Kendall's tau is negative.
+    The Clayton branch goes to the tail with the larger empirical dependence.
     """
     n = len(x_samples)
     tau = kendall_tau(x_samples, y_samples)
-    u = empirical_cdf(x_samples)(x_samples)
-    v = orient(empirical_cdf(y_samples)(y_samples), tau)
-    profile = DependenceProfile(tau, *tail_dependence(u, v))
-    (rho, theta, w), trace = emfit.fit(clamp_pseudo_obs(u, n), clamp_pseudo_obs(v, n),
-                                       profile.tail_mode, em_config)
+    u, v = pseudo_obs(x_samples, y_samples, empirical_cdf(x_samples),
+                      empirical_cdf(y_samples), tau < 0, n)
+    lower, upper = tail_dependence(u, v)
+    tail_mode = TAIL_CLAYTON if lower > upper else TAIL_CLAYTON_SURVIVAL
+    (rho, theta, w), trace = emfit.fit(u, v, tail_mode, em_config)
     model = CopulaMixtureModel(
-        rho=rho, theta=theta, w=w, tail_mode=profile.tail_mode,
-        orientation=profile.orientation, n_train=n,
+        rho=rho, theta=theta, w=w, tail_mode=tail_mode,
+        orientation=ORIENT_NEGATED if tau < 0 else ORIENT_IDENTITY, n_train=n,
     )
-    return model, profile, trace
+    return model, trace
 
 
 def fit_model_set(feat_x: np.ndarray, feat_y: np.ndarray, em_config: emfit.EmConfig):
@@ -139,8 +138,8 @@ def fit_model_set(feat_x: np.ndarray, feat_y: np.ndarray, em_config: emfit.EmCon
             results = list(pool.map(job, pairs))
     else:
         results = [job(p) for p in pairs]
-    models = {pair: model for pair, (model, _profile, _trace) in zip(pairs, results)}
-    traces = {pair: trace for pair, (_model, _profile, trace) in zip(pairs, results)}
+    models = {pair: model for pair, (model, _trace) in zip(pairs, results)}
+    traces = {pair: trace for pair, (_model, trace) in zip(pairs, results)}
     return ChannelPairModels(cx=cx, cy=cy, models=models,
                              ecdfs_x=ecdfs_x, ecdfs_y=ecdfs_y), traces
 
@@ -240,12 +239,12 @@ def run_detect(config: PipelineConfig) -> dict:
     feat_y_test = _stage("features", segmentation.extract_features, y, seg_test)
 
     t = _stage("detect", detector.test_statistics, feat_x_test, feat_y_test, model_set)
-    diff = _stage("detect", detector.fuse_difference, t)
+    di = _stage("detect", detector.fuse_difference, t)
     rep = _stage("detect", detector.representative_vectors, feat_x_test, feat_y_test,
-                 diff, config.alpha)
-    bcm = _stage("detect", detector.two_stage_bcm, rep, diff, seg_test, config.seed)
+                 di, config.alpha)
+    bcm = _stage("detect", detector.two_stage_bcm, rep, di, seg_test, config.seed)
 
-    out.update(seg_test=seg_test, stat_tensor=t, diff=diff, bcm=bcm)
+    out.update(seg_test=seg_test, stat_tensor=t, di=di, bcm=bcm)
     if config.gt is not None:
         gt = _stage("score", load_binary_map, config.gt)
         out["report"] = _stage("score", metrics.score, bcm, gt)
@@ -266,7 +265,7 @@ def write_artifacts(result: dict, config: PipelineConfig) -> None:
     join = lambda name: os.path.join(config.out_dir, name)
 
     seg_test = result["seg_test"]
-    di_pixels = result["diff"].di[seg_test.labels - 1]
+    di_pixels = result["di"][seg_test.labels - 1]
     save_raster(Raster.from_array(di_pixels.astype(np.float32)), join("di"))
     export_graymap(di_pixels, join("di.pgm"))
 

@@ -14,6 +14,7 @@ survives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,8 @@ class SynthConfig:
             raise ValueError("change_fraction must lie in [0, 1)")
         if self.change_shape not in (SHAPE_RECTANGLE, SHAPE_BLOBS):
             raise ValueError(f"unknown change_shape {self.change_shape!r}")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
         if self.model is None:
             object.__setattr__(
                 self, "model", CopulaMixtureModel(rho=0.8, theta=1.0, w=1.0, n_train=1)

@@ -41,6 +41,22 @@ def test_synth_zero_change_gt_all_zero(tmp_path):
     assert load_binary_map(os.path.join(out, "gt")).sum() == 0
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--theta", "nan"), ("--theta", "inf"), ("--noise-sigma", "nan"), ("--noise-sigma", "inf"),
+])
+def test_synth_non_finite_parameter_is_contract_error(tmp_path, capsys, flag, value):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["synth", "--m", "16", "--n", "16", flag, value,
+                         "--out-dir", str(tmp_path / "data")])
+    assert code == cli.EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag[2:].replace("-", "_") in err
+    assert "Traceback" not in err
+    assert [w for w in caught if w.category is RuntimeWarning] == []
+    assert not (tmp_path / "data").exists()
+
+
 def test_detect_missing_inputs_is_contract_error(capsys):
     code = cli.main(["detect", "--out-dir", "/tmp/unused"])
     assert code == cli.EXIT_CONTRACT
@@ -394,8 +410,16 @@ def _three_band(doc):
     (lambda d: d["pairs"].pop("1,1"), "'pairs'"),
     (lambda d: d["pairs"].update({"1,2": d["pairs"]["1,1"]}), "'pairs'"),
     (_three_band, "cx=3"),
+    *[(lambda d, v=value: d["pairs"]["1,1"].update(theta=v), "'pairs': theta")
+      for value in (float("nan"), float("inf"), 1e308)],
+    *[(lambda d, v=value: d["pairs"]["1,1"].update(n_train=v), "'pairs': n_train")
+      for value in (2.5, True, "5", 1e308)],
+    (lambda d: d["pairs"]["1,1"].update(n_train=d["pairs"]["1,1"]["n_train"] + 1),
+     "'pairs': n_train"),
 ], ids=["parameters-only", "version-3", "not-base64", "bytes-not-multiple-of-8",
-        "nan", "two-x-columns", "missing-pair", "extra-pair", "three-band-model"])
+        "nan", "two-x-columns", "missing-pair", "extra-pair", "three-band-model",
+        "theta-nan", "theta-inf", "theta-1e308", "n_train-2.5", "n_train-true",
+        "n_train-string", "n_train-1e308", "n_train-off-by-one"])
 def test_malformed_model_is_contract_error(small_scene, fitted_model, tmp_path, capsys,
                                            mutate, key):
     doc = json.loads(Path(fitted_model).read_text())
@@ -403,11 +427,14 @@ def test_malformed_model_is_contract_error(small_scene, fitted_model, tmp_path, 
     bad = tmp_path / "model.json"
     bad.write_text(json.dumps(doc))
     out = tmp_path / "run"
-    assert cli.main(_detect_args(small_scene, str(out)) + ["--model", str(bad)]) \
-        == cli.EXIT_CONTRACT
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(_detect_args(small_scene, str(out)) + ["--model", str(bad)])
+    assert code == cli.EXIT_CONTRACT
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
     assert "Traceback" not in err
+    assert [w for w in caught if w.category is RuntimeWarning] == []
     assert not (out / "bcm.u8").exists()
 
 

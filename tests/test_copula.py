@@ -217,17 +217,22 @@ def test_model_validation():
         CopulaMixtureModel(rho=0.5, theta=1.0, w=1.5)
     with pytest.raises(ValueError):
         CopulaMixtureModel(rho=0.5, theta=1.0, w=0.5, tail_mode="gumbel")
+    for theta in (float("nan"), float("inf"), 1e308, 1e17):
+        with pytest.raises(ValueError, match="theta"):
+            CopulaMixtureModel(rho=0.5, theta=theta, w=0.5)
+    assert CopulaMixtureModel(rho=0.5, theta=1e16, w=0.5).theta == 1e16
 
 
 def test_model_record_round_trip(tmp_path):
     model = CopulaMixtureModel(rho=0.7, theta=2.5, w=0.4,
                                tail_mode=TAIL_CLAYTON_SURVIVAL,
-                               orientation=ORIENT_NEGATED, n_train=500)
+                               orientation=ORIENT_NEGATED, n_train=10)
     assert CopulaMixtureModel.from_record(model.to_record()) == model
 
     ms = ChannelPairModels(cx=1, cy=1, models={(1, 1): model},
                            ecdfs_x=(empirical_cdf(np.arange(10.0)),),
-                           ecdfs_y=(empirical_cdf([3.5, -1.0, 3.5, 2e-310]),))
+                           ecdfs_y=(empirical_cdf([3.5, -1.0, 3.5, 2e-310, 0.0, -0.0,
+                                                   1e308, -7.25, 3.5, 1.0]),))
     path = tmp_path / "model.json"
     path.write_text(ms.to_json())
     loaded = load_model_set(str(path))

@@ -1,4 +1,4 @@
-"""Kendall's tau, empirical CDFs, orientation, and tail-dependence estimates."""
+"""Kendall's tau, empirical CDFs, and tail-dependence estimates."""
 
 import numpy as np
 import pytest
@@ -6,17 +6,18 @@ import dependence_oracle as oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from copcd.copula import pseudo_obs, sample_clayton_pairs
 from copcd.dependence import (
     ORIENT_IDENTITY,
     ORIENT_NEGATED,
     TAIL_CLAYTON,
     TAIL_CLAYTON_SURVIVAL,
-    DependenceProfile,
     empirical_cdf,
     kendall_tau,
-    orient,
     tail_dependence,
 )
+from copcd.emfit import EmConfig
+from copcd.pipeline import fit_channel_pair
 
 
 def test_tau_concordant():
@@ -148,23 +149,14 @@ def test_ecdf_range_and_monotonicity(samples, queries):
     assert np.allclose(vals * n, np.round(vals * n))  # range is {0, 1/N, ..., 1}
 
 
-def test_orient_branches():
-    u = np.array([0.1, 0.9])
-    assert orient(u, -0.4) == pytest.approx([0.9, 0.1])
-    assert orient(u, 0.4).tolist() == [0.1, 0.9]
-    assert orient(u, 0.0).tolist() == [0.1, 0.9]
-    with pytest.raises(ValueError):
-        orient(np.array([1.5]), 0.1)
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.integers(3, 40))
-def test_orient_preserves_absolute_tau(seed, n):
+def test_pseudo_obs_preserves_absolute_tau(seed, n):
     rng = np.random.default_rng(seed)
     x = rng.permutation(n).astype(float)
     y = rng.permutation(n).astype(float)
     tau = kendall_tau(x, y)
-    v = orient(empirical_cdf(y)(y), tau)
+    _, v = pseudo_obs(x, y, empirical_cdf(x), empirical_cdf(y), tau < 0, n)
     assert kendall_tau(x, v) == abs(tau)
 
 
@@ -218,23 +210,34 @@ def test_tail_dependence_invariant_under_monotone_transform(seed):
     assert tail_dependence(u, v) == tail_dependence(ut, vt)
 
 
-def test_profile_orientation_and_tail_mode_rules():
-    p = DependenceProfile(tau=-0.2, eta_lower=0.1, eta_upper=0.6)
-    assert p.orientation == ORIENT_NEGATED
-    assert p.tail_mode == TAIL_CLAYTON_SURVIVAL
-    q = DependenceProfile(tau=0.2, eta_lower=0.6, eta_upper=0.1)
-    assert q.orientation == ORIENT_IDENTITY
-    assert q.tail_mode == TAIL_CLAYTON
+def _fit(u, v):
+    model, _ = fit_channel_pair(u, v, EmConfig())
+    return model
+
+
+def _clayton_pairs():
+    return sample_clayton_pairs(2.0, 3000, np.random.default_rng(3))
 
 
 def test_profile_from_clayton_samples_selects_clayton():
-    from copcd.copula import sample_clayton_pairs
-    from copcd.emfit import EmConfig
-    from copcd.pipeline import fit_channel_pair
+    u, v = _clayton_pairs()
+    assert kendall_tau(u, v) > 0.3
+    model = _fit(u, v)
+    assert model.tail_mode == TAIL_CLAYTON
+    assert model.orientation == ORIENT_IDENTITY
 
-    rng = np.random.default_rng(3)
-    u, v = sample_clayton_pairs(2.0, 3000, rng)
-    _, profile, _ = fit_channel_pair(u, v, EmConfig())
-    assert profile.tau > 0.3
-    assert profile.tail_mode == TAIL_CLAYTON
-    assert profile.orientation == ORIENT_IDENTITY
+
+def test_reflected_clayton_samples_select_clayton_survival():
+    u, v = _clayton_pairs()
+    model = _fit(1.0 - u, 1.0 - v)
+    assert model.tail_mode == TAIL_CLAYTON_SURVIVAL
+    assert model.orientation == ORIENT_IDENTITY
+
+
+def test_negative_association_reflects_v_before_the_tail_choice():
+    # (u, 1 - v) is negatively associated; reflecting v restores the
+    # lower-tail Clayton dependence.
+    u, v = _clayton_pairs()
+    model = _fit(u, 1.0 - v)
+    assert model.orientation == ORIENT_NEGATED
+    assert model.tail_mode == TAIL_CLAYTON

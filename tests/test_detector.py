@@ -6,7 +6,6 @@ import pytest
 from copcd.copula import ChannelPairModels, CopulaMixtureModel, sample_mixture
 from copcd.dependence import empirical_cdf
 from copcd.detector import (
-    DifferenceMap,
     fuse_difference,
     kmeans,
     representative_vectors,
@@ -75,38 +74,38 @@ def test_statistic_shape_validation():
 
 def test_fuse_single_pair_is_identity():
     t = np.arange(6.0).reshape(6, 1, 1)
-    diff = fuse_difference(t)
-    assert np.array_equal(diff.di, t[:, 0, 0])
+    assert np.array_equal(fuse_difference(t), t[:, 0, 0])
 
 
 def test_fuse_takes_max_over_pairs():
     t = np.array([[[0.2, 0.9]]])
-    assert fuse_difference(t).di[0] == 0.9
+    assert fuse_difference(t)[0] == 0.9
 
 
 def test_fuse_centering():
-    t = np.full((4, 1, 1), 3.0)
-    diff = fuse_difference(t)
-    assert np.allclose(diff.di_centered, 0.0)
+    feat = np.zeros((4, 1))
+    di = fuse_difference(np.full((4, 1, 1), 3.0))
+    assert np.allclose(representative_vectors(feat, feat, di, alpha=1.0)[:, 2], 0.0)
     rng = np.random.default_rng(5)
     t2 = rng.random((30, 2, 3))
-    diff2 = fuse_difference(t2)
-    assert abs(diff2.di_centered.mean()) < 1e-9
+    di2 = fuse_difference(t2)
+    feat = np.zeros((30, 1))
+    assert abs(representative_vectors(feat, feat, di2, alpha=1.0)[:, 2].mean()) < 1e-9
     # max-fusion dominates every channel pair
-    assert (diff2.di[:, None, None] >= t2 - 1e-15).all()
+    assert (di2[:, None, None] >= t2 - 1e-15).all()
 
 
 def test_representative_vectors_layout():
     feat_x = np.arange(8.0).reshape(4, 2)
     feat_y = np.arange(12.0).reshape(4, 3)
-    diff = DifferenceMap(di=np.array([1.0, 2.0, 3.0, 4.0]))
-    rep = representative_vectors(feat_x, feat_y, diff, alpha=2.0)
+    di = np.array([1.0, 2.0, 3.0, 4.0])
+    rep = representative_vectors(feat_x, feat_y, di, alpha=2.0)
     assert rep.shape == (4, 6)
     assert np.array_equal(rep[:, :2], feat_x)
     assert np.array_equal(rep[:, 2:5], feat_y)
-    assert np.allclose(rep[:, 5], 2.0 * diff.di_centered)
+    assert np.array_equal(rep[:, 5], [-3.0, -1.0, 1.0, 3.0])
     with pytest.raises(ValueError):
-        representative_vectors(feat_x, feat_y, diff, alpha=-1.0)
+        representative_vectors(feat_x, feat_y, di, alpha=-1.0)
 
 
 def test_kmeans_separates_blobs():
@@ -157,19 +156,19 @@ def test_two_stage_bcm_flags_high_di_superpixels():
     changed[::10] = True
     feat_x = np.where(changed, 10.0, 0.0)[:, None] + rng.normal(0, 0.05, (n, 1))
     feat_y = np.where(changed, 10.0, 0.0)[:, None] + rng.normal(0, 0.05, (n, 1))
-    diff = DifferenceMap(di=np.where(changed, 10.0, 0.0))
-    rep = representative_vectors(feat_x, feat_y, diff, alpha=5.0)
+    di = np.where(changed, 10.0, 0.0)
+    rep = representative_vectors(feat_x, feat_y, di, alpha=5.0)
     seg = _unit_segmentation(10, 10)
-    bcm = two_stage_bcm(rep, diff, seg, seed=0)
+    bcm = two_stage_bcm(rep, di, seg, seed=0)
     assert np.array_equal(bcm.ravel(), changed.astype(np.uint8))
 
 
 def test_two_stage_bcm_degenerate_input_is_all_unchanged():
     n = 30
     rep = np.ones((n, 3))
-    diff = DifferenceMap(di=np.ones(n))
+    di = np.ones(n)
     seg = _unit_segmentation(5, 6)
-    bcm = two_stage_bcm(rep, diff, seg, seed=0)
+    bcm = two_stage_bcm(rep, di, seg, seed=0)
     assert bcm.shape == (5, 6)
     assert not bcm.any()
 
@@ -180,8 +179,8 @@ def test_two_stage_bcm_constant_per_superpixel():
     labels = np.repeat(np.repeat(np.arange(1, 10).reshape(3, 3), 4, axis=0), 4, axis=1)
     seg = SegmentationMap(m, n, 9, labels.astype(np.int64))
     rep = rng.normal(size=(9, 3))
-    diff = DifferenceMap(di=rng.random(9))
-    bcm = two_stage_bcm(rep, diff, seg, seed=1)
+    di = rng.random(9)
+    bcm = two_stage_bcm(rep, di, seg, seed=1)
     for lab in range(1, 10):
         assert len(np.unique(bcm[labels == lab])) == 1
 
@@ -190,15 +189,14 @@ def test_two_stage_bcm_alpha_zero_still_uses_di_for_selection():
     # identical features, DI differs: with alpha=0 the representative vectors
     # are all equal, so the degenerate all-unchanged rule applies
     n = 16
-    rep = representative_vectors(np.zeros((n, 1)), np.zeros((n, 1)),
-                                 DifferenceMap(di=np.arange(float(n))), alpha=0.0)
-    bcm = two_stage_bcm(rep, DifferenceMap(di=np.arange(float(n))),
-                        _unit_segmentation(4, 4), seed=0)
+    di = np.arange(float(n))
+    rep = representative_vectors(np.zeros((n, 1)), np.zeros((n, 1)), di, alpha=0.0)
+    bcm = two_stage_bcm(rep, di, _unit_segmentation(4, 4), seed=0)
     assert not bcm.any()
 
 
 def test_two_stage_bcm_validates_shapes():
     rep = np.zeros((5, 2))
-    diff = DifferenceMap(di=np.zeros(4))
+    di = np.zeros(4)
     with pytest.raises(ValueError):
-        two_stage_bcm(rep, diff, _unit_segmentation(2, 2), seed=0)
+        two_stage_bcm(rep, di, _unit_segmentation(2, 2), seed=0)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from copcd import emfit, segmentation
-from copcd.copula import CopulaMixtureModel, sample_mixture
-from copcd.dependence import ORIENT_NEGATED, TAIL_CLAYTON
+from copcd.copula import CopulaMixtureModel, mixture_logpdf_params, sample_mixture
+from copcd.detector import test_statistics as compute_statistics
+from copcd.dependence import ORIENT_NEGATED, TAIL_CLAYTON, kendall_tau
 from copcd.pipeline import (
     MIN_REGION,
     PipelineConfig,
@@ -52,17 +53,41 @@ def test_fit_channel_pair_orients_negative_association():
     xs = np.sort(x)
     feat_x = xs[np.clip((u * 1500).astype(int), 0, 1499)]
     feat_y = -np.sort(rng.normal(size=1500))[np.clip((v * 1500).astype(int), 0, 1499)]
-    fitted, profile, trace = fit_channel_pair(feat_x, feat_y, emfit.EmConfig())
-    assert profile.tau < 0
+    assert kendall_tau(feat_x, feat_y) < 0
+    fitted, _ = fit_channel_pair(feat_x, feat_y, emfit.EmConfig())
     assert fitted.orientation == ORIENT_NEGATED
     assert fitted.rho > 0.5
+
+
+def test_fit_and_detection_map_features_by_one_rule():
+    # Training columns scored under their own model: the statistic is the
+    # copula density at u = rank(x)/n and v = 1 - rank(y)/n, both clipped
+    # to [1/(2n), 1 - 1/(2n)], and EM fitted exactly those (u, v).
+    n = 1500
+    u0, v0 = sample_mixture(CopulaMixtureModel(rho=0.8, theta=1.0, w=1.0, n_train=1),
+                            n, seed=1)
+    feat_x, feat_y = np.log(u0 / (1 - u0)), -np.tan(v0)
+    assert len(np.unique(feat_x)) == len(np.unique(feat_y)) == n
+    model_set, _ = fit_model_set(feat_x[:, None], feat_y[:, None], emfit.EmConfig())
+    model = model_set.model(1, 1)
+    assert model.orientation == ORIENT_NEGATED
+
+    rank = lambda a: np.argsort(np.argsort(a)) + 1
+    delta = 1 / (2 * n)
+    u = np.clip(rank(feat_x) / n, delta, 1 - delta)
+    v = np.clip(1 - rank(feat_y) / n, delta, 1 - delta)
+    (rho, theta, w), _ = emfit.fit(u, v, model.tail_mode, emfit.EmConfig())
+    assert (model.rho, model.theta, model.w) == (rho, theta, w)
+    t = compute_statistics(feat_x[:, None], feat_y[:, None], model_set)
+    expected = -mixture_logpdf_params(u, v, rho, theta, w, model.tail_mode)
+    assert np.array_equal(t[:, 0, 0], expected)
 
 
 def test_fitted_weight_invariant_under_monotone_transform():
     model = CopulaMixtureModel(rho=0.7, theta=2.0, w=0.5, n_train=1)
     u, v = sample_mixture(model, 1000, seed=2)
-    m1, _, _ = fit_channel_pair(u, v, emfit.EmConfig())
-    m2, _, _ = fit_channel_pair(np.exp(4 * u), np.tan(v), emfit.EmConfig())
+    m1, _ = fit_channel_pair(u, v, emfit.EmConfig())
+    m2, _ = fit_channel_pair(np.exp(4 * u), np.tan(v), emfit.EmConfig())
     assert m1 == m2  # pseudo-observations absorb the warps entirely
 
 
@@ -86,7 +111,7 @@ def test_fit_model_set_threaded_matches_serial():
     threaded, _ = fit_model_set(feat_x, feat_y, config)
     assert len(threaded.models) == 6
     for (c1, c2), model in threaded.models.items():
-        direct, _, _ = fit_channel_pair(feat_x[:, c1 - 1], feat_y[:, c2 - 1], config)
+        direct, _ = fit_channel_pair(feat_x[:, c1 - 1], feat_y[:, c2 - 1], config)
         assert model == direct
 
 

@@ -20,8 +20,9 @@ def test_config_validation():
         SynthConfig(change_fraction=1.0)
     with pytest.raises(ValueError):
         SynthConfig(change_shape="stripes")
-    with pytest.raises(ValueError):
-        SynthConfig(noise_sigma=-0.1)
+    for sigma in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            SynthConfig(noise_sigma=sigma)
 
 
 def test_no_change_requested_gives_empty_gt():
