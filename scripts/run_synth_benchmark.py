@@ -3,8 +3,12 @@
 
 Generates heterogeneous pairs with known ground truth across a grid of data
 seeds and pipeline seeds, runs the full detection pipeline on each, and
-prints a KC / Fm / ACC table. Useful for checking robustness of the
-clustering stage beyond the single pinned acceptance configuration.
+prints one row per run: KC / Fm / ACC, the acceptance gate (KC >= 0.8 and
+ACC >= 0.95, as in tests/test_acceptance.py::test_08) and the fitted rho,
+theta and w of the channel pair, a `*` marking a value on its bound
+(rho = 0.99, theta = theta_max). A last line gives the median and minimum
+KC and the gate failures. With the defaults each scene is perfbench's
+`scene256` scene for that data seed (at --size 256).
 
 Example:
     python3 scripts/run_synth_benchmark.py --size 256 --data-seeds 0 1 2 \
@@ -13,6 +17,7 @@ Example:
 
 import argparse
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -20,13 +25,17 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from copcd.copula import CopulaMixtureModel  # noqa: E402
+from copcd.emfit import RHO_MAX  # noqa: E402
 from copcd.pipeline import PipelineConfig, run_detect  # noqa: E402
 from copcd.raster import save_binary_map, save_raster  # noqa: E402
 from copcd.synth import SynthConfig, generate_pair  # noqa: E402
 
+KC_GATE, ACC_GATE = 0.8, 0.95
+
 
 def run_one(size, rho, w, data_seed, pipeline_seed, ns_model, ns_test, alpha,
             workdir):
+    """Generate one scene, detect on it, and return its row as a dict."""
     model = CopulaMixtureModel(rho=rho, theta=1.0, w=w, n_train=1)
     cfg = SynthConfig(m=size, n=size, model=model, change_fraction=0.1,
                       noise_sigma=0.05, seed=data_seed)
@@ -45,7 +54,35 @@ def run_one(size, rho, w, data_seed, pipeline_seed, ns_model, ns_test, alpha,
     start = time.monotonic()
     result = run_detect(pipeline)
     elapsed = time.monotonic() - start
-    return result["report"], elapsed
+    report, fitted = result["report"], result["model_set"].model(1, 1)
+    return {
+        "data": data_seed, "pipe": pipeline_seed,
+        "kc": report.kc, "fm": report.fm, "acc": report.acc,
+        "gate": "pass" if report.kc >= KC_GATE and report.acc >= ACC_GATE else "fail",
+        "rho": fitted.rho, "theta": fitted.theta, "w": fitted.w,
+        "rho_on_bound": fitted.rho == RHO_MAX,
+        "theta_on_bound": fitted.theta == pipeline.theta_max,
+        "sec": elapsed,
+    }
+
+
+HEADER = (f"{'data':>4} {'pipe':>4} {'KC':>7} {'Fm':>7} {'ACC':>7} {'gate':>4} "
+          f"{'rho':>7} {'theta':>8} {'w':>6} {'sec':>6}")
+
+
+def format_row(row) -> str:
+    rho_mark = "*" if row["rho_on_bound"] else " "
+    theta_mark = "*" if row["theta_on_bound"] else " "
+    return (f"{row['data']:>4} {row['pipe']:>4} {row['kc']:>7.3f} {row['fm']:>7.3f} "
+            f"{row['acc']:>7.3f} {row['gate']:>4} {row['rho']:>6.4f}{rho_mark} "
+            f"{row['theta']:>7.3f}{theta_mark} {row['w']:>6.3f} {row['sec']:>6.1f}")
+
+
+def summary(rows) -> str:
+    kcs = [row["kc"] for row in rows]
+    fails = sum(row["gate"] == "fail" for row in rows)
+    return (f"KC median {statistics.median(kcs):.3f} min {min(kcs):.3f}; "
+            f"gate failures {fails}/{len(rows)}")
 
 
 def main():
@@ -61,17 +98,17 @@ def main():
     parser.add_argument("--pipeline-seeds", type=int, nargs="+", default=[0])
     args = parser.parse_args()
 
-    print(f"{'data':>4} {'pipe':>4} {'KC':>7} {'Fm':>7} {'ACC':>7} {'sec':>6}")
+    print(HEADER)
+    rows = []
     with tempfile.TemporaryDirectory() as workdir:
         for data_seed in args.data_seeds:
             for pipeline_seed in args.pipeline_seeds:
-                report, elapsed = run_one(
+                rows.append(run_one(
                     args.size, args.rho, args.w, data_seed, pipeline_seed,
                     args.ns_model, args.ns_test, args.alpha, workdir,
-                )
-                print(f"{data_seed:>4} {pipeline_seed:>4} "
-                      f"{report.kc:>7.3f} {report.fm:>7.3f} "
-                      f"{report.acc:>7.3f} {elapsed:>6.1f}")
+                ))
+                print(format_row(rows[-1]), flush=True)
+    print(summary(rows))
 
 
 if __name__ == "__main__":

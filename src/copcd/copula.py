@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import base64
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +99,10 @@ class CopulaMixtureModel:
     n_train: int = 0
 
     def __post_init__(self):
+        for name in ("rho", "theta", "w"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not 0 <= self.rho < 1:
             raise ValueError("rho must lie in [0, 1)")
         # Past theta ~ 1.8e16 Clayton's tau = theta/(theta+2) rounds to 1: the

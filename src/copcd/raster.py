@@ -92,20 +92,21 @@ def _read_container(base: str):
     if layout not in _LAYOUTS:
         raise ValueError(f"header key 'layout' must be one of {', '.join(_LAYOUTS)}, "
                          f"got {layout!r} in {hdr_path}")
-    dtype_name = header["dtype"]
-    if dtype_name not in _DTYPES:
-        raise ValueError(f"unknown dtype {dtype_name!r} in {hdr_path}")
+    dtype_name = header.get("dtype")
+    if not isinstance(dtype_name, str) or dtype_name not in _DTYPES:
+        raise ValueError(f"header key 'dtype' must be one of {', '.join(_DTYPES)}, "
+                         f"got {dtype_name!r} in {hdr_path}")
     dtype, ext = _DTYPES[dtype_name]
     payload_path = base + "." + ext
     if not os.path.exists(payload_path):
         raise FileNotFoundError(payload_path)
     m, n, c = header["m"], header["n"], header["c"]
-    raw = np.fromfile(payload_path, dtype=dtype)
-    if raw.size != m * n * c:
-        raise ValueError(
-            f"header claims {m}x{n}x{c} = {m * n * c} values, payload holds {raw.size}"
-        )
-    return header, raw.reshape(m, n, c)
+    expected = m * n * c * dtype.itemsize
+    size = os.path.getsize(payload_path)
+    if size != expected:
+        raise ValueError(f"header claims {m}x{n}x{c} {dtype_name} = {expected} bytes, "
+                         f"payload {payload_path} holds {size}")
+    return header, np.fromfile(payload_path, dtype=dtype).reshape(m, n, c)
 
 
 def load_raster(path: str) -> Raster:

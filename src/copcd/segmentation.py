@@ -64,7 +64,10 @@ def slic(r: Raster, target_count: int, compactness: float) -> SegmentationMap:
 
     Deterministic: the procedure has no randomness.
     Distance is d_color + (compactness / S) * d_spatial with Euclidean norms
-    over all channels.
+    over all channels, S = sqrt(pixels / target_count) the grid spacing.
+    Each centre searches the pixels within +-ceil(S) rows and columns of it,
+    the 2S x 2S window of Achanta et al., "SLIC Superpixels Compared to
+    State-of-the-Art Superpixel Methods" (IEEE TPAMI, 2012).
     """
     m, n = r.height, r.width
     if not 1 <= target_count <= m * n:
@@ -84,7 +87,7 @@ def slic(r: Raster, target_count: int, compactness: float) -> SegmentationMap:
         [data[min(int(y), m - 1), min(int(x), n - 1)] for y, x in centers_pos]
     )
     k = len(centers_pos)
-    win = int(np.ceil(2 * spacing))
+    win = int(np.ceil(spacing))
     ratio = compactness / spacing
     if not math.isfinite(float(ratio) * math.hypot(m, n)):  # bounds every spatial term
         raise ArithmeticError(f"compactness={compactness!r} overflows the SLIC distance")

@@ -68,7 +68,7 @@ def slic(r, target_count: int, compactness: float):
         [data[min(int(y), m - 1), min(int(x), n - 1)] for y, x in centers_pos]
     )
     k = len(centers_pos)
-    win = int(np.ceil(2 * spacing))
+    win = int(np.ceil(spacing))
     yy, xx = np.mgrid[0:m, 0:n].astype(np.float64)
 
     assign = np.zeros((m, n), dtype=np.int64)

@@ -416,10 +416,14 @@ def _three_band(doc):
       for value in (2.5, True, "5", 1e308)],
     (lambda d: d["pairs"]["1,1"].update(n_train=d["pairs"]["1,1"]["n_train"] + 1),
      "'pairs': n_train"),
+    *[(lambda d, f=field, v=value: d["pairs"]["1,1"].update({f: v}), f"'pairs': {field}")
+      for field, value in (("theta", True), ("w", True), ("w", False), ("rho", False),
+                           ("w", "0.5"))],
 ], ids=["parameters-only", "version-3", "not-base64", "bytes-not-multiple-of-8",
         "nan", "two-x-columns", "missing-pair", "extra-pair", "three-band-model",
         "theta-nan", "theta-inf", "theta-1e308", "n_train-2.5", "n_train-true",
-        "n_train-string", "n_train-1e308", "n_train-off-by-one"])
+        "n_train-string", "n_train-1e308", "n_train-off-by-one", "theta-true", "w-true",
+        "w-false", "rho-false", "w-string"])
 def test_malformed_model_is_contract_error(small_scene, fitted_model, tmp_path, capsys,
                                            mutate, key):
     doc = json.loads(Path(fitted_model).read_text())

@@ -59,6 +59,23 @@ def test_header_payload_mismatch_errors(tmp_path):
         load_raster(base)
 
 
+@pytest.mark.parametrize("extra", [-1, 2, 4], ids=["byte-short", "2-bytes-over",
+                                                   "value-over"])
+def test_payload_bytes_must_match_the_header(tmp_path, capsys, extra):
+    base = str(tmp_path / "bad")
+    with open(base + ".hdr.json", "w") as fh:
+        json.dump({"m": 32, "n": 32, "c": 1, "dtype": "f32le",
+                   "layout": "row-major-bip"}, fh)
+    with open(base + ".f32", "wb") as fh:
+        fh.write(bytes(32 * 32 * 4 + extra))
+    with pytest.raises(ValueError, match=f"= 4096 bytes, payload .* holds {4096 + extra}"):
+        load_raster(base)
+    assert cli.main(["translate", "--pre", base, "--post", base,
+                     "--out", str(tmp_path / "t")]) == cli.EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "4096 bytes" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("key, value", [("m", "2"), ("n", True), ("c", 0), ("m", None)])
 def test_header_dimensions_must_be_positive_ints(tmp_path, capsys, key, value):
     base = str(tmp_path / "bad")
@@ -85,6 +102,23 @@ def test_header_layout_must_be_known(tmp_path, capsys, value):
     assert cli.main(["score", "--bcm", base, "--gt", base]) == cli.EXIT_CONTRACT
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'layout'" in err
+
+
+@pytest.mark.parametrize("value", [None, ["u8"]], ids=["missing", "list"])
+def test_header_dtype_must_be_known(tmp_path, capsys, value):
+    base = str(tmp_path / "bad")
+    header = {"m": 2, "n": 2, "c": 1, "layout": "row-major"}
+    if value is not None:
+        header["dtype"] = value
+    with open(base + ".hdr.json", "w") as fh:
+        json.dump(header, fh)
+    np.zeros(4, dtype="u1").tofile(base + ".u8")
+    with pytest.raises(ValueError, match="header key 'dtype'"):
+        load_binary_map(base)
+    assert cli.main(["score", "--bcm", base, "--gt", base]) == cli.EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "header key 'dtype'" in err
+    assert "Traceback" not in err
 
 
 def test_missing_file_errors(tmp_path):
