@@ -40,7 +40,6 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps", type=float)
     p.add_argument("--theta-max", dest="theta_max", type=float)
     p.add_argument("--pca", type=int)
-    p.add_argument("--compactness", type=float)
     p.add_argument("--seed", type=int)
 
 
@@ -118,7 +117,7 @@ def cmd_synth(args) -> int:
     cfg = synth.SynthConfig(
         m=args.m, n=args.n, cx=args.cx, cy=args.cy, model=model,
         change_fraction=args.change_fraction, change_shape=args.change_shape,
-        noise_sigma=args.noise_sigma, seed=args.seed if args.seed is not None else 0,
+        noise_sigma=args.noise_sigma, seed=args.seed,
     )
     x, y, gt = synth.generate_pair(cfg)
     out = args.out_dir or "."

@@ -3,7 +3,8 @@ seeded samplers, and the model file (``model.json``) of a fitted model set.
 
 Densities are evaluated in log space; the Clayton-survival density is the
 reflection f_clayton(1-u1, 1-u2) so it stays consistent with its CDF. The
-CDFs only verify the densities and live in ``tests/copula_oracle.py``.
+CDFs and the plain densities only verify the log densities and live in
+``tests/copula_oracle.py``.
 """
 
 from __future__ import annotations
@@ -48,10 +49,6 @@ def gaussian_logpdf(u1, u2, rho: float):
     )
 
 
-def gaussian_density(u1, u2, rho: float):
-    return np.exp(gaussian_logpdf(u1, u2, rho))
-
-
 def log_expm1(x):
     """log(e^x - 1) for x > 0, as log(expm1(x)); only where expm1 overflows
     is it x + log(-expm1(-x)), so every other value keeps its bits."""
@@ -74,17 +71,9 @@ def clayton_logpdf(u1, u2, theta: float):
     return np.log1p(theta) + (-1 - theta) * (l1 + l2) + (-1 / theta - 2) * log_sum
 
 
-def clayton_density(u1, u2, theta: float):
-    return np.exp(clayton_logpdf(u1, u2, theta))
-
-
 def sclayton_logpdf(u1, u2, theta: float):
     u1, u2 = _check_interior(u1, u2)
     return clayton_logpdf(1.0 - u1, 1.0 - u2, theta)
-
-
-def sclayton_density(u1, u2, theta: float):
-    return np.exp(sclayton_logpdf(u1, u2, theta))
 
 
 @dataclass(frozen=True)
@@ -142,20 +131,28 @@ def tail_logpdf(u1, u2, theta: float, tail_mode: str):
     raise ValueError(f"unknown tail_mode {tail_mode!r}")
 
 
-def mixture_logpdf_params(u1, u2, rho: float, theta: float, w: float, tail_mode: str):
-    """log(w * f_gaussian + (1-w) * f_tail), stable in log space."""
+def mixture_logpdf_and_gamma(u1, u2, rho: float, theta: float, w: float,
+                             tail_mode: str):
+    """Per point, log(w * f_gaussian + (1-w) * f_tail), stable in log space,
+    and the Gaussian-component responsibility gamma_1, from one evaluation
+    of each component density."""
     if w >= 1.0:
-        return gaussian_logpdf(u1, u2, rho)
+        lg = gaussian_logpdf(u1, u2, rho)
+        return lg, np.ones_like(lg)
     if w <= 0.0:
-        return tail_logpdf(u1, u2, theta, tail_mode)
+        lc = tail_logpdf(u1, u2, theta, tail_mode)
+        return lc, np.zeros_like(lc)
     lg = gaussian_logpdf(u1, u2, rho)
     lc = tail_logpdf(u1, u2, theta, tail_mode)
-    return np.logaddexp(np.log(w) + lg, np.log1p(-w) + lc)
+    fg = w * np.exp(lg)
+    fc = (1 - w) * np.exp(lc)
+    gamma1 = np.clip(fg / np.maximum(fg + fc, LOG_FLOOR), 0.0, 1.0)
+    return np.logaddexp(np.log(w) + lg, np.log1p(-w) + lc), gamma1
 
 
-def mixture_density(u1, u2, model: CopulaMixtureModel):
-    return np.exp(mixture_logpdf_params(u1, u2, model.rho, model.theta, model.w,
-                                        model.tail_mode))
+def mixture_logpdf_params(u1, u2, rho: float, theta: float, w: float, tail_mode: str):
+    """log(w * f_gaussian + (1-w) * f_tail) per point."""
+    return mixture_logpdf_and_gamma(u1, u2, rho, theta, w, tail_mode)[0]
 
 
 def clamp_pseudo_obs(u, n_train: int):
@@ -204,9 +201,17 @@ def sample_clayton_pairs(theta: float, n: int, rng: np.random.Generator):
 
 
 def _clayton_conditional_inverse(u: np.ndarray, p: np.ndarray, theta: float):
-    # v = (u^-t * (p^(-t/(1+t)) - 1) + 1)^(-1/t), stable for small t
-    inner_m1 = np.exp(-theta * np.log(u)) * np.expm1(-theta / (1 + theta) * np.log(p))
-    return np.exp((-1.0 / theta) * np.log1p(inner_m1))
+    # v = (u^-t * (p^(-t/(1+t)) - 1) + 1)^(-1/t), stable for small t. Only
+    # where u^-t * expm1(a) overflows is its log1p taken as a logaddexp, so
+    # every other value keeps its bits.
+    a = -theta / (1 + theta) * np.log(p)
+    with np.errstate(over="ignore"):
+        log1p_inner = np.log1p(np.exp(-theta * np.log(u)) * np.expm1(a))
+    big = np.isinf(log1p_inner)
+    if big.any():
+        log1p_inner = np.where(big, np.logaddexp(0.0, -theta * np.log(u) + log_expm1(a)),
+                               log1p_inner)
+    return np.exp((-1.0 / theta) * log1p_inner)
 
 
 def conditional_sample(model: CopulaMixtureModel, u: np.ndarray,

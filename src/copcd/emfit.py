@@ -7,8 +7,9 @@ stationarity cubic, and theta by Brent's bounded search (golden section with
 parabolic steps; Brent, "Algorithms for Minimization without Derivatives",
 1973, ch. 5). The current value of each parameter competes with its update,
 so the observed log-likelihood is non-decreasing by the usual EM argument.
-One evaluation of each component density gives both the log-likelihood and
-the next responsibilities.
+``copula.mixture_logpdf_and_gamma``, the evaluator detection scores with,
+gives both the log-likelihood and the next responsibilities from one
+evaluation of each component density.
 
 rho stays in [0.01, 0.99] and theta in (0, theta_max], the intervals of the
 grids this search replaced: on the 256 x 256 acceptance scene with seed 1 an
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .copula import LOG_FLOOR, gaussian_logpdf, log_expm1, tail_logpdf
+from .copula import log_expm1, mixture_logpdf_and_gamma, mixture_logpdf_params
 from .dependence import TAIL_CLAYTON, TAIL_CLAYTON_SURVIVAL
 
 STATUS_CONVERGED = "converged"
@@ -70,32 +71,10 @@ def _validate_data(u, v):
     return u, v
 
 
-def _loglik_and_gamma(u, v, rho: float, theta: float, w: float, tail_mode: str):
-    """Mean log mixture density and Gaussian-component responsibilities
-    gamma_1, from one evaluation of each component density."""
-    if w >= 1.0:
-        return float(np.mean(gaussian_logpdf(u, v, rho))), np.ones_like(u)
-    if w <= 0.0:
-        return float(np.mean(tail_logpdf(u, v, theta, tail_mode))), np.zeros_like(u)
-    lg = gaussian_logpdf(u, v, rho)
-    lc = tail_logpdf(u, v, theta, tail_mode)
-    ll = float(np.mean(np.logaddexp(np.log(w) + lg, np.log1p(-w) + lc)))
-    fg = w * np.exp(lg)
-    fc = (1 - w) * np.exp(lc)
-    denom = np.maximum(fg + fc, LOG_FLOOR)
-    return ll, np.clip(fg / denom, 0.0, 1.0)
-
-
 def log_likelihood(u, v, rho: float, theta: float, w: float, tail_mode: str) -> float:
     """Mean log mixture density over the sample."""
     u, v = _validate_data(u, v)
-    return _loglik_and_gamma(u, v, rho, theta, w, tail_mode)[0]
-
-
-def e_step(u, v, rho: float, theta: float, w: float, tail_mode: str) -> np.ndarray:
-    """Gaussian-component responsibilities gamma_1 in [0, 1]."""
-    u, v = _validate_data(u, v)
-    return _loglik_and_gamma(u, v, rho, theta, w, tail_mode)[1]
+    return float(np.mean(mixture_logpdf_params(u, v, rho, theta, w, tail_mode)))
 
 
 def _best(objective, candidates) -> float:
@@ -236,7 +215,8 @@ def fit(u, v, tail_mode: str, config: EmConfig | None = None):
         raise ValueError("need at least 10 data pairs to fit")
 
     def evaluate(rho, theta, w):
-        ll, gamma1 = _loglik_and_gamma(u, v, rho, theta, w, tail_mode)
+        logf, gamma1 = mixture_logpdf_and_gamma(u, v, rho, theta, w, tail_mode)
+        ll = float(np.mean(logf))
         if not np.isfinite(ll):
             raise ArithmeticError(f"EM log-likelihood is not finite at theta={theta!r} "
                                   f"(theta_max={config.theta_max!r})")

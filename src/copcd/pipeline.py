@@ -21,6 +21,7 @@ from .dependence import (
     ORIENT_NEGATED,
     TAIL_CLAYTON,
     TAIL_CLAYTON_SURVIVAL,
+    EmpiricalCdf,
     empirical_cdf,
     kendall_tau,
     tail_dependence,
@@ -55,7 +56,6 @@ class PipelineConfig:
     eps: float = 0.01
     theta_max: float = 20.0
     pca: int = None
-    compactness: float = 10.0
     seed: int = 0
 
     def __post_init__(self):
@@ -67,13 +67,15 @@ class PipelineConfig:
                 raise ValueError(f"config field {f.name!r} must be {f.type}, got {value!r}")
         if self.ns_model < 10 or self.ns_test < 10:
             raise ValueError("ns_model and ns_test must be >= 10")
-        for name in ("alpha", "eps", "theta_max", "compactness"):
+        for name in ("alpha", "eps", "theta_max"):
             value, positive = getattr(self, name), name != "alpha"
             if not math.isfinite(value) or value < 0 or (positive and value == 0):
                 raise ValueError(f"config field {name!r} must be finite and "
                                  f"{'> 0' if positive else '>= 0'}, got {value!r}")
         if self.pca is not None and self.pca < 1:
             raise ValueError(f"config field 'pca' must be >= 1, got {self.pca!r}")
+        if self.seed < 0:
+            raise ValueError(f"config field 'seed' must be >= 0, got {self.seed!r}")
 
     def em_config(self) -> emfit.EmConfig:
         return emfit.EmConfig(eps=self.eps, theta_max=self.theta_max)
@@ -97,17 +99,18 @@ def _stage(name, fn, *args, **kwargs):
         raise StageError(name, exc) from exc
 
 
-def fit_channel_pair(x_samples, y_samples, em_config: emfit.EmConfig):
+def fit_channel_pair(x_samples, y_samples, ecdf_x: EmpiricalCdf, ecdf_y: EmpiricalCdf,
+                     em_config: emfit.EmConfig):
     """EM fit of one channel pair's feature samples; returns (model, trace).
 
-    The pseudo-observations follow ``pseudo_obs``, the rule detection applies
-    with the same marginals: v is reflected when Kendall's tau is negative.
-    The Clayton branch goes to the tail with the larger empirical dependence.
+    The pseudo-observations follow ``pseudo_obs`` under ecdf_x and ecdf_y, the
+    columns' ECDFs that the model set stores for detection: v is reflected
+    when Kendall's tau is negative. The Clayton branch goes to the tail with
+    the larger empirical dependence.
     """
     n = len(x_samples)
     tau = kendall_tau(x_samples, y_samples)
-    u, v = pseudo_obs(x_samples, y_samples, empirical_cdf(x_samples),
-                      empirical_cdf(y_samples), tau < 0, n)
+    u, v = pseudo_obs(x_samples, y_samples, ecdf_x, ecdf_y, tau < 0, n)
     lower, upper = tail_dependence(u, v)
     tail_mode = TAIL_CLAYTON if lower > upper else TAIL_CLAYTON_SURVIVAL
     (rho, theta, w), trace = emfit.fit(u, v, tail_mode, em_config)
@@ -131,7 +134,8 @@ def fit_model_set(feat_x: np.ndarray, feat_y: np.ndarray, em_config: emfit.EmCon
 
     def job(pair):
         c1, c2 = pair
-        return fit_channel_pair(feat_x[:, c1 - 1], feat_y[:, c2 - 1], em_config)
+        return fit_channel_pair(feat_x[:, c1 - 1], feat_y[:, c2 - 1],
+                                ecdfs_x[c1 - 1], ecdfs_y[c2 - 1], em_config)
 
     if len(pairs) > 1:
         with ThreadPoolExecutor(max_workers=FIT_WORKERS) as pool:
@@ -144,13 +148,13 @@ def fit_model_set(feat_x: np.ndarray, feat_y: np.ndarray, em_config: emfit.EmCon
                              ecdfs_x=ecdfs_x, ecdfs_y=ecdfs_y), traces
 
 
-def _slic(r: Raster, target: int, compactness: float):
+def _slic(r: Raster, target: int):
     # Submitted to the worker by name: it pickles even while a tracer has
     # swapped segmentation.slic for a closure.
-    return segmentation.slic(r, target, compactness)
+    return segmentation.slic(r, target)
 
 
-def cosegment_pair(a: Raster, b: Raster, target: int, compactness: float):
+def cosegment_pair(a: Raster, b: Raster, target: int):
     """SLIC both rasters, then intersect the two maps.
 
     The two SLIC runs share no state, so a forked worker segments ``a``
@@ -162,9 +166,9 @@ def cosegment_pair(a: Raster, b: Raster, target: int, compactness: float):
     """
     fork = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=1, mp_context=fork) as pool:
-        future = pool.submit(_slic, a, target, compactness)
+        future = pool.submit(_slic, a, target)
         try:
-            seg_b = _slic(b, target, compactness)
+            seg_b = _slic(b, target)
         finally:
             seg_a = future.result()
     return segmentation.cosegment(seg_a, seg_b, MIN_REGION)
@@ -210,8 +214,7 @@ def run_fit(config: PipelineConfig) -> dict:
                              ValueError("translated raster shape mismatch"))
     else:
         y_t = _stage("translate", translate.translate_baseline, x, y)
-    seg_train = _stage("segment", cosegment_pair, x, y_t, config.ns_model,
-                       config.compactness)
+    seg_train = _stage("segment", cosegment_pair, x, y_t, config.ns_model)
     feat_x = _stage("features", segmentation.extract_features, x, seg_train)
     feat_y = _stage("features", segmentation.extract_features, y_t, seg_train)
     model_set, traces = _stage("fit", fit_model_set, feat_x, feat_y, config.em_config())
@@ -233,8 +236,7 @@ def run_detect(config: PipelineConfig) -> dict:
         out = {"model_set": _stage("load", load_model_set, config.model), "traces": {}}
     model_set = out["model_set"]
 
-    seg_test = _stage("segment", cosegment_pair, x, y, config.ns_test,
-                      config.compactness)
+    seg_test = _stage("segment", cosegment_pair, x, y, config.ns_test)
     feat_x_test = _stage("features", segmentation.extract_features, x, seg_test)
     feat_y_test = _stage("features", segmentation.extract_features, y, seg_test)
 

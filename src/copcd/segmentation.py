@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,6 +12,7 @@ from scipy.sparse.csgraph import connected_components
 from .raster import Raster
 
 SLIC_ITERS = 10
+COMPACTNESS = 10.0  # weight of the spatial term of the SLIC distance
 
 
 @dataclass(frozen=True)
@@ -59,11 +59,11 @@ def _connected_regions(code: np.ndarray) -> np.ndarray:
     return comp.reshape(m, n)
 
 
-def slic(r: Raster, target_count: int, compactness: float) -> SegmentationMap:
+def slic(r: Raster, target_count: int) -> SegmentationMap:
     """Grid-initialized SLIC with fixed iteration count and connectivity cleanup.
 
     Deterministic: the procedure has no randomness.
-    Distance is d_color + (compactness / S) * d_spatial with Euclidean norms
+    Distance is d_color + (COMPACTNESS / S) * d_spatial with Euclidean norms
     over all channels, S = sqrt(pixels / target_count) the grid spacing.
     Each centre searches the pixels within +-ceil(S) rows and columns of it,
     the 2S x 2S window of Achanta et al., "SLIC Superpixels Compared to
@@ -72,8 +72,6 @@ def slic(r: Raster, target_count: int, compactness: float) -> SegmentationMap:
     m, n = r.height, r.width
     if not 1 <= target_count <= m * n:
         raise ValueError(f"target_count={target_count} out of range [1, {m * n}]")
-    if compactness <= 0:
-        raise ValueError("compactness must be > 0")
 
     data = r.data.astype(np.float64)
     spacing = np.sqrt(m * n / target_count)
@@ -88,9 +86,7 @@ def slic(r: Raster, target_count: int, compactness: float) -> SegmentationMap:
     )
     k = len(centers_pos)
     win = int(np.ceil(spacing))
-    ratio = compactness / spacing
-    if not math.isfinite(float(ratio) * math.hypot(m, n)):  # bounds every spatial term
-        raise ArithmeticError(f"compactness={compactness!r} overflows the SLIC distance")
+    ratio = COMPACTNESS / spacing
     yy, xx = np.mgrid[0:m, 0:n].astype(np.float64)
     ys, xs = yy[:, 0], xx[0]
 

@@ -53,6 +53,8 @@ class SynthConfig:
             raise ValueError(f"unknown change_shape {self.change_shape!r}")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.model is None:
             object.__setattr__(
                 self, "model", CopulaMixtureModel(rho=0.8, theta=1.0, w=1.0, n_train=1)
@@ -97,19 +99,6 @@ def latent_pair(model: CopulaMixtureModel, shape,
     u = np.clip(ndtr(base), np.finfo(np.float64).tiny, 1 - 1e-16)
     v = conditional_sample(model, u, rng)
     return u, v
-
-
-def _rescale(field: np.ndarray) -> np.ndarray:
-    """Stretch a smoothed latent field back to [0, 1].
-
-    Min-max scaling is monotone, so the rank dependence between the two
-    latent fields is untouched while the amplitude lost to the box filter
-    is restored.
-    """
-    lo, hi = field.min(), field.max()
-    if hi == lo:
-        return np.full_like(field, 0.5)
-    return (field - lo) / (hi - lo)
 
 
 def _warp_x(u: np.ndarray) -> np.ndarray:

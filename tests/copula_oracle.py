@@ -1,17 +1,41 @@
-"""Copula CDFs: verification only, never called by the pipeline.
+"""Copula densities and CDFs: verification only, never called by the pipeline.
 
-The detector needs only the densities in ``copcd.copula``; these CDFs check
-them (the density is the CDF's mixed derivative) and pin the boundary
-conditions. ``gaussian_cdf`` integrates by adaptive quadrature, which is why
-this module, and not ``copcd``, imports ``scipy.integrate``.
+The detector needs only the log densities in ``copcd.copula``; the densities
+here are their exponentials, and the CDFs check them (the density is the
+CDF's mixed derivative) and pin the boundary conditions. ``gaussian_cdf``
+integrates by adaptive quadrature, which is why this module, and not
+``copcd``, imports ``scipy.integrate``.
 """
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
-from copcd.copula import CopulaMixtureModel
+from copcd.copula import (
+    CopulaMixtureModel,
+    clayton_logpdf,
+    gaussian_logpdf,
+    mixture_logpdf_params,
+    sclayton_logpdf,
+)
 from copcd.dependence import TAIL_CLAYTON
+
+
+def gaussian_density(u1, u2, rho: float):
+    return np.exp(gaussian_logpdf(u1, u2, rho))
+
+
+def clayton_density(u1, u2, theta: float):
+    return np.exp(clayton_logpdf(u1, u2, theta))
+
+
+def sclayton_density(u1, u2, theta: float):
+    return np.exp(sclayton_logpdf(u1, u2, theta))
+
+
+def mixture_density(u1, u2, model: CopulaMixtureModel):
+    return np.exp(mixture_logpdf_params(u1, u2, model.rho, model.theta, model.w,
+                                        model.tail_mode))
 
 
 def _check_closed(u1, u2):

@@ -14,6 +14,7 @@ import numpy as np
 from scipy import ndimage
 
 from copcd.segmentation import (
+    COMPACTNESS,
     SLIC_ITERS,
     _boundary_pairs,
     _connected_regions,
@@ -53,7 +54,7 @@ def absorb_small(labels: np.ndarray, min_region: int) -> np.ndarray:
             return labels
 
 
-def slic(r, target_count: int, compactness: float):
+def slic(r, target_count: int):
     """SLIC with the centre update written as one boolean mask per centre."""
     m, n = r.height, r.width
     data = r.data.astype(np.float64)
@@ -85,7 +86,7 @@ def slic(r, target_count: int, compactness: float):
                 (yy[y0:y1, x0:x1] - centers_pos[ci, 0]) ** 2
                 + (xx[y0:y1, x0:x1] - centers_pos[ci, 1]) ** 2
             )
-            d = d_color + (compactness / spacing) * d_spatial
+            d = d_color + (COMPACTNESS / spacing) * d_spatial
             better = d < best[y0:y1, x0:x1]
             best[y0:y1, x0:x1][better] = d[better]
             assign[y0:y1, x0:x1][better] = ci

@@ -11,13 +11,13 @@ import time
 
 import numpy as np
 import pytest
+from copula_oracle import mixture_density
 from quadrature import unit_square_integral
 
 from copcd import cli
 from copcd.copula import (
     ChannelPairModels,
     CopulaMixtureModel,
-    mixture_density,
     sample_clayton_pairs,
     sample_gaussian_pairs,
     sample_mixture,

@@ -43,6 +43,7 @@ def test_synth_zero_change_gt_all_zero(tmp_path):
 
 @pytest.mark.parametrize("flag, value", [
     ("--theta", "nan"), ("--theta", "inf"), ("--noise-sigma", "nan"), ("--noise-sigma", "inf"),
+    ("--seed", "-1"),
 ])
 def test_synth_non_finite_parameter_is_contract_error(tmp_path, capsys, flag, value):
     with warnings.catch_warnings(record=True) as caught:
@@ -139,7 +140,7 @@ def pairs_raster(tmp_path):
     (["--translated", "nope"], {}, "translated"),
     (["--pca", "3"], {}, "pca"),
     (["--ns-model", "50000"], {}, "ns_model"),
-    (["--compactness", "3"], {}, "compactness"),
+    (["--alpha", "3"], {}, "alpha"),
     (["--seed", "1"], {}, "seed"),
     (["--model", "model.json"], {}, "model"),
     ([], {"pre": "nope"}, "pre"),
@@ -199,6 +200,7 @@ def test_unknown_config_key_is_contract_error(tmp_path, capsys):
 @pytest.mark.parametrize("args", [
     ["detect", "--translate-method", "histogram_match"],
     ["translate", "--pre", "x", "--post", "y", "--out", "z", "--method", "linear_regress"],
+    ["detect", "--compactness", "3"],  # SLIC compactness is segmentation.COMPACTNESS
 ])
 def test_removed_translation_flags_are_contract_errors(capsys, args):
     assert cli.main(args) == cli.EXIT_CONTRACT
@@ -230,11 +232,13 @@ def test_mistyped_config_value_is_contract_error(tmp_path, capsys, values, key):
 
 
 @pytest.mark.parametrize("key, value", [
-    *[(key, value) for key in ("alpha", "eps", "theta_max", "compactness")
+    *[(key, value) for key in ("alpha", "eps", "theta_max")
       for value in (float("nan"), float("inf"), float("-inf"))],
     ("alpha", -1.0), ("eps", 0.0), ("eps", -1e-3), ("theta_max", 0.0),
-    ("theta_max", -2.0), ("compactness", 0.0), ("compactness", -10.0),
-    ("pca", 0), ("pca", -1),
+    ("theta_max", -2.0), ("pca", 0), ("pca", -1), ("seed", -1),
+    # SLIC compactness is a constant, so the key is refused whatever its value.
+    *[("compactness", value)
+      for value in (float("nan"), float("inf"), float("-inf"), 0.0, -10.0)],
 ])
 def test_out_of_range_config_value_is_contract_error(tmp_path, capsys, key, value):
     # JSON carries NaN and Infinity as bare literals; each must be refused
@@ -380,8 +384,7 @@ def test_detect_with_model_runs_only_the_test_half(small_scene, fitted_model, tm
 @pytest.mark.parametrize("flags, code, needle", [
     (["--ns-model", "3000", "--ns-test", "3000"], cli.EXIT_CONTRACT,
      "stage 'segment': target_count=3000 out of range [1, 2304]"),
-    (["--compactness", "1e308"], cli.EXIT_NUMERICAL, "compactness=1e+308"),
-], ids=["ns-above-pixel-count", "compactness-overflow"])
+], ids=["ns-above-pixel-count"])
 def test_slic_failure_in_the_forked_worker_ends_cleanly(small_scene, tmp_path, capsys,
                                                          flags, code, needle):
     # Both rasters fail alike; the pre-event one, segmented by the worker,
@@ -466,9 +469,7 @@ def test_theta_stays_within_a_small_theta_max(small_scene, tmp_path):
     ({"theta_max": 5000.0}, cli.EXIT_OK, ""),
     ({"alpha": 1e308}, cli.EXIT_NUMERICAL, "alpha=1e+308"),
     ({"alpha": 1e300}, cli.EXIT_NUMERICAL, "alpha=1e+300"),
-    ({"compactness": 1e308}, cli.EXIT_NUMERICAL, "compactness=1e+308"),
-], ids=["theta_max-1e-310", "theta_max-5000", "alpha-1e308", "alpha-1e300",
-        "compactness-1e308"])
+], ids=["theta_max-1e-310", "theta_max-5000", "alpha-1e308", "alpha-1e300"])
 def test_extreme_config_values_end_cleanly(small_scene, tmp_path, config, code, needle):
     got, err, runtime = _detect_with_config(small_scene, str(tmp_path / "run"), config)
     assert got == code and runtime == []
@@ -484,10 +485,10 @@ _EXTREME_FLOATS = st.one_of(
 
 @settings(max_examples=25, deadline=None)
 @given(config=st.fixed_dictionaries({}, optional={
-    key: _EXTREME_FLOATS for key in ("alpha", "eps", "theta_max", "compactness")}))
+    key: _EXTREME_FLOATS for key in ("alpha", "eps", "theta_max")}))
 def test_extreme_finite_config_values_keep_the_exit_contract(small_scene, config):
-    """Any finite alpha, eps, theta_max and compactness ends in exit 0, 2 or
-    3, with no traceback and no numpy RuntimeWarning."""
+    """Any finite alpha, eps and theta_max ends in exit 0, 2 or 3, with no
+    traceback and no numpy RuntimeWarning."""
     with tempfile.TemporaryDirectory() as tmp:
         code, err, runtime = _detect_with_config(small_scene, os.path.join(tmp, "run"),
                                                  config)

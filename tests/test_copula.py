@@ -7,25 +7,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from copula_oracle import clayton_cdf, gaussian_cdf, mixture_cdf, sclayton_cdf
+from copula_oracle import (
+    clayton_cdf,
+    clayton_density,
+    gaussian_cdf,
+    gaussian_density,
+    mixture_cdf,
+    mixture_density,
+    sclayton_cdf,
+    sclayton_density,
+)
 from copcd.copula import (
     ChannelPairModels,
     CopulaMixtureModel,
+    _clayton_conditional_inverse,
     clamp_pseudo_obs,
-    clayton_density,
     clayton_logpdf,
     conditional_sample,
-    gaussian_density,
     joint_logpdf_superpixel,
     decode_column,
     encode_column,
     load_model_set,
     log_expm1,
-    mixture_density,
     sample_clayton_pairs,
     sample_gaussian_pairs,
     sample_mixture,
-    sclayton_density,
 )
 from copcd.dependence import (
     ORIENT_NEGATED,
@@ -385,6 +391,29 @@ def test_conditional_sample_survival_branch():
 
     lower, upper = tail_dependence(u, v)
     assert upper > lower
+
+
+@pytest.mark.parametrize("tail_mode", [TAIL_CLAYTON, TAIL_CLAYTON_SURVIVAL])
+def test_conditional_sample_keeps_its_tau_at_large_theta(tail_mode):
+    # At theta = 500, u^-theta overflows for u below about 0.24; those draws
+    # used to collapse onto the clip bound.
+    model = CopulaMixtureModel(rho=0.5, theta=500.0, w=0.0, tail_mode=tail_mode,
+                               n_train=1)
+    rng = np.random.default_rng(16)
+    u = rng.random(20000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = conditional_sample(model, u, rng)
+    assert ((v > np.finfo(np.float64).tiny) & (v < 1 - 1e-16)).all()
+    assert kendall_tau(u, v) == pytest.approx(500 / 502, abs=0.005)
+
+
+@pytest.mark.parametrize("theta", [2.0, 1e-4])
+def test_clayton_conditional_inverse_is_the_direct_form_where_that_is_finite(theta):
+    u, p = np.random.default_rng(17).random((2, 100000))
+    direct = np.exp((-1.0 / theta) * np.log1p(
+        np.exp(-theta * np.log(u)) * np.expm1(-theta / (1 + theta) * np.log(p))))
+    assert _clayton_conditional_inverse(u, p, theta).tobytes() == direct.tobytes()
 
 
 def test_normalization_spot_check():

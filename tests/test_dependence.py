@@ -211,7 +211,7 @@ def test_tail_dependence_invariant_under_monotone_transform(seed):
 
 
 def _fit(u, v):
-    model, _ = fit_channel_pair(u, v, EmConfig())
+    model, _ = fit_channel_pair(u, v, empirical_cdf(u), empirical_cdf(v), EmConfig())
     return model
 
 

@@ -13,6 +13,7 @@ from copcd.copula import (
     LOG_FLOOR,
     CopulaMixtureModel,
     gaussian_logpdf,
+    mixture_logpdf_and_gamma,
     mixture_logpdf_params,
     sample_clayton_pairs,
     sample_mixture,
@@ -24,7 +25,6 @@ from copcd.emfit import (
     RHO_MIN,
     STATUS_CONVERGED,
     EmConfig,
-    e_step,
     fit,
     log_likelihood,
     m_step,
@@ -67,16 +67,19 @@ def test_log_likelihood_matches_direct_recomputation():
     assert got == pytest.approx(direct.sum() / len(u), abs=1e-12)
 
 
+def _gamma1(u, v, rho, theta, w, tail_mode):
+    return mixture_logpdf_and_gamma(u, v, rho, theta, w, tail_mode)[1]
+
+
 def test_e_step_degenerate_weights():
     u = np.array([0.3, 0.7])
     v = np.array([0.4, 0.6])
-    assert e_step(u, v, 0.5, 1.0, 1.0, TAIL_CLAYTON).tolist() == [1.0, 1.0]
-    assert e_step(u, v, 0.5, 1.0, 0.0, TAIL_CLAYTON).tolist() == [0.0, 0.0]
+    assert _gamma1(u, v, 0.5, 1.0, 1.0, TAIL_CLAYTON).tolist() == [1.0, 1.0]
+    assert _gamma1(u, v, 0.5, 1.0, 0.0, TAIL_CLAYTON).tolist() == [0.0, 0.0]
 
 
 def test_e_step_hand_value():
-    gamma = e_step([0.5], [0.5], rho=0.8, theta=1.0, w=0.3,
-                   tail_mode=TAIL_CLAYTON)
+    gamma = _gamma1([0.5], [0.5], rho=0.8, theta=1.0, w=0.3, tail_mode=TAIL_CLAYTON)
     expected = 0.3 * (1 / np.sqrt(0.36)) / 1.3296296
     assert gamma[0] == pytest.approx(expected, abs=1e-6)
     assert gamma[0] == pytest.approx(0.37605, abs=1e-4)
@@ -229,17 +232,18 @@ def test_trace_csv_export(tmp_path):
     assert path.read_text().strip() == header
 
 
-def _two_pass_loglik_and_gamma(u, v, rho, theta, w, tail_mode):
-    """The mixture density and the responsibilities each evaluated on their
-    own, the reference for the shared one-pass helper."""
-    ll = float(np.mean(mixture_logpdf_params(u, v, rho, theta, w, tail_mode)))
+def _two_pass_logpdf_and_gamma(u, v, rho, theta, w, tail_mode):
+    """The mixture log density and the responsibilities each evaluated on
+    their own, the reference for the shared one-pass evaluator."""
     if w >= 1.0:
-        return ll, np.ones_like(u)
+        return gaussian_logpdf(u, v, rho), np.ones_like(u)
     if w <= 0.0:
-        return ll, np.zeros_like(u)
+        return tail_logpdf(u, v, theta, tail_mode), np.zeros_like(u)
+    logf = np.logaddexp(np.log(w) + gaussian_logpdf(u, v, rho),
+                        np.log1p(-w) + tail_logpdf(u, v, theta, tail_mode))
     fg = w * np.exp(gaussian_logpdf(u, v, rho))
     fc = (1 - w) * np.exp(tail_logpdf(u, v, theta, tail_mode))
-    return ll, np.clip(fg / np.maximum(fg + fc, LOG_FLOOR), 0.0, 1.0)
+    return logf, np.clip(fg / np.maximum(fg + fc, LOG_FLOOR), 0.0, 1.0)
 
 
 @pytest.mark.parametrize("tail_mode", [TAIL_CLAYTON, TAIL_CLAYTON_SURVIVAL])
@@ -258,7 +262,7 @@ def test_one_density_pass_keeps_fit_outputs_byte_identical(tmp_path, monkeypatch
         return {f: (out / f).read_bytes() for f in ("model.json", "em_trace.csv")}
 
     got = run("one_pass")
-    monkeypatch.setattr(emfit, "_loglik_and_gamma", _two_pass_loglik_and_gamma)
+    monkeypatch.setattr(emfit, "mixture_logpdf_and_gamma", _two_pass_logpdf_and_gamma)
     want = run("two_pass")
     assert got == want
     assert json.loads(got["model.json"])["pairs"]["1,1"]["tail_mode"] == tail_mode

@@ -6,10 +6,10 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from copcd import emfit, segmentation
+from copcd import emfit, pipeline, segmentation
 from copcd.copula import CopulaMixtureModel, mixture_logpdf_params, sample_mixture
 from copcd.detector import test_statistics as compute_statistics
-from copcd.dependence import ORIENT_NEGATED, TAIL_CLAYTON, kendall_tau
+from copcd.dependence import ORIENT_NEGATED, TAIL_CLAYTON, empirical_cdf, kendall_tau
 from copcd.pipeline import (
     MIN_REGION,
     PipelineConfig,
@@ -44,6 +44,10 @@ def test_run_detect_wraps_stage_failures(tmp_path):
     assert "load" in str(err.value)
 
 
+def _fit_pair(x, y, config):
+    return fit_channel_pair(x, y, empirical_cdf(x), empirical_cdf(y), config)
+
+
 def test_fit_channel_pair_orients_negative_association():
     rng = np.random.default_rng(0)
     model = CopulaMixtureModel(rho=0.8, theta=1.0, w=1.0, n_train=1)
@@ -54,7 +58,7 @@ def test_fit_channel_pair_orients_negative_association():
     feat_x = xs[np.clip((u * 1500).astype(int), 0, 1499)]
     feat_y = -np.sort(rng.normal(size=1500))[np.clip((v * 1500).astype(int), 0, 1499)]
     assert kendall_tau(feat_x, feat_y) < 0
-    fitted, _ = fit_channel_pair(feat_x, feat_y, emfit.EmConfig())
+    fitted, _ = _fit_pair(feat_x, feat_y, emfit.EmConfig())
     assert fitted.orientation == ORIENT_NEGATED
     assert fitted.rho > 0.5
 
@@ -86,8 +90,8 @@ def test_fit_and_detection_map_features_by_one_rule():
 def test_fitted_weight_invariant_under_monotone_transform():
     model = CopulaMixtureModel(rho=0.7, theta=2.0, w=0.5, n_train=1)
     u, v = sample_mixture(model, 1000, seed=2)
-    m1, _ = fit_channel_pair(u, v, emfit.EmConfig())
-    m2, _ = fit_channel_pair(np.exp(4 * u), np.tan(v), emfit.EmConfig())
+    m1, _ = _fit_pair(u, v, emfit.EmConfig())
+    m2, _ = _fit_pair(np.exp(4 * u), np.tan(v), emfit.EmConfig())
     assert m1 == m2  # pseudo-observations absorb the warps entirely
 
 
@@ -111,8 +115,28 @@ def test_fit_model_set_threaded_matches_serial():
     threaded, _ = fit_model_set(feat_x, feat_y, config)
     assert len(threaded.models) == 6
     for (c1, c2), model in threaded.models.items():
-        direct, _ = fit_channel_pair(feat_x[:, c1 - 1], feat_y[:, c2 - 1], config)
+        direct, _ = _fit_pair(feat_x[:, c1 - 1], feat_y[:, c2 - 1], config)
         assert model == direct
+
+
+def test_fit_model_set_fits_each_pair_on_the_stored_ecdfs(monkeypatch):
+    # One ECDF per channel: EM sees the very objects detection scores with.
+    seen = []
+
+    def recording_fit_channel_pair(x, y, ecdf_x, ecdf_y, config):
+        seen.append((x, y, ecdf_x, ecdf_y))
+        return fit_channel_pair(x, y, ecdf_x, ecdf_y, config)
+
+    monkeypatch.setattr(pipeline, "fit_channel_pair", recording_fit_channel_pair)
+    rng = np.random.default_rng(5)
+    model_set, _ = fit_model_set(rng.normal(size=(100, 2)), rng.normal(size=(100, 3)),
+                                 emfit.EmConfig())
+    assert len(seen) == 6
+    for x, y, ecdf_x, ecdf_y in seen:
+        assert any(ecdf_x is e for e in model_set.ecdfs_x)
+        assert any(ecdf_y is e for e in model_set.ecdfs_y)
+        assert np.array_equal(ecdf_x.sorted, np.sort(x))
+        assert np.array_equal(ecdf_y.sorted, np.sort(y))
 
 
 def test_fit_model_set_single_pair_from_sample_columns():
@@ -131,9 +155,9 @@ def test_forked_cosegment_pair_matches_in_process_segmentation(size, bands):
     rng = np.random.default_rng(size)
     a = Raster.from_array(rng.normal(size=(size, size, bands)))
     b = Raster.from_array(rng.normal(size=(size, size, bands)) + a.data)
-    got = cosegment_pair(a, b, 60, 10.0)
+    got = cosegment_pair(a, b, 60)
     assert multiprocessing.active_children() == []
-    want = segmentation.cosegment(segmentation.slic(a, 60, 10.0),
-                                  segmentation.slic(b, 60, 10.0), MIN_REGION)
+    want = segmentation.cosegment(segmentation.slic(a, 60),
+                                  segmentation.slic(b, 60), MIN_REGION)
     assert got.count == want.count
     assert got.labels.tobytes() == want.labels.tobytes()

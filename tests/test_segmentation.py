@@ -30,7 +30,7 @@ def _check_wellformed(seg):
 
 
 def test_slic_constant_grid_quarters():
-    seg = slic(_constant_raster(10, 10), 4, compactness=10.0)
+    seg = slic(_constant_raster(10, 10), 4)
     _check_wellformed(seg)
     assert seg.count == 4
     # near-equal quarters; the equidistant boundary column goes to one side
@@ -45,7 +45,7 @@ def test_slic_constant_grid_quarters():
 
 
 def test_slic_single_region():
-    seg = slic(_constant_raster(7, 5), 1, compactness=10.0)
+    seg = slic(_constant_raster(7, 5), 1)
     assert seg.count == 1
     assert (seg.labels == 1).all()
 
@@ -53,7 +53,7 @@ def test_slic_single_region():
 def test_slic_two_tone_split_follows_edge():
     img = np.zeros((20, 20), dtype=np.float32)
     img[:, 10:] = 200.0
-    seg = slic(Raster.from_array(img), 4, compactness=1.0)
+    seg = slic(Raster.from_array(img), 4)
     _check_wellformed(seg)
     # every region must be (almost entirely) on one side of the tone edge
     correct = 0
@@ -68,7 +68,7 @@ def test_slic_two_tone_split_follows_edge():
 def test_slic_count_near_target():
     rng = np.random.default_rng(5)
     r = Raster.from_array(rng.normal(size=(32, 32, 2)).astype(np.float32))
-    seg = slic(r, 16, compactness=10.0)
+    seg = slic(r, 16)
     _check_wellformed(seg)
     assert 8 <= seg.count <= 24  # within [0.5, 1.5] x target
 
@@ -76,19 +76,17 @@ def test_slic_count_near_target():
 def test_slic_deterministic():
     rng = np.random.default_rng(6)
     r = Raster.from_array(rng.normal(size=(24, 24)).astype(np.float32))
-    a = slic(r, 9, compactness=10.0)
-    b = slic(r, 9, compactness=10.0)
+    a = slic(r, 9)
+    b = slic(r, 9)
     assert np.array_equal(a.labels, b.labels)
 
 
 def test_slic_rejects_bad_arguments():
     r = _constant_raster(4, 4)
     with pytest.raises(ValueError):
-        slic(r, 0, compactness=10.0)
+        slic(r, 0)
     with pytest.raises(ValueError):
-        slic(r, 17, compactness=10.0)
-    with pytest.raises(ValueError):
-        slic(r, 4, compactness=0.0)
+        slic(r, 17)
 
 
 @settings(max_examples=25, deadline=None)
@@ -102,8 +100,8 @@ def test_slic_matches_mask_oracle(seed, m, n, channels, target, quantized):
         arr = rng.normal(size=(m, n, channels)).astype(np.float32)
     r = Raster.from_array(arr)
     target = min(target, m * n)
-    got = slic(r, target, compactness=10.0)
-    want = oracle.slic(r, target, compactness=10.0)
+    got = slic(r, target)
+    want = oracle.slic(r, target)
     assert np.array_equal(got.labels, want.labels)
 
 
@@ -167,7 +165,7 @@ def _grid_map(m, n, rows, cols):
 def test_cosegment_self_is_relabeling():
     rng = np.random.default_rng(7)
     r = Raster.from_array(rng.normal(size=(16, 16)).astype(np.float32))
-    a = slic(r, 4, compactness=10.0)
+    a = slic(r, 4)
     out = cosegment(a, a, min_region=1)
     assert out.count == a.count
     # same partition: output label is a bijection of the input label
@@ -187,8 +185,8 @@ def test_cosegment_refines_both_inputs():
     rng = np.random.default_rng(8)
     r1 = Raster.from_array(rng.normal(size=(20, 20)).astype(np.float32))
     r2 = Raster.from_array(rng.normal(size=(20, 20)).astype(np.float32))
-    a = slic(r1, 6, compactness=10.0)
-    b = slic(r2, 6, compactness=10.0)
+    a = slic(r1, 6)
+    b = slic(r2, 6)
     out = cosegment(a, b, min_region=1)
     assert out.count >= max(a.count, b.count)
     for lab in range(1, out.count + 1):

@@ -1,0 +1,41 @@
+"""Every public module-level function in copcd has a caller outside the
+tests: in src/, in the benchmark harness or in scripts/. Code that only
+tests call belongs in tests/, the way ``copula_oracle.py`` holds the
+densities and CDFs that verify the log densities."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ENTRY_POINTS = {"cli.main"}  # the console script of pyproject.toml
+
+
+def _uncalled(modules: dict, callers: list) -> list:
+    """'module.function' for each public module-level function of `modules`
+    (module name -> source) that no source in `modules` or `callers` names."""
+    named = set()
+    for source in [*modules.values(), *callers]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    return sorted(f"{module}.{node.name}" for module, source in modules.items()
+                  for node in ast.parse(source).body
+                  if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                  and node.name not in named)
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    modules = {p.stem: p.read_text() for p in sorted((ROOT / "src" / "copcd").glob("*.py"))}
+    callers = [p.read_text() for pattern in ("perfbench/*.py", "scripts/*.py")
+               for p in sorted(ROOT.glob(pattern))]
+    uncalled = _uncalled(modules, callers)
+    assert [name for name in uncalled if name not in ENTRY_POINTS] == []
+
+
+def test_checker_flags_a_function_nothing_calls():
+    modules = {"m": "def f():\n    pass\n\ndef g():\n    f()\n\ndef _h():\n    pass\n",
+               "n": "import m\n\ndef k():\n    return m.g\n"}
+    assert _uncalled(modules, []) == ["n.k"]
+    assert _uncalled(modules, ["from n import k\nk()\n"]) == []
