@@ -6,7 +6,7 @@ seeds and pipeline seeds, runs the full detection pipeline on each, and
 prints one row per run: KC / Fm / ACC, the acceptance gate (KC >= 0.8 and
 ACC >= 0.95, as in tests/test_acceptance.py::test_08) and the fitted rho,
 theta and w of the channel pair, a `*` marking a value on its bound
-(rho = 0.99, theta = theta_max). A last line gives the median and minimum
+(rho = 0.99, theta = 20). A last line gives the median and minimum
 KC and the gate failures. With the defaults each scene is perfbench's
 `scene256` scene for that data seed (at --size 256).
 
@@ -24,8 +24,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from copcd.copula import CopulaMixtureModel  # noqa: E402
-from copcd.emfit import RHO_MAX  # noqa: E402
+from copcd.copula import RHO_MAX, THETA_MAX, CopulaMixtureModel  # noqa: E402
 from copcd.pipeline import PipelineConfig, run_detect  # noqa: E402
 from copcd.raster import save_binary_map, save_raster  # noqa: E402
 from copcd.synth import SynthConfig, generate_pair  # noqa: E402
@@ -61,7 +60,7 @@ def run_one(size, rho, w, data_seed, pipeline_seed, ns_model, ns_test, alpha,
         "gate": "pass" if report.kc >= KC_GATE and report.acc >= ACC_GATE else "fail",
         "rho": fitted.rho, "theta": fitted.theta, "w": fitted.w,
         "rho_on_bound": fitted.rho == RHO_MAX,
-        "theta_on_bound": fitted.theta == pipeline.theta_max,
+        "theta_on_bound": fitted.theta == THETA_MAX,
         "sec": elapsed,
     }
 

@@ -38,7 +38,6 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ns-test", dest="ns_test", type=int)
     p.add_argument("--alpha", type=float)
     p.add_argument("--eps", type=float)
-    p.add_argument("--theta-max", dest="theta_max", type=float)
     p.add_argument("--pca", type=int)
     p.add_argument("--seed", type=int)
 
@@ -83,7 +82,7 @@ def cmd_detect(args) -> int:
 def cmd_fit(args) -> int:
     values = _config_values(args)
     if args.pairs is not None:
-        unread = set(values) - {"eps", "theta_max", "out_dir"}
+        unread = set(values) - {"eps", "out_dir"}
     else:
         unread = set(values) & {"model"}  # fit always runs EM; a model goes to detect
     if unread:

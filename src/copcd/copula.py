@@ -27,6 +27,9 @@ from .dependence import (
 
 LOG_FLOOR = 1e-300
 MODEL_VERSION = 2
+# The box EM fits (rho, theta) in, and every model record must lie in it.
+RHO_MIN, RHO_MAX = 0.01, 0.99
+THETA_MIN, THETA_MAX = 0.1, 20.0
 
 
 def _check_interior(u1, u2):
@@ -308,16 +311,21 @@ def _pair_model(rec: dict, lengths: set) -> CopulaMixtureModel:
     if isinstance(n_train, bool) or not isinstance(n_train, int) or {n_train} != lengths:
         raise ValueError(f"n_train must be an integer equal to the length of every "
                          f"training column {sorted(lengths)}, got {n_train!r}")
-    return CopulaMixtureModel.from_record(rec)
+    model = CopulaMixtureModel.from_record(rec)
+    for name, lo, hi in (("rho", RHO_MIN, RHO_MAX), ("theta", THETA_MIN, THETA_MAX)):
+        if not lo <= getattr(model, name) <= hi:
+            raise ValueError(f"{name} must lie in [{lo}, {hi}], got {getattr(model, name)!r}")
+    return model
 
 
 def load_model_set(path: str) -> ChannelPairModels:
     """Read a model file written by ``ChannelPairModels.to_json``.
 
-    A file of another version (a parameters-only file included), a column
-    count that differs from cx/cy, a malformed column or record, an n_train
-    other than the length of the training columns, or a pair grid that is not
-    exactly cx x cy raises ValueError naming the field.
+    A file of another version (a parameters-only file included), a cx or cy
+    that is not a positive int, a column count that differs from cx/cy, a
+    malformed column or record, an n_train other than the length of the
+    training columns, a rho or theta outside the box EM fits in, or a pair
+    grid that is not exactly cx x cy raises ValueError naming the field.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -325,6 +333,10 @@ def load_model_set(path: str) -> ChannelPairModels:
     if version != MODEL_VERSION:
         raise ValueError(f"model field 'version' must be {MODEL_VERSION}, got {version!r}; "
                          "refit the model with this version of copcd")
+    for key in ("cx", "cy"):
+        value = doc.get(key)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"model field {key!r} must be a positive int, got {value!r}")
     ecdfs_x = _training_ecdfs(doc, "x", "cx")
     ecdfs_y = _training_ecdfs(doc, "y", "cy")
     lengths = {e.n for e in ecdfs_x + ecdfs_y}

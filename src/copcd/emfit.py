@@ -11,9 +11,9 @@ so the observed log-likelihood is non-decreasing by the usual EM argument.
 gives both the log-likelihood and the next responsibilities from one
 evaluation of each component density.
 
-rho stays in [0.01, 0.99] and theta in (0, theta_max], the intervals of the
-grids this search replaced: on the 256 x 256 acceptance scene with seed 1 an
-unconstrained rho fits 0.9973, and KC falls from 0.94 to 0.65.
+rho stays in [0.01, 0.99] and theta in [0.1, 20] (``copula``'s box), the
+intervals of the grids this search replaced: on the 256 x 256 acceptance scene
+with seed 1 an unconstrained rho fits 0.9973, and KC falls from 0.94 to 0.65.
 """
 
 from __future__ import annotations
@@ -23,16 +23,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
+from .copula import RHO_MAX, RHO_MIN, THETA_MAX, THETA_MIN
 from .copula import log_expm1, mixture_logpdf_and_gamma, mixture_logpdf_params
 from .dependence import TAIL_CLAYTON, TAIL_CLAYTON_SURVIVAL
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters"
 
-RHO_MIN, RHO_MAX = 0.01, 0.99
-THETA_MIN_DIVISOR = 200  # theta is searched on [theta_max / 200, theta_max]
-THETA_XTOL = 1e-6  # absolute part of the search tolerance, times theta_max
-RHO_START, THETA_START, W_START = 0.5, 0.5, 0.5  # theta capped at theta_max
+THETA_XTOL = 1e-6  # absolute part of the search tolerance, times THETA_MAX
+RHO_START, THETA_START, W_START = 0.5, 0.5, 0.5
 _GOLDEN = (3.0 - 5.0 ** 0.5) / 2.0
 _SQRT_EPS = float(np.finfo(np.float64).eps) ** 0.5
 
@@ -40,14 +39,11 @@ _SQRT_EPS = float(np.finfo(np.float64).eps) ** 0.5
 @dataclass(frozen=True)
 class EmConfig:
     eps: float = 0.01
-    theta_max: float = 20.0
     max_iters: int = 200
 
     def __post_init__(self):
         if self.eps <= 0:
             raise ValueError("eps must be > 0")
-        if self.theta_max <= 0:
-            raise ValueError("theta_max must be > 0")
 
 
 @dataclass
@@ -140,13 +136,13 @@ def _brent_max(f, a: float, b: float, xtol: float) -> float:
                 x3, f3 = x_new, f_new
 
 
-def m_step(u, v, gamma1: np.ndarray, tail_mode: str, config: EmConfig,
-           rho_cur: float, theta_cur: float):
+def m_step(u, v, gamma1: np.ndarray, tail_mode: str, rho_cur: float,
+           theta_cur: float):
     """Weight update plus exact maximization of each component term.
 
     rho is the best of rho_cur, RHO_MIN, RHO_MAX and the cubic's roots in
-    between; theta the best of theta_cur, the bounds theta_max / 200 and
-    theta_max, and Brent's search between them. The search finds a local
+    between; theta the best of theta_cur, the bounds THETA_MIN and
+    THETA_MAX, and Brent's search between them. The search finds a local
     maximum, and the objective can also peak at a bound, as theta -> 0
     approaches the independence copula. Ties go to the smaller value.
     """
@@ -193,9 +189,9 @@ def m_step(u, v, gamma1: np.ndarray, tail_mode: str, config: EmConfig,
     roots = np.roots([g_mass, -g_cross, g_sq - g_mass, -g_cross]).real
     rho_new = _best(rho_obj, [rho_cur, RHO_MIN, RHO_MAX,
                               *roots[(roots >= RHO_MIN) & (roots <= RHO_MAX)]])
-    lo, hi = config.theta_max / THETA_MIN_DIVISOR, config.theta_max
-    theta_new = _best(theta_obj, [theta_cur, lo, hi,
-                                  _brent_max(theta_obj, lo, hi, THETA_XTOL * hi)])
+    theta_new = _best(theta_obj, [theta_cur, THETA_MIN, THETA_MAX,
+                                  _brent_max(theta_obj, THETA_MIN, THETA_MAX,
+                                             THETA_XTOL * THETA_MAX)])
     return w_new, rho_new, theta_new
 
 
@@ -203,9 +199,8 @@ def fit(u, v, tail_mode: str, config: EmConfig | None = None):
     """Iterate E/M until the log-likelihood change drops below eps.
 
     Returns ((rho, theta, w), EmTrace). Deterministic given data and config.
-    The start is (RHO_START, min(THETA_START, theta_max), W_START). Overflow
-    in the densities shows as a non-finite log-likelihood, which raises
-    ArithmeticError.
+    Overflow in the densities shows as a non-finite log-likelihood, which
+    raises ArithmeticError.
     """
     if tail_mode not in (TAIL_CLAYTON, TAIL_CLAYTON_SURVIVAL):
         raise ValueError(f"unknown tail_mode {tail_mode!r}")
@@ -218,17 +213,16 @@ def fit(u, v, tail_mode: str, config: EmConfig | None = None):
         logf, gamma1 = mixture_logpdf_and_gamma(u, v, rho, theta, w, tail_mode)
         ll = float(np.mean(logf))
         if not np.isfinite(ll):
-            raise ArithmeticError(f"EM log-likelihood is not finite at theta={theta!r} "
-                                  f"(theta_max={config.theta_max!r})")
+            raise ArithmeticError(f"EM log-likelihood is not finite at theta={theta!r}")
         return ll, gamma1
 
-    rho, theta, w = RHO_START, min(THETA_START, config.theta_max), W_START
+    rho, theta, w = RHO_START, THETA_START, W_START
     trace = EmTrace()
     with np.errstate(all="ignore"):
         l_prev, gamma1 = evaluate(rho, theta, w)
         trace.rows.append((0, l_prev, rho, theta, w, float(np.mean(gamma1))))
         for q in range(1, config.max_iters + 1):
-            w, rho, theta = m_step(u, v, gamma1, tail_mode, config, rho, theta)
+            w, rho, theta = m_step(u, v, gamma1, tail_mode, rho, theta)
             l_new, gamma1 = evaluate(rho, theta, w)
             trace.rows.append((q, l_new, rho, theta, w, float(np.mean(gamma1))))
             if abs(l_new - l_prev) < config.eps:

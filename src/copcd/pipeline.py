@@ -36,7 +36,6 @@ from .raster import (
     save_raster,
 )
 
-MIN_REGION = 10
 FIT_WORKERS = 4  # most threads fitting channel pairs; a single pair fits serially
 # Accepted Python types per annotation; bool is rejected separately.
 _FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
@@ -54,7 +53,6 @@ class PipelineConfig:
     ns_test: int = 2000
     alpha: float = 5.0
     eps: float = 0.01
-    theta_max: float = 20.0
     pca: int = None
     seed: int = 0
 
@@ -67,7 +65,7 @@ class PipelineConfig:
                 raise ValueError(f"config field {f.name!r} must be {f.type}, got {value!r}")
         if self.ns_model < 10 or self.ns_test < 10:
             raise ValueError("ns_model and ns_test must be >= 10")
-        for name in ("alpha", "eps", "theta_max"):
+        for name in ("alpha", "eps"):
             value, positive = getattr(self, name), name != "alpha"
             if not math.isfinite(value) or value < 0 or (positive and value == 0):
                 raise ValueError(f"config field {name!r} must be finite and "
@@ -78,7 +76,7 @@ class PipelineConfig:
             raise ValueError(f"config field 'seed' must be >= 0, got {self.seed!r}")
 
     def em_config(self) -> emfit.EmConfig:
-        return emfit.EmConfig(eps=self.eps, theta_max=self.theta_max)
+        return emfit.EmConfig(eps=self.eps)
 
 
 class StageError(Exception):
@@ -171,7 +169,7 @@ def cosegment_pair(a: Raster, b: Raster, target: int):
             seg_b = _slic(b, target)
         finally:
             seg_a = future.result()
-    return segmentation.cosegment(seg_a, seg_b, MIN_REGION)
+    return segmentation.cosegment(seg_a, seg_b)
 
 
 def write_traces_csv(traces: dict, path: str) -> None:

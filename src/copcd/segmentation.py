@@ -13,6 +13,7 @@ from .raster import Raster
 
 SLIC_ITERS = 10
 COMPACTNESS = 10.0  # weight of the spatial term of the SLIC distance
+MIN_REGION = 10  # pixels; smaller co-segmentation regions are absorbed
 
 
 @dataclass(frozen=True)
@@ -187,7 +188,8 @@ def _enforce_connectivity(assign: np.ndarray) -> SegmentationMap:
     return _relabel_contiguous(final.reshape(m, n))
 
 
-def cosegment(a: SegmentationMap, b: SegmentationMap, min_region: int = 10) -> SegmentationMap:
+def cosegment(a: SegmentationMap, b: SegmentationMap,
+              min_region: int = MIN_REGION) -> SegmentationMap:
     """Intersect two partitions into a common refinement.
 
     Connected components of identical (a, b) label pairs become regions.

@@ -45,8 +45,9 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1 or self.cx < 1 or self.cy < 1:
-            raise ValueError("dimensions must be >= 1")
+        for name in ("m", "n", "cx", "cy"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if not 0 <= self.change_fraction < 1:
             raise ValueError("change_fraction must lie in [0, 1)")
         if self.change_shape not in (SHAPE_RECTANGLE, SHAPE_BLOBS):

@@ -43,7 +43,7 @@ def test_synth_zero_change_gt_all_zero(tmp_path):
 
 @pytest.mark.parametrize("flag, value", [
     ("--theta", "nan"), ("--theta", "inf"), ("--noise-sigma", "nan"), ("--noise-sigma", "inf"),
-    ("--seed", "-1"),
+    ("--seed", "-1"), ("--m", "0"),
 ])
 def test_synth_non_finite_parameter_is_contract_error(tmp_path, capsys, flag, value):
     with warnings.catch_warnings(record=True) as caught:
@@ -52,7 +52,7 @@ def test_synth_non_finite_parameter_is_contract_error(tmp_path, capsys, flag, va
                          "--out-dir", str(tmp_path / "data")])
     assert code == cli.EXIT_CONTRACT
     err = capsys.readouterr().err
-    assert err.startswith("error:") and flag[2:].replace("-", "_") in err
+    assert err.startswith("error:") and f"{flag[2:].replace('-', '_')} must be" in err
     assert "Traceback" not in err
     assert [w for w in caught if w.category is RuntimeWarning] == []
     assert not (tmp_path / "data").exists()
@@ -161,14 +161,16 @@ def test_fit_pairs_refuses_fields_it_does_not_read(tmp_path, capsys, pairs_raste
     assert not os.path.exists(tmp_path / "fit")
 
 
-def test_fit_pairs_reads_eps_theta_max_and_out_dir(tmp_path, pairs_raster):
+def test_fit_pairs_reads_eps_and_out_dir(tmp_path, pairs_raster):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"theta_max": 15.0, "out_dir": str(tmp_path / "cfg_out")}))
+    cfg.write_text(json.dumps({"eps": 10.0, "out_dir": str(tmp_path / "cfg_out")}))
     out = tmp_path / "fit"
-    args = ["fit", "--pairs", pairs_raster, "--eps", "1e-4", "--config", str(cfg),
-            "--out-dir", str(out)]
+    args = ["fit", "--pairs", pairs_raster, "--config", str(cfg), "--out-dir", str(out)]
     assert cli.main(args) == cli.EXIT_OK
     assert list(json.loads((out / "model.json").read_text())["pairs"]) == ["1,1"]
+    # eps = 10 stops EM after one update: a header, the start and one row.
+    assert (out / "em_trace.csv").read_text().count("\n") == 3
+    assert not (tmp_path / "cfg_out").exists()
 
 
 def test_cli_import_leaves_out_verification_maths(tmp_path, pairs_raster):
@@ -201,6 +203,9 @@ def test_unknown_config_key_is_contract_error(tmp_path, capsys):
     ["detect", "--translate-method", "histogram_match"],
     ["translate", "--pre", "x", "--post", "y", "--out", "z", "--method", "linear_regress"],
     ["detect", "--compactness", "3"],  # SLIC compactness is segmentation.COMPACTNESS
+    # theta's range is the box copula.THETA_MIN to copula.THETA_MAX
+    ["detect", "--theta-max", "3"],
+    ["fit", "--pairs", "pairs", "--theta-max", "3"],
 ])
 def test_removed_translation_flags_are_contract_errors(capsys, args):
     assert cli.main(args) == cli.EXIT_CONTRACT
@@ -235,8 +240,9 @@ def test_mistyped_config_value_is_contract_error(tmp_path, capsys, values, key):
     *[(key, value) for key in ("alpha", "eps", "theta_max")
       for value in (float("nan"), float("inf"), float("-inf"))],
     ("alpha", -1.0), ("eps", 0.0), ("eps", -1e-3), ("theta_max", 0.0),
-    ("theta_max", -2.0), ("pca", 0), ("pca", -1), ("seed", -1),
-    # SLIC compactness is a constant, so the key is refused whatever its value.
+    ("theta_max", -2.0), ("theta_max", 20.0), ("pca", 0), ("pca", -1), ("seed", -1),
+    # SLIC compactness and theta's range are constants, so these keys are
+    # refused whatever their value.
     *[("compactness", value)
       for value in (float("nan"), float("inf"), float("-inf"), 0.0, -10.0)],
 ])
@@ -421,12 +427,16 @@ def _three_band(doc):
      "'pairs': n_train"),
     *[(lambda d, f=field, v=value: d["pairs"]["1,1"].update({f: v}), f"'pairs': {field}")
       for field, value in (("theta", True), ("w", True), ("w", False), ("rho", False),
-                           ("w", "0.5"))],
+                           ("w", "0.5"), ("theta", 1e-17), ("theta", 50.0),
+                           ("rho", 0.995))],
+    *[(lambda d, f=field, v=value: d.update({f: v}), f"'{field}'")
+      for field, value in (("cx", True), ("cx", 1.0), ("cy", 0))],
 ], ids=["parameters-only", "version-3", "not-base64", "bytes-not-multiple-of-8",
         "nan", "two-x-columns", "missing-pair", "extra-pair", "three-band-model",
         "theta-nan", "theta-inf", "theta-1e308", "n_train-2.5", "n_train-true",
         "n_train-string", "n_train-1e308", "n_train-off-by-one", "theta-true", "w-true",
-        "w-false", "rho-false", "w-string"])
+        "w-false", "rho-false", "w-string", "theta-1e-17", "theta-50", "rho-0.995",
+        "cx-true", "cx-float", "cy-zero"])
 def test_malformed_model_is_contract_error(small_scene, fitted_model, tmp_path, capsys,
                                            mutate, key):
     doc = json.loads(Path(fitted_model).read_text())
@@ -445,6 +455,51 @@ def test_malformed_model_is_contract_error(small_scene, fitted_model, tmp_path, 
     assert not (out / "bcm.u8").exists()
 
 
+_JSON_LEAVES = st.one_of(
+    st.integers(), st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 5e-324, 1e308, -1e308]),
+    st.booleans(), st.text(max_size=8), st.none(),
+)
+_JSON_VALUES = st.one_of(_JSON_LEAVES, st.lists(_JSON_LEAVES, max_size=3),
+                         st.dictionaries(st.text(max_size=4), _JSON_LEAVES, max_size=3))
+_MODEL_KEYS = ("version", "cx", "cy", "pairs", "x", "y")
+_RECORD_KEYS = ("rho", "theta", "w", "tail_mode", "orientation", "n_train")
+_DELETE = "<delete>"
+
+
+@settings(max_examples=30, deadline=None)
+@given(key=st.one_of(st.sampled_from(_MODEL_KEYS),
+                     st.sampled_from(_RECORD_KEYS).map(lambda k: ("1,1", k))),
+       value=st.one_of(st.just(_DELETE), _JSON_VALUES,
+                       st.floats(0.0, 1.0)))  # many rho, theta and w values load
+def test_mutated_model_file_keeps_the_exit_contract(small_scene, fitted_model, key,
+                                                    value):
+    """A model.json with one top-level key or one record field replaced by
+    any JSON value, or deleted, ends in exit 0 or 2, with no traceback and no
+    numpy RuntimeWarning; an exit 2 names the model field at fault."""
+    doc = json.loads(Path(fitted_model).read_text())
+    target, name = (doc["pairs"][key[0]], key[1]) if isinstance(key, tuple) else (doc, key)
+    if value == _DELETE:
+        del target[name]
+    else:
+        target[name] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = os.path.join(tmp, "model.json")
+        Path(bad).write_text(json.dumps(doc))
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli.main(_detect_args(small_scene, os.path.join(tmp, "run"))
+                            + ["--model", bad])
+    err = err.getvalue()
+    assert code in (cli.EXIT_OK, cli.EXIT_CONTRACT), err
+    assert "Traceback" not in err
+    assert [w for w in caught if w.category is RuntimeWarning] == []
+    if code == cli.EXIT_CONTRACT:
+        assert "model field" in err, err
+
+
 def _detect_with_config(data_dir, out_dir, config):
     """Exit code, stderr and the RuntimeWarnings of one in-process detect."""
     cfg = Path(out_dir + ".json")
@@ -456,20 +511,10 @@ def _detect_with_config(data_dir, out_dir, config):
     return code, err.getvalue(), [w for w in caught if w.category is RuntimeWarning]
 
 
-def test_theta_stays_within_a_small_theta_max(small_scene, tmp_path):
-    out = str(tmp_path / "run")
-    code, err, runtime = _detect_with_config(small_scene, out, {"theta_max": 1e-3})
-    assert (code, err, runtime) == (cli.EXIT_OK, "", [])
-    theta = json.loads(Path(out, "model.json").read_text())["pairs"]["1,1"]["theta"]
-    assert 0 < theta <= 1e-3
-
-
 @pytest.mark.parametrize("config, code, needle", [
-    ({"theta_max": 1e-310}, cli.EXIT_NUMERICAL, "theta_max=1e-310"),
-    ({"theta_max": 5000.0}, cli.EXIT_OK, ""),
     ({"alpha": 1e308}, cli.EXIT_NUMERICAL, "alpha=1e+308"),
     ({"alpha": 1e300}, cli.EXIT_NUMERICAL, "alpha=1e+300"),
-], ids=["theta_max-1e-310", "theta_max-5000", "alpha-1e308", "alpha-1e300"])
+], ids=["alpha-1e308", "alpha-1e300"])
 def test_extreme_config_values_end_cleanly(small_scene, tmp_path, config, code, needle):
     got, err, runtime = _detect_with_config(small_scene, str(tmp_path / "run"), config)
     assert got == code and runtime == []
@@ -485,9 +530,9 @@ _EXTREME_FLOATS = st.one_of(
 
 @settings(max_examples=25, deadline=None)
 @given(config=st.fixed_dictionaries({}, optional={
-    key: _EXTREME_FLOATS for key in ("alpha", "eps", "theta_max")}))
+    key: _EXTREME_FLOATS for key in ("alpha", "eps")}))
 def test_extreme_finite_config_values_keep_the_exit_contract(small_scene, config):
-    """Any finite alpha, eps and theta_max ends in exit 0, 2 or 3, with no
+    """Any finite alpha and eps ends in exit 0, 2 or 3, with no
     traceback and no numpy RuntimeWarning."""
     with tempfile.TemporaryDirectory() as tmp:
         code, err, runtime = _detect_with_config(small_scene, os.path.join(tmp, "run"),

@@ -24,6 +24,8 @@ from copcd.emfit import (
     RHO_MAX,
     RHO_MIN,
     STATUS_CONVERGED,
+    THETA_MAX,
+    THETA_MIN,
     EmConfig,
     fit,
     log_likelihood,
@@ -41,8 +43,6 @@ def assert_monotone(trace, slack=1e-9):
 def test_config_validation():
     with pytest.raises(ValueError):
         EmConfig(eps=0.0)
-    with pytest.raises(ValueError):
-        EmConfig(theta_max=-1.0)
 
 
 def test_log_likelihood_single_point_hand_value():
@@ -88,37 +88,35 @@ def test_e_step_hand_value():
 def test_m_step_weight_is_mean_responsibility():
     rng = np.random.default_rng(2)
     u, v = rng.uniform(0.05, 0.95, (2, 100))
-    w, _, _ = m_step(u, v, np.ones(100), TAIL_CLAYTON, EmConfig(), 0.5, 0.5)
+    w, _, _ = m_step(u, v, np.ones(100), TAIL_CLAYTON, 0.5, 0.5)
     assert w == 1.0
     gamma = rng.random(100)
-    w2, _, _ = m_step(u, v, gamma, TAIL_CLAYTON, EmConfig(), 0.5, 0.5)
+    w2, _, _ = m_step(u, v, gamma, TAIL_CLAYTON, 0.5, 0.5)
     assert w2 == pytest.approx(gamma.mean(), abs=1e-12)
 
 
 def test_m_step_recovers_gaussian_correlation():
     model = CopulaMixtureModel(rho=0.8, theta=1.0, w=1.0, n_train=1)
     u, v = sample_mixture(model, 5000, seed=3)
-    _, rho, _ = m_step(u, v, np.ones(5000), TAIL_CLAYTON, EmConfig(), 0.5, 0.5)
+    _, rho, _ = m_step(u, v, np.ones(5000), TAIL_CLAYTON, 0.5, 0.5)
     assert 0.77 <= rho <= 0.83
 
 
 def test_m_step_recovers_clayton_theta():
     rng = np.random.default_rng(4)
     u, v = sample_clayton_pairs(2.0, 5000, rng)
-    _, _, theta = m_step(u, v, np.zeros(5000), TAIL_CLAYTON, EmConfig(), 0.5, 0.5)
+    _, _, theta = m_step(u, v, np.zeros(5000), TAIL_CLAYTON, 0.5, 0.5)
     assert 1.7 <= theta <= 2.3
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(10, 400),
        tail_mode=st.sampled_from([TAIL_CLAYTON, TAIL_CLAYTON_SURVIVAL]),
-       theta_max=st.floats(0.05, 5.0), rho_cur=st.floats(RHO_MIN, RHO_MAX),
-       theta_frac=st.floats(0.001, 1.0))
-def test_exact_m_step_beats_grid_oracle(seed, n, tail_mode, theta_max, rho_cur,
-                                        theta_frac):
+       rho_cur=st.floats(RHO_MIN, RHO_MAX), theta_cur=st.floats(THETA_MIN, THETA_MAX))
+def test_exact_m_step_beats_grid_oracle(seed, n, tail_mode, rho_cur, theta_cur):
     """On random responsibilities the exact M-step's rho and theta score at
     least as well as the grid search's under the grid's own objectives, and
-    stay inside [0.01, 0.99] and (0, theta_max]."""
+    stay inside the box [0.01, 0.99] x [0.1, 20]."""
     rng = np.random.default_rng(seed)
     model = CopulaMixtureModel(rho=float(rng.uniform(0, 0.95)),
                                theta=float(rng.uniform(0.2, 8)),
@@ -126,14 +124,12 @@ def test_exact_m_step_beats_grid_oracle(seed, n, tail_mode, theta_max, rho_cur,
                                n_train=1)
     u, v = sample_mixture(model, n, seed=seed)
     gamma = rng.random(n) ** float(rng.uniform(0.2, 5))
-    theta_cur = theta_frac * theta_max
-    cfg = EmConfig(theta_max=theta_max)
-    w, rho, theta = m_step(u, v, gamma, tail_mode, cfg, rho_cur, theta_cur)
+    w, rho, theta = m_step(u, v, gamma, tail_mode, rho_cur, theta_cur)
     w_grid, rho_grid, theta_grid = emfit_oracle.m_step(u, v, gamma, tail_mode,
-                                                       theta_max, rho_cur, theta_cur)
+                                                       THETA_MAX, rho_cur, theta_cur)
     _, rho_obj, theta_obj = emfit_oracle.component_objectives(u, v, gamma, tail_mode)
     assert w == w_grid
-    assert RHO_MIN <= rho <= RHO_MAX and 0 < theta <= theta_max
+    assert RHO_MIN <= rho <= RHO_MAX and THETA_MIN <= theta <= THETA_MAX
     for obj, exact, grid in ((rho_obj, rho, rho_grid), (theta_obj, theta, theta_grid)):
         assert obj(exact) >= obj(grid) - 1e-12 * abs(obj(grid))
 
@@ -156,13 +152,12 @@ def test_brent_max_takes_parabolic_steps(peak, max_calls):
 
 @pytest.mark.parametrize("tail_mode", [TAIL_CLAYTON, TAIL_CLAYTON_SURVIVAL])
 def test_m_step_keeps_theta_at_a_binding_bound(tail_mode):
-    """Comonotone data push theta up to theta_max and rho up to its cap;
+    """Comonotone data push theta up to THETA_MAX and rho up to RHO_MAX;
     both updates land exactly on the bound, not a search step short of it."""
     u = (np.arange(1, 201) - 0.5) / 200
-    cfg = EmConfig(theta_max=3.0)
     for gamma in (np.full(200, 0.5), np.zeros(200)):
-        assert m_step(u, u, gamma, tail_mode, cfg, 0.5, 0.5)[2] == 3.0
-    _, rho, _ = m_step(u, u, np.ones(200), tail_mode, cfg, 0.5, 0.5)
+        assert m_step(u, u, gamma, tail_mode, 0.5, 0.5)[2] == 20.0
+    _, rho, _ = m_step(u, u, np.ones(200), tail_mode, 0.5, 0.5)
     assert rho == RHO_MAX
 
 

@@ -11,7 +11,6 @@ from copcd.copula import CopulaMixtureModel, mixture_logpdf_params, sample_mixtu
 from copcd.detector import test_statistics as compute_statistics
 from copcd.dependence import ORIENT_NEGATED, TAIL_CLAYTON, empirical_cdf, kendall_tau
 from copcd.pipeline import (
-    MIN_REGION,
     PipelineConfig,
     StageError,
     cosegment_pair,
@@ -158,6 +157,6 @@ def test_forked_cosegment_pair_matches_in_process_segmentation(size, bands):
     got = cosegment_pair(a, b, 60)
     assert multiprocessing.active_children() == []
     want = segmentation.cosegment(segmentation.slic(a, 60),
-                                  segmentation.slic(b, 60), MIN_REGION)
+                                  segmentation.slic(b, 60), segmentation.MIN_REGION)
     assert got.count == want.count
     assert got.labels.tobytes() == want.labels.tobytes()
