@@ -68,7 +68,12 @@ def slic(r: Raster, target_count: int) -> SegmentationMap:
     over all channels, S = sqrt(pixels / target_count) the grid spacing.
     Each centre searches the pixels within +-ceil(S) rows and columns of it,
     the 2S x 2S window of Achanta et al., "SLIC Superpixels Compared to
-    State-of-the-Art Superpixel Methods" (IEEE TPAMI, 2012).
+    State-of-the-Art Superpixel Methods" (IEEE TPAMI, 2012). A pixel goes to
+    the nearest centre whose window covers it, ties to the lowest centre
+    index; a pixel no window covers keeps its label. The centres are scored
+    in index order, in blocks whose windows hold at most m * n pixel entries
+    together, so the temporaries stay linear in pixels.
+    ``tests/segmentation_oracle.py`` keeps the one-centre-at-a-time loop.
     """
     m, n = r.height, r.width
     if not 1 <= target_count <= m * n:
@@ -89,29 +94,55 @@ def slic(r: Raster, target_count: int) -> SegmentationMap:
     win = int(np.ceil(spacing))
     ratio = COMPACTNESS / spacing
     yy, xx = np.mgrid[0:m, 0:n].astype(np.float64)
-    ys, xs = yy[:, 0], xx[0]
+    pixels = data.reshape(m * n, -1)
+    # Each block's windows hold at most m * n pixel entries.
+    block = max(1, (m * n) // (2 * win + 1) ** 2)
 
-    assign = np.zeros((m, n), dtype=np.int64)
+    assign = np.zeros(m * n, dtype=np.int64)
     for _ in range(SLIC_ITERS):
-        best = np.full((m, n), np.inf)
-        for ci in range(k):
-            y0 = max(0, int(centers_pos[ci, 0]) - win)
-            y1 = min(m, int(centers_pos[ci, 0]) + win + 1)
-            x0 = max(0, int(centers_pos[ci, 1]) - win)
-            x1 = min(n, int(centers_pos[ci, 1]) + win + 1)
-            patch = data[y0:y1, x0:x1]
-            d_color = np.sqrt(((patch - centers_col[ci]) ** 2).sum(axis=2))
-            # Pixel coordinates are exact floats, so the broadcast sum of the
-            # two 1-D squared offsets equals the full-window form bit for bit.
-            dy2 = (ys[y0:y1] - centers_pos[ci, 0]) ** 2
-            dx2 = (xs[x0:x1] - centers_pos[ci, 1]) ** 2
-            d = d_color + ratio * np.sqrt(dy2[:, None] + dx2[None, :])
-            best_win = best[y0:y1, x0:x1]
-            better = d < best_win
-            np.copyto(best_win, d, where=better)
-            np.copyto(assign[y0:y1, x0:x1], ci, where=better)
+        best = np.full(m * n, np.inf)
+        for b0 in range(0, k, block):
+            ids = slice(b0, b0 + block)
+            _assign_block(pixels, (m, n), centers_pos[ids], centers_col[ids], b0,
+                          win, ratio, best, assign)
         _update_centers(assign, yy, xx, data, centers_pos, centers_col)
-    return _enforce_connectivity(assign)
+    return _enforce_connectivity(assign.reshape(m, n))
+
+
+def _assign_block(pixels, shape, pos, col, first, win, ratio, best, assign) -> None:
+    """Score the centres ``first, first + 1, ...`` at ``pos`` and ``col``
+    over their windows and give each pixel whose block distance is strictly
+    below ``best`` to its nearest centre of the block (ties: lowest index),
+    in place.
+
+    Every distance is bit-identical to the one-centre loop of
+    ``tests/segmentation_oracle.py``: the same float64 expressions in the
+    same order. Window indices are clipped to the image. A centre lies in
+    the image, so a clipped index names an edge pixel its window already
+    holds, at the same distance from the same centre: the duplicate entries
+    change no minimum and no tie.
+    """
+    m, n = shape
+    width = 2 * win + 1
+    offsets = np.arange(-win, win + 1)
+    corner = pos.astype(np.int64)  # int() of a non-negative float
+    rows = (corner[:, 0, None] + offsets).clip(0, m - 1)
+    cols = (corner[:, 1, None] + offsets).clip(0, n - 1)
+    pix = (rows[:, :, None] * n + cols[:, None, :]).ravel()
+    patch = pixels[pix].reshape(len(pos), width, width, -1)
+    d_color = np.sqrt(((patch - col[:, None, None]) ** 2).sum(axis=3))
+    dy2 = (rows - pos[:, 0, None]) ** 2
+    dx2 = (cols - pos[:, 1, None]) ** 2
+    d = (d_color + ratio * np.sqrt(dy2[:, :, None] + dx2[:, None, :])).ravel()
+    block_best = np.full(m * n, np.inf)
+    np.minimum.at(block_best, pix, d)
+    ties = np.flatnonzero(d == block_best[pix])
+    owner = np.full(m * n, first + len(pos))
+    np.minimum.at(owner, pix[ties], first + ties // width ** 2)
+    # A tie with an earlier block keeps the earlier centre, as in the loop.
+    better = block_best < best
+    best[better] = block_best[better]
+    assign[better] = owner[better]
 
 
 def _update_centers(assign, yy, xx, data, centers_pos, centers_col) -> None:
@@ -134,7 +165,8 @@ def _update_centers(assign, yy, xx, data, centers_pos, centers_col) -> None:
     nz = counts > 0
     centers_pos[nz, 0] = np.bincount(flat, weights=yy.ravel(), minlength=k)[nz] / counts[nz]
     centers_pos[nz, 1] = np.bincount(flat, weights=xx.ravel(), minlength=k)[nz] / counts[nz]
-    order = np.argsort(flat, kind="stable")
+    # The same stable permutation; the narrow dtype takes numpy's radix sort.
+    order = np.argsort(flat.astype(np.min_scalar_type(k - 1)), kind="stable")
     starts = np.cumsum(counts) - counts
     data_s = data.reshape(flat.size, -1)[order]
     for size in np.unique(counts[nz]):

@@ -1,8 +1,9 @@
 """Reference segmentation: the direct algorithms the fast code must match.
 
 ``absorb_small`` merges one region per pass and recomputes every boundary
-length after each merge; ``slic`` updates each centre through a full-image
-``assign == ci`` mask (``update_centers``), and ``enforce_connectivity``
+length after each merge; ``slic`` scores one centre's window per step and
+updates each centre through a full-image ``assign == ci`` mask
+(``update_centers``), and ``enforce_connectivity``
 picks each cluster's kept component with one mask per cluster and grows the
 orphans over whole-image shifted copies. They are slow (O(regions x pixels),
 O(k x pixels) per iteration and O(k x components)) but state the rules
@@ -55,7 +56,7 @@ def absorb_small(labels: np.ndarray, min_region: int) -> np.ndarray:
 
 
 def slic(r, target_count: int):
-    """SLIC with the centre update written as one boolean mask per centre."""
+    """SLIC one centre at a time, each centre updated through a boolean mask."""
     m, n = r.height, r.width
     data = r.data.astype(np.float64)
     spacing = np.sqrt(m * n / target_count)

@@ -261,3 +261,24 @@ def test_one_density_pass_keeps_fit_outputs_byte_identical(tmp_path, monkeypatch
     want = run("two_pass")
     assert got == want
     assert json.loads(got["model.json"])["pairs"]["1,1"]["tail_mode"] == tail_mode
+
+
+def test_non_finite_log_likelihood_is_numerical_failure(tmp_path, monkeypatch, capsys):
+    # No input inside the fitted box is known to overflow the densities, so
+    # a -inf log density is injected to reach the check and exit code 3.
+    def overflowing(u, v, rho, theta, w, tail_mode):
+        return np.full(len(u), -np.inf), np.full(len(u), 0.5)
+
+    monkeypatch.setattr(emfit, "mixture_logpdf_and_gamma", overflowing)
+    rng = np.random.default_rng(4)
+    u, v = rng.uniform(0.05, 0.95, (2, 50))
+    with pytest.raises(ArithmeticError, match="not finite"):
+        fit(u, v, TAIL_CLAYTON)
+
+    pairs = np.stack([u, v], axis=1)[:, :, None].astype(np.float32)
+    save_raster(Raster.from_array(pairs), str(tmp_path / "pairs"))
+    code = cli.main(["fit", "--pairs", str(tmp_path / "pairs"),
+                     "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_NUMERICAL
+    assert err.startswith("error:") and "not finite" in err and "Traceback" not in err

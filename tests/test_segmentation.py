@@ -1,11 +1,14 @@
 """SLIC superpixels, co-segmentation refinement, and mean-feature extraction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import segmentation_oracle as oracle
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from copcd.copula import CopulaMixtureModel
 from copcd.raster import Raster
 from copcd.segmentation import (
     SegmentationMap,
@@ -16,6 +19,7 @@ from copcd.segmentation import (
     extract_features,
     slic,
 )
+from copcd.synth import SynthConfig, generate_pair
 
 
 def _constant_raster(m, n, c=1, value=0.0):
@@ -92,6 +96,15 @@ def test_slic_rejects_bad_arguments():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 48), st.integers(1, 48),
        st.integers(1, 3), st.integers(1, 60), st.booleans())
+# 48 x 48 at 60: 64 centres in blocks of 10 (15 x 15 windows), ties common.
+@example(seed=1, m=48, n=48, channels=1, target=60, quantized=True)
+@example(seed=2, m=48, n=48, channels=3, target=60, quantized=True)
+# Targets 1 and 2: every window is larger than the image.
+@example(seed=3, m=7, n=9, channels=2, target=1, quantized=True)
+@example(seed=4, m=7, n=9, channels=2, target=2, quantized=False)
+# Strips: the windows leave the image on both sides of the short axis.
+@example(seed=5, m=1, n=48, channels=1, target=12, quantized=False)
+@example(seed=6, m=48, n=1, channels=2, target=5, quantized=True)
 def test_slic_matches_mask_oracle(seed, m, n, channels, target, quantized):
     rng = np.random.default_rng(seed)
     if quantized:  # few distinct values, so distance ties occur
@@ -103,6 +116,35 @@ def test_slic_matches_mask_oracle(seed, m, n, channels, target, quantized):
     got = slic(r, target)
     want = oracle.slic(r, target)
     assert np.array_equal(got.labels, want.labels)
+
+
+def test_slic_cross_block_tie_goes_to_lower_centre():
+    # A constant 40 x 40 raster at target 16: S = 10, 21 x 21 windows, so
+    # the centres are scored in blocks of 1600 // 441 = 3. Centres 2 and 3
+    # start at (5, 25) and (5, 35), in different blocks, and pixel (5, 30)
+    # lies at exactly distance 5 from both; centres 1 and 2 tie at (5, 20)
+    # inside one block. The loop gives each tie to the lower centre.
+    r = _constant_raster(40, 40, value=7.0)
+    got = slic(r, 16)
+    want = oracle.slic(r, 16)
+    assert np.array_equal(got.labels, want.labels)
+    # Column 30 ends in centre 2's region, beside column 25.
+    assert got.labels[5, 30] == got.labels[5, 25] != got.labels[5, 35]
+
+
+def test_slic_temporaries_stay_linear_in_pixels():
+    # Scoring centres in blocks bounds the window arrays by the image size;
+    # all centres at once peaked at about 17 MiB here, the blocks at about 8.
+    cfg = SynthConfig(m=256, n=256, noise_sigma=0.05, seed=5,
+                      model=CopulaMixtureModel(rho=0.9, theta=1.0, w=1.0, n_train=1))
+    x, _, _ = generate_pair(cfg)
+    tracemalloc.start()
+    try:
+        slic(x, 800)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 256 * 256 * 8  # 24 float64 images, 12 MiB
 
 
 @settings(max_examples=50, deadline=None)
