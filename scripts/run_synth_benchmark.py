@@ -6,9 +6,11 @@ seeds and pipeline seeds, runs the full detection pipeline on each, and
 prints one row per run: KC / Fm / ACC, the acceptance gate (KC >= 0.8 and
 ACC >= 0.95, as in tests/test_acceptance.py::test_08) and the fitted rho,
 theta and w of the channel pair, a `*` marking a value on its bound
-(rho = 0.99, theta = 20). A last line gives the median and minimum
-KC and the gate failures. With the defaults each scene is perfbench's
-`scene256` scene for that data seed (at --size 256).
+(rho = 0.99, theta = 20), and a digest: the first 12 hex digits of the
+sha256 of the run's di.f32 and bcm.u8 bytes, so that two sweeps with
+byte-identical artifacts print the same digests. A last line gives the
+median and minimum KC and the gate failures. With the defaults each scene
+is perfbench's `scene256` scene for that data seed (at --size 256).
 
 Example:
     python3 scripts/run_synth_benchmark.py --size 256 --data-seeds 0 1 2 \
@@ -16,6 +18,7 @@ Example:
 """
 
 import argparse
+import hashlib
 import os
 import statistics
 import sys
@@ -25,7 +28,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from copcd.copula import RHO_MAX, THETA_MAX, CopulaMixtureModel  # noqa: E402
-from copcd.pipeline import PipelineConfig, run_detect  # noqa: E402
+from copcd.pipeline import PipelineConfig, run_detect, write_artifacts  # noqa: E402
 from copcd.raster import save_binary_map, save_raster  # noqa: E402
 from copcd.synth import SynthConfig, generate_pair  # noqa: E402
 
@@ -53,6 +56,11 @@ def run_one(size, rho, w, data_seed, pipeline_seed, ns_model, ns_test, alpha,
     start = time.monotonic()
     result = run_detect(pipeline)
     elapsed = time.monotonic() - start
+    write_artifacts(result, pipeline)
+    digest = hashlib.sha256()
+    for name in ("di.f32", "bcm.u8"):
+        with open(os.path.join(base, name), "rb") as fh:
+            digest.update(fh.read())
     report, fitted = result["report"], result["model_set"].model(1, 1)
     return {
         "data": data_seed, "pipe": pipeline_seed,
@@ -61,12 +69,12 @@ def run_one(size, rho, w, data_seed, pipeline_seed, ns_model, ns_test, alpha,
         "rho": fitted.rho, "theta": fitted.theta, "w": fitted.w,
         "rho_on_bound": fitted.rho == RHO_MAX,
         "theta_on_bound": fitted.theta == THETA_MAX,
-        "sec": elapsed,
+        "sec": elapsed, "digest": digest.hexdigest()[:12],
     }
 
 
 HEADER = (f"{'data':>4} {'pipe':>4} {'KC':>7} {'Fm':>7} {'ACC':>7} {'gate':>4} "
-          f"{'rho':>7} {'theta':>8} {'w':>6} {'sec':>6}")
+          f"{'rho':>7} {'theta':>8} {'w':>6} {'sec':>6} {'digest':>12}")
 
 
 def format_row(row) -> str:
@@ -74,7 +82,7 @@ def format_row(row) -> str:
     theta_mark = "*" if row["theta_on_bound"] else " "
     return (f"{row['data']:>4} {row['pipe']:>4} {row['kc']:>7.3f} {row['fm']:>7.3f} "
             f"{row['acc']:>7.3f} {row['gate']:>4} {row['rho']:>6.4f}{rho_mark} "
-            f"{row['theta']:>7.3f}{theta_mark} {row['w']:>6.3f} {row['sec']:>6.1f}")
+            f"{row['theta']:>7.3f}{theta_mark} {row['w']:>6.3f} {row['sec']:>6.1f} {row['digest']}")
 
 
 def summary(rows) -> str:

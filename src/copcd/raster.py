@@ -74,7 +74,10 @@ def _write_container(base: str, arr: np.ndarray, dtype_name: str, layout: str) -
     arr.astype(dtype, copy=False).tofile(base + "." + ext)
 
 
-def _read_container(base: str):
+def _read_container(base: str, dtype_name: str):
+    """Header and m x n x c payload of a container whose header names
+    ``dtype_name``; a header that does not, or a payload of another size, is
+    a ValueError naming the key or the byte counts."""
     base = _strip_suffix(base)
     hdr_path = base + ".hdr.json"
     if not os.path.exists(hdr_path):
@@ -92,10 +95,9 @@ def _read_container(base: str):
     if layout not in _LAYOUTS:
         raise ValueError(f"header key 'layout' must be one of {', '.join(_LAYOUTS)}, "
                          f"got {layout!r} in {hdr_path}")
-    dtype_name = header.get("dtype")
-    if not isinstance(dtype_name, str) or dtype_name not in _DTYPES:
-        raise ValueError(f"header key 'dtype' must be one of {', '.join(_DTYPES)}, "
-                         f"got {dtype_name!r} in {hdr_path}")
+    if header.get("dtype") != dtype_name:
+        raise ValueError(f"header key 'dtype' must be {dtype_name!r}, "
+                         f"got {header.get('dtype')!r} in {hdr_path}")
     dtype, ext = _DTYPES[dtype_name]
     payload_path = base + "." + ext
     if not os.path.exists(payload_path):
@@ -111,9 +113,7 @@ def _read_container(base: str):
 
 def load_raster(path: str) -> Raster:
     """Load a float32 raster; inverse of :func:`save_raster` bit-exactly."""
-    header, arr = _read_container(path)
-    if header["dtype"] != "f32le":
-        raise ValueError(f"expected f32le raster, got {header['dtype']}")
+    header, arr = _read_container(path, "f32le")
     if not np.all(np.isfinite(arr)):
         raise ValueError("raster file contains non-finite values")
     return Raster(header["m"], header["n"], header["c"], np.ascontiguousarray(arr))
@@ -132,9 +132,9 @@ def save_binary_map(bcm: np.ndarray, path: str) -> None:
 
 
 def load_binary_map(path: str) -> np.ndarray:
-    header, arr = _read_container(path)
-    if header["dtype"] != "u8" or header["c"] != 1:
-        raise ValueError("expected a u8 single-band binary map")
+    header, arr = _read_container(path, "u8")
+    if header["c"] != 1:
+        raise ValueError(f"header key 'c' must be 1 for a binary map, got {header['c']}")
     out = arr[:, :, 0].astype(np.uint8)
     if not np.isin(out, (0, 1)).all():
         raise ValueError("binary map values must be 0 or 1")

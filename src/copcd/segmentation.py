@@ -43,7 +43,9 @@ def _relabel_contiguous(labels: np.ndarray) -> SegmentationMap:
 def _connected_regions(code: np.ndarray) -> np.ndarray:
     """Split equal-valued 4-connected groups of `code` into distinct labels."""
     m, n = code.shape
-    idx = np.arange(m * n).reshape(m, n)
+    # int32 pixel indices, while they reach every pixel, halve the graph.
+    index_type = np.int32 if m * n < 2 ** 31 else np.int64
+    idx = np.arange(m * n, dtype=index_type).reshape(m, n)
     rows, cols = [], []
     horiz = code[:, :-1] == code[:, 1:]
     rows.append(idx[:, :-1][horiz])
@@ -147,32 +149,23 @@ def _assign_block(pixels, shape, pos, col, first, win, ratio, best, assign) -> N
 
 def _update_centers(assign, yy, xx, data, centers_pos, centers_col) -> None:
     """Move each non-empty cluster's centre to the mean position and colour
-    of its pixels, in place.
-
-    Every mean is bit-identical to ``yy[assign == ci].mean()``. Positions
-    are pixel coordinates, integers whose sums are exact in any order below
-    2**53, so ``np.bincount`` forms the same sum that ``np.mean`` divides by
-    the same count. Colours need the mask's order: a stable sort groups the
-    pixels by cluster, each cluster's slice in row-major order, the order a
-    boolean mask selects them in. Clusters of equal size are gathered into
-    one (clusters, size) array, one contiguous row per cluster, and averaged
-    along the rows; numpy sums a contiguous row exactly as it sums the same
-    1-D slice. (``np.add.reduceat`` sums in another order and is not exact.)
-    """
+    of its pixels, with sums taken in pixel order, in place."""
     flat = assign.ravel()
-    k = len(centers_pos)
-    counts = np.bincount(flat, minlength=k)
+    planes = np.column_stack([yy.ravel(), xx.ravel(), data.reshape(flat.size, -1)])
+    counts, sums = _region_sums(flat, planes, len(centers_pos))
     nz = counts > 0
-    centers_pos[nz, 0] = np.bincount(flat, weights=yy.ravel(), minlength=k)[nz] / counts[nz]
-    centers_pos[nz, 1] = np.bincount(flat, weights=xx.ravel(), minlength=k)[nz] / counts[nz]
-    # The same stable permutation; the narrow dtype takes numpy's radix sort.
-    order = np.argsort(flat.astype(np.min_scalar_type(k - 1)), kind="stable")
-    starts = np.cumsum(counts) - counts
-    data_s = data.reshape(flat.size, -1)[order]
-    for size in np.unique(counts[nz]):
-        members = np.flatnonzero(counts == size)
-        idx = starts[members, None] + np.arange(size)
-        centers_col[members] = data_s[idx].mean(axis=1)
+    means = sums[nz] / counts[nz, None]
+    centers_pos[nz] = means[:, :2]
+    centers_col[nz] = means[:, 2:]
+
+
+def _region_sums(flat, planes, k):
+    """Pixel count and column sums of ``planes`` (pixels x columns) of each
+    label in [0, k); ``np.bincount`` adds each label's pixels in pixel order."""
+    counts = np.bincount(flat, minlength=k)
+    sums = np.column_stack([np.bincount(flat, weights=col, minlength=k)
+                            for col in planes.T])
+    return counts, sums
 
 
 def _enforce_connectivity(assign: np.ndarray) -> SegmentationMap:
@@ -298,11 +291,6 @@ def extract_features(r: Raster, seg: SegmentationMap) -> np.ndarray:
     """Per-superpixel channel means: rows = superpixels, cols = channels."""
     if (r.height, r.width) != (seg.height, seg.width):
         raise ValueError("raster/segmentation dimensions differ")
-    flat_lab = seg.labels.ravel() - 1
-    counts = np.bincount(flat_lab, minlength=seg.count).astype(np.float64)
-    feats = np.empty((seg.count, r.channels), dtype=np.float64)
-    for c in range(r.channels):
-        sums = np.bincount(flat_lab, weights=r.data[:, :, c].ravel().astype(np.float64),
-                           minlength=seg.count)
-        feats[:, c] = sums / counts
-    return feats
+    counts, sums = _region_sums(seg.labels.ravel() - 1,
+                                r.data.reshape(-1, r.channels), seg.count)
+    return sums / counts[:, None]

@@ -3,12 +3,14 @@
 ``absorb_small`` merges one region per pass and recomputes every boundary
 length after each merge; ``slic`` scores one centre's window per step and
 updates each centre through a full-image ``assign == ci`` mask
-(``update_centers``), and ``enforce_connectivity``
-picks each cluster's kept component with one mask per cluster and grows the
-orphans over whole-image shifted copies. They are slow (O(regions x pixels),
-O(k x pixels) per iteration and O(k x components)) but state the rules
-plainly, so the tests compare ``copcd.segmentation`` against them label for
-label and the centres bit for bit.
+(``update_centers``), whose mean is a running sum from 0.0 over the masked
+pixels in row-major order (pixel order) divided by their count; and
+``enforce_connectivity`` picks each cluster's kept component with one mask
+per cluster and grows the orphans over whole-image shifted copies. They are
+slow (O(regions x pixels), O(k x pixels) per iteration and
+O(k x components)) but state the rules plainly, so the tests compare
+``copcd.segmentation`` against them label for label and the centres bit
+for bit.
 """
 
 import numpy as np
@@ -96,12 +98,18 @@ def slic(r, target_count: int):
 
 
 def update_centers(assign, yy, xx, data, centers_pos, centers_col) -> None:
-    """Move each non-empty cluster's centre to the mean of its pixels."""
+    """Move each non-empty cluster's centre to the mean of its pixels: a
+    running sum from 0.0 over the cluster's pixels in row-major order,
+    divided by their count."""
     for ci in range(len(centers_pos)):
         mask = assign == ci
         if mask.any():
-            centers_pos[ci] = (yy[mask].mean(), xx[mask].mean())
-            centers_col[ci] = data[mask].mean(axis=0)
+            total = np.zeros(2 + data.shape[2])
+            for pixel in np.column_stack([yy[mask], xx[mask], data[mask]]):
+                total = total + pixel
+            mean = total / mask.sum()
+            centers_pos[ci] = mean[:2]
+            centers_col[ci] = mean[2:]
 
 
 def enforce_connectivity(assign: np.ndarray, k: int):

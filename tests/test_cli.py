@@ -6,6 +6,7 @@ import io
 import json
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from copcd import cli, pipeline, translate
@@ -498,6 +499,54 @@ def test_mutated_model_file_keeps_the_exit_contract(small_scene, fitted_model, k
     assert [w for w in caught if w.category is RuntimeWarning] == []
     if code == cli.EXIT_CONTRACT:
         assert "model field" in err, err
+
+
+_HEADER_KEYS = ("m", "n", "c", "dtype", "layout")
+
+
+@settings(max_examples=30, deadline=None)
+@given(mutation=st.one_of(
+    st.tuples(st.sampled_from(_HEADER_KEYS),
+              st.one_of(st.just(_DELETE), _JSON_VALUES, st.integers(0, 100),
+                        st.sampled_from(["f32le", "u8", "row-major", "row-major-bip"]))),
+    st.tuples(st.just("payload"), st.integers(-9216, 64).filter(bool))))
+@example(mutation=("dtype", "u8"))  # a u8 header names a payload that is absent
+@example(mutation=("m", 96))
+@example(mutation=("layout", "row-major"))  # still a known layout: exit 0
+@example(mutation=("payload", -1))
+def test_mutated_raster_header_keeps_the_exit_contract(small_scene, mutation):
+    """A pre.hdr.json with one of m, n, c, dtype or layout replaced by any
+    JSON value, or deleted, or a pre.f32 with bytes added or removed, ends in
+    exit 0 or 2, with no traceback and no numpy RuntimeWarning; an exit 2
+    names the header key or the payload's byte count."""
+    key, value = mutation
+    with tempfile.TemporaryDirectory() as tmp:
+        data = os.path.join(tmp, "data")
+        shutil.copytree(small_scene, data)
+        payload = Path(data, "pre.f32")
+        if key == "payload":
+            raw = payload.read_bytes()
+            payload.write_bytes(raw + bytes(value) if value > 0 else raw[:value])
+        else:
+            header = Path(data, "pre.hdr.json")
+            doc = json.loads(header.read_text())
+            if value == _DELETE:
+                del doc[key]
+            else:
+                doc[key] = value
+            header.write_text(json.dumps(doc))
+        size = payload.stat().st_size
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli.main(_detect_args(data, os.path.join(tmp, "run")))
+    err = err.getvalue()
+    assert code in (cli.EXIT_OK, cli.EXIT_CONTRACT), err
+    assert "Traceback" not in err
+    assert [w for w in caught if w.category is RuntimeWarning] == []
+    if code == cli.EXIT_CONTRACT:
+        assert f"header key {key!r}" in err or f"holds {size}" in err, err
 
 
 def _detect_with_config(data_dir, out_dir, config):

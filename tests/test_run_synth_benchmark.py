@@ -1,6 +1,7 @@
-"""The sweep script's per-seed row: its scene, gate, fitted parameters and
-bound marks."""
+"""The sweep script's per-seed row: its scene, gate, fitted parameters,
+bound marks and artifact digest."""
 
+import hashlib
 import importlib.util
 import json
 import sys
@@ -53,10 +54,13 @@ def test_row_reports_the_gate_and_the_fitted_pair(sweep, tmp_path):
                            else "fail")
     assert row["rho_on_bound"] == (fitted["rho"] == 0.99)
     assert row["theta_on_bound"] == (fitted["theta"] == 20.0)
+    artifacts = (out / "di.f32").read_bytes() + (out / "bcm.u8").read_bytes()
+    assert row["digest"] == hashlib.sha256(artifacts).hexdigest()[:12]
 
     line = sweep.format_row(row)
     assert line.split()[:2] == ["5", "0"] and row["gate"] in line.split()
     assert line.count("*") == row["rho_on_bound"] + row["theta_on_bound"]
+    assert line.split()[-1] == row["digest"]
     rows = [{"kc": 0.9, "gate": "pass"}, {"kc": 0.5, "gate": "fail"},
             {"kc": 0.7, "gate": "fail"}]
     assert sweep.summary(rows) == "KC median 0.700 min 0.500; gate failures 2/3"

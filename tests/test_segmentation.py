@@ -8,9 +8,11 @@ import segmentation_oracle as oracle
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from copcd import segmentation
 from copcd.copula import CopulaMixtureModel
 from copcd.raster import Raster
 from copcd.segmentation import (
+    SLIC_ITERS,
     SegmentationMap,
     _absorb_small,
     _enforce_connectivity,
@@ -132,25 +134,31 @@ def test_slic_cross_block_tie_goes_to_lower_centre():
     assert got.labels[5, 30] == got.labels[5, 25] != got.labels[5, 35]
 
 
-def test_slic_temporaries_stay_linear_in_pixels():
-    # Scoring centres in blocks bounds the window arrays by the image size;
-    # all centres at once peaked at about 17 MiB here, the blocks at about 8.
+@pytest.fixture(scope="module")
+def scene5():
+    """The seed-5 acceptance scene's rasters X and Y (perfbench scene256)."""
     cfg = SynthConfig(m=256, n=256, noise_sigma=0.05, seed=5,
                       model=CopulaMixtureModel(rho=0.9, theta=1.0, w=1.0, n_train=1))
-    x, _, _ = generate_pair(cfg)
+    x, y, _ = generate_pair(cfg)
+    return x, y
+
+
+def test_slic_temporaries_stay_linear_in_pixels(scene5):
+    # Scoring centres in blocks bounds the window arrays by the image size;
+    # all centres at once peaked at about 17 MiB here, the blocks at about 6.
     tracemalloc.start()
     try:
-        slic(x, 800)
+        slic(scene5[0], 800)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 256 * 256 * 8  # 24 float64 images, 12 MiB
+    assert peak < 16 * 256 * 256 * 8  # 16 float64 images, 8 MiB
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 48), st.integers(1, 48),
        st.integers(1, 3), st.integers(1, 60))
-def test_update_centers_is_bit_identical_to_masks(seed, m, n, channels, k):
+def test_update_centers_is_bit_identical_to_pixel_order_sums(seed, m, n, channels, k):
     # Labels alone hide last-bit differences in the means, so compare the
     # centres themselves; some clusters are left empty.
     rng = np.random.default_rng(seed)
@@ -163,6 +171,28 @@ def test_update_centers_is_bit_identical_to_masks(seed, m, n, channels, k):
     oracle.update_centers(assign, yy, xx, data, want_pos, want_col)
     assert pos.tobytes() == want_pos.tobytes()
     assert col.tobytes() == want_col.tobytes()
+
+
+def test_scene_centre_colours_equal_mask_means(scene5, monkeypatch):
+    # On the scene rasters the float64 sum of each cluster's float32 pixels
+    # is exact, so the pixel-order sums give the colours of numpy's pairwise
+    # data[mask].mean(axis=0): every SLIC iteration's every cluster is checked.
+    clusters = 0
+
+    def checked(assign, yy, xx, data, centers_pos, centers_col):
+        nonlocal clusters
+        _update_centers(assign, yy, xx, data, centers_pos, centers_col)
+        pixels = data.reshape(assign.size, -1)
+        for ci in np.unique(assign):
+            # The pixels the mask assign == ci selects, in row-major order.
+            want = pixels[np.flatnonzero(assign == ci)].mean(axis=0)
+            assert centers_col[ci].tobytes() == want.tobytes(), ci
+            clusters += 1
+
+    monkeypatch.setattr(segmentation, "_update_centers", checked)
+    for raster in scene5:
+        slic(raster, 800)
+    assert clusters > 2 * SLIC_ITERS * 700
 
 
 @settings(max_examples=150, deadline=None)
