@@ -7,9 +7,8 @@ fitted marginals (training ECDFs) are reused for the test statistics.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -36,7 +35,6 @@ from .raster import (
     save_raster,
 )
 
-FIT_WORKERS = 4  # most threads fitting channel pairs; a single pair fits serially
 # Accepted Python types per annotation; bool is rejected separately.
 _FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 
@@ -120,7 +118,7 @@ def fit_channel_pair(x_samples, y_samples, ecdf_x: EmpiricalCdf, ecdf_y: Empiric
 
 
 def fit_model_set(feat_x: np.ndarray, feat_y: np.ndarray, em_config: emfit.EmConfig):
-    """Fit a model for every channel pair.
+    """Fit a model for every channel pair, one after another in (c1, c2) order.
 
     Returns (ChannelPairModels, {pair: EmTrace}).
     """
@@ -128,47 +126,28 @@ def fit_model_set(feat_x: np.ndarray, feat_y: np.ndarray, em_config: emfit.EmCon
     cy = feat_y.shape[1]
     ecdfs_x = tuple(empirical_cdf(feat_x[:, c]) for c in range(cx))
     ecdfs_y = tuple(empirical_cdf(feat_y[:, c]) for c in range(cy))
-    pairs = [(c1, c2) for c1 in range(1, cx + 1) for c2 in range(1, cy + 1)]
-
-    def job(pair):
-        c1, c2 = pair
-        return fit_channel_pair(feat_x[:, c1 - 1], feat_y[:, c2 - 1],
-                                ecdfs_x[c1 - 1], ecdfs_y[c2 - 1], em_config)
-
-    if len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=FIT_WORKERS) as pool:
-            results = list(pool.map(job, pairs))
-    else:
-        results = [job(p) for p in pairs]
-    models = {pair: model for pair, (model, _trace) in zip(pairs, results)}
-    traces = {pair: trace for pair, (_model, trace) in zip(pairs, results)}
+    models, traces = {}, {}
+    for c1 in range(1, cx + 1):
+        for c2 in range(1, cy + 1):
+            models[c1, c2], traces[c1, c2] = fit_channel_pair(
+                feat_x[:, c1 - 1], feat_y[:, c2 - 1], ecdfs_x[c1 - 1], ecdfs_y[c2 - 1],
+                em_config)
     return ChannelPairModels(cx=cx, cy=cy, models=models,
                              ecdfs_x=ecdfs_x, ecdfs_y=ecdfs_y), traces
-
-
-def _slic(r: Raster, target: int):
-    # Submitted to the worker by name: it pickles even while a tracer has
-    # swapped segmentation.slic for a closure.
-    return segmentation.slic(r, target)
 
 
 def cosegment_pair(a: Raster, b: Raster, target: int):
     """SLIC both rasters, then intersect the two maps.
 
-    The two SLIC runs share no state, so a forked worker segments ``a``
-    while this process segments ``b``; the labels are those of the two
-    calls run one after the other. On a 2-core x86-64 machine a 256²
-    co-segmentation at 800 superpixels takes 0.24-0.26 s forked against
-    0.33-0.38 s serial (SLIC alone about 0.15 s per raster). The worker is
-    forked because a spawned one would first import numpy and scipy again,
-    about 0.9 s of CPU.
-    When both fail, ``a``'s error is the one raised, as in that serial order.
+    The two SLIC runs share no state, so a worker thread segments ``a``
+    while this thread segments ``b``; the labels are those of the two calls
+    run one after the other. When both fail, ``a``'s error is the one
+    raised, as in that serial order.
     """
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=1, mp_context=fork) as pool:
-        future = pool.submit(_slic, a, target)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        future = pool.submit(segmentation.slic, a, target)
         try:
-            seg_b = _slic(b, target)
+            seg_b = segmentation.slic(b, target)
         finally:
             seg_a = future.result()
     return segmentation.cosegment(seg_a, seg_b)

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# dtype name -> (numpy dtype, payload extension, the one layout it is stored in)
 _DTYPES = {
-    "f32le": (np.dtype("<f4"), "f32"),
-    "u8": (np.dtype("u1"), "u8"),
+    "f32le": (np.dtype("<f4"), "f32", "row-major-bip"),
+    "u8": (np.dtype("u1"), "u8", "row-major"),
 }
-_LAYOUTS = ("row-major-bip", "row-major")
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,8 @@ def _strip_suffix(path: str) -> str:
     return path
 
 
-def _write_container(base: str, arr: np.ndarray, dtype_name: str, layout: str) -> None:
-    dtype, ext = _DTYPES[dtype_name]
+def _write_container(base: str, arr: np.ndarray, dtype_name: str) -> None:
+    dtype, ext, layout = _DTYPES[dtype_name]
     base = _strip_suffix(base)
     if arr.ndim == 2:
         m, n = arr.shape
@@ -76,8 +76,8 @@ def _write_container(base: str, arr: np.ndarray, dtype_name: str, layout: str) -
 
 def _read_container(base: str, dtype_name: str):
     """Header and m x n x c payload of a container whose header names
-    ``dtype_name``; a header that does not, or a payload of another size, is
-    a ValueError naming the key or the byte counts."""
+    ``dtype_name`` and its layout; a header that does not, or a payload of
+    another size, is a ValueError naming the key or the byte counts."""
     base = _strip_suffix(base)
     hdr_path = base + ".hdr.json"
     if not os.path.exists(hdr_path):
@@ -91,14 +91,13 @@ def _read_container(base: str, dtype_name: str):
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ValueError(f"header key {key!r} must be a positive int, got {value!r} "
                              f"in {hdr_path}")
-    layout = header.get("layout")
-    if layout not in _LAYOUTS:
-        raise ValueError(f"header key 'layout' must be one of {', '.join(_LAYOUTS)}, "
-                         f"got {layout!r} in {hdr_path}")
+    dtype, ext, layout = _DTYPES[dtype_name]
+    if header.get("layout") != layout:
+        raise ValueError(f"header key 'layout' must be {layout!r} for {dtype_name}, "
+                         f"got {header.get('layout')!r} in {hdr_path}")
     if header.get("dtype") != dtype_name:
         raise ValueError(f"header key 'dtype' must be {dtype_name!r}, "
                          f"got {header.get('dtype')!r} in {hdr_path}")
-    dtype, ext = _DTYPES[dtype_name]
     payload_path = base + "." + ext
     if not os.path.exists(payload_path):
         raise FileNotFoundError(payload_path)
@@ -120,7 +119,7 @@ def load_raster(path: str) -> Raster:
 
 
 def save_raster(r: Raster, path: str) -> None:
-    _write_container(path, r.data, "f32le", "row-major-bip")
+    _write_container(path, r.data, "f32le")
 
 
 def save_binary_map(bcm: np.ndarray, path: str) -> None:
@@ -128,7 +127,7 @@ def save_binary_map(bcm: np.ndarray, path: str) -> None:
     bcm = np.asarray(bcm)
     if not np.isin(bcm, (0, 1)).all():
         raise ValueError("binary map values must be 0 or 1")
-    _write_container(path, bcm.astype(np.uint8), "u8", "row-major")
+    _write_container(path, bcm.astype(np.uint8), "u8")
 
 
 def load_binary_map(path: str) -> np.ndarray:

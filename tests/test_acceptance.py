@@ -170,8 +170,7 @@ def benchmark_scene(tmp_path_factory):
     return data
 
 
-def _run_detect(data, out, monkeypatch):
-    monkeypatch.setenv("COMIC_THREADS", "1")
+def _run_detect(data, out):
     args = [
         "detect",
         "--pre", os.path.join(data, "pre"),
@@ -189,12 +188,7 @@ def _run_detect(data, out, monkeypatch):
 @pytest.fixture(scope="module")
 def benchmark_run(benchmark_scene, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("run"))
-    monkeypatch = pytest.MonkeyPatch()
-    try:
-        elapsed = _run_detect(benchmark_scene, out, monkeypatch)
-    finally:
-        monkeypatch.undo()
-    return out, elapsed
+    return out, _run_detect(benchmark_scene, out)
 
 
 def test_08_synthetic_benchmark_quality(benchmark_scene, benchmark_run):
@@ -208,11 +202,10 @@ def test_08_synthetic_benchmark_quality(benchmark_scene, benchmark_run):
     assert 0.05 <= bcm.mean() <= 0.20
 
 
-def test_09_benchmark_is_deterministic(benchmark_scene, benchmark_run,
-                                       tmp_path_factory, monkeypatch):
+def test_09_benchmark_is_deterministic(benchmark_scene, benchmark_run, tmp_path_factory):
     first_out, _ = benchmark_run
     second_out = str(tmp_path_factory.mktemp("rerun"))
-    _run_detect(benchmark_scene, second_out, monkeypatch)
+    _run_detect(benchmark_scene, second_out)
     for name in ("bcm.u8", "di.f32"):
         a = open(os.path.join(first_out, name), "rb").read()
         b = open(os.path.join(second_out, name), "rb").read()

@@ -1,7 +1,7 @@
-"""Pipeline orchestration: per-pair fitting, forked co-segmentation, stage
+"""Pipeline orchestration: per-pair fitting, threaded co-segmentation, stage
 errors."""
 
-import multiprocessing
+import threading
 
 import numpy as np
 import pytest
@@ -106,14 +106,16 @@ def test_fit_model_set_covers_all_channel_pairs():
         assert (np.diff(ll) >= -1e-9).all()
 
 
-def test_fit_model_set_threaded_matches_serial():
+def test_fit_model_set_matches_direct_pair_fits():
     rng = np.random.default_rng(4)
     feat_x = rng.normal(size=(200, 2))
     feat_y = rng.normal(size=(200, 3))
     config = emfit.EmConfig()
-    threaded, _ = fit_model_set(feat_x, feat_y, config)
-    assert len(threaded.models) == 6
-    for (c1, c2), model in threaded.models.items():
+    threads = threading.active_count()
+    model_set, _ = fit_model_set(feat_x, feat_y, config)
+    assert threading.active_count() == threads
+    assert list(model_set.models) == [(c1, c2) for c1 in (1, 2) for c2 in (1, 2, 3)]
+    for (c1, c2), model in model_set.models.items():
         direct, _ = _fit_pair(feat_x[:, c1 - 1], feat_y[:, c2 - 1], config)
         assert model == direct
 
@@ -150,13 +152,32 @@ def test_fit_model_set_single_pair_from_sample_columns():
 
 
 @pytest.mark.parametrize("size, bands", [(64, 1), (48, 3)])
-def test_forked_cosegment_pair_matches_in_process_segmentation(size, bands):
+def test_threaded_cosegment_pair_matches_serial_segmentation(size, bands):
     rng = np.random.default_rng(size)
     a = Raster.from_array(rng.normal(size=(size, size, bands)))
     b = Raster.from_array(rng.normal(size=(size, size, bands)) + a.data)
+    threads = threading.active_count()
     got = cosegment_pair(a, b, 60)
-    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
     want = segmentation.cosegment(segmentation.slic(a, 60),
                                   segmentation.slic(b, 60), segmentation.MIN_REGION)
     assert got.count == want.count
     assert got.labels.tobytes() == want.labels.tobytes()
+
+
+def test_cosegment_pair_runs_both_slic_calls_in_this_process(monkeypatch):
+    # Both calls reach a patched segmentation.slic, so a tracer sees them.
+    rng = np.random.default_rng(7)
+    a = Raster.from_array(rng.normal(size=(32, 32)))
+    b = Raster.from_array(rng.normal(size=(32, 32)))
+    calls = []
+    slic = segmentation.slic
+
+    def recording_slic(r, target):
+        calls.append(r)
+        return slic(r, target)
+
+    monkeypatch.setattr(segmentation, "slic", recording_slic)
+    cosegment_pair(a, b, 20)
+    assert len(calls) == 2
+    assert {id(r) for r in calls} == {id(a), id(b)}

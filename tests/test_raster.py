@@ -91,15 +91,24 @@ def test_header_dimensions_must_be_positive_ints(tmp_path, capsys, key, value):
     assert err.startswith("error:") and f"'{key}'" in err
 
 
-@pytest.mark.parametrize("value", ["weird", None, 3])
-def test_header_layout_must_be_known(tmp_path, capsys, value):
+@pytest.mark.parametrize("dtype, value", [
+    ("u8", "weird"), ("u8", None), ("u8", 3),
+    ("f32le", "row-major"), ("u8", "row-major-bip"),  # each dtype has one layout
+], ids=["weird", "None", "3", "f32le-row-major", "u8-row-major-bip"])
+def test_header_layout_must_be_known(tmp_path, capsys, dtype, value):
     base = str(tmp_path / "bad")
     with open(base + ".hdr.json", "w") as fh:
-        json.dump({"m": 2, "n": 2, "c": 1, "dtype": "u8", "layout": value}, fh)
-    np.zeros(4, dtype="u1").tofile(base + ".u8")
+        json.dump({"m": 2, "n": 2, "c": 1, "dtype": dtype, "layout": value}, fh)
+    if dtype == "u8":
+        np.zeros(4, dtype="u1").tofile(base + ".u8")
+        load, args = load_binary_map, ["score", "--bcm", base, "--gt", base]
+    else:
+        np.zeros(4, dtype="<f4").tofile(base + ".f32")
+        load, args = load_raster, ["translate", "--pre", base, "--post", base,
+                                   "--out", str(tmp_path / "t")]
     with pytest.raises(ValueError, match="header key 'layout'"):
-        load_binary_map(base)
-    assert cli.main(["score", "--bcm", base, "--gt", base]) == cli.EXIT_CONTRACT
+        load(base)
+    assert cli.main(args) == cli.EXIT_CONTRACT
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'layout'" in err
 
