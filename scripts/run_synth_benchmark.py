@@ -5,12 +5,13 @@ Generates heterogeneous pairs with known ground truth across a grid of data
 seeds and pipeline seeds, runs the full detection pipeline on each, and
 prints one row per run: KC / Fm / ACC, the acceptance gate (KC >= 0.8 and
 ACC >= 0.95, as in tests/test_acceptance.py::test_08) and the fitted rho,
-theta and w of the channel pair, a `*` marking a value on its bound
-(rho = 0.99, theta = 20), and a digest: the first 12 hex digits of the
-sha256 of the run's di.f32 and bcm.u8 bytes, so that two sweeps with
-byte-identical artifacts print the same digests. A last line gives the
-median and minimum KC and the gate failures. With the defaults each scene
-is perfbench's `scene256` scene for that data seed (at --size 256).
+theta and w of the channel pair, a `*` marking a value on either end of
+the box EM fits in (rho = 0.01 or 0.99, theta = 0.1 or 20), and a digest:
+the first 12 hex digits of the sha256 of the run's di.f32 and bcm.u8
+bytes, so that two sweeps with byte-identical artifacts print the same
+digests. A last line gives the median and minimum KC and the gate
+failures. With the defaults each scene is perfbench's `scene256` scene for
+that data seed (at --size 256).
 
 Example:
     python3 scripts/run_synth_benchmark.py --size 256 --data-seeds 0 1 2 \
@@ -27,7 +28,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from copcd.copula import RHO_MAX, THETA_MAX, CopulaMixtureModel  # noqa: E402
+from copcd.copula import RHO_MAX, RHO_MIN, THETA_MAX, THETA_MIN, CopulaMixtureModel  # noqa: E402
 from copcd.pipeline import PipelineConfig, run_detect, write_artifacts  # noqa: E402
 from copcd.raster import save_binary_map, save_raster  # noqa: E402
 from copcd.synth import SynthConfig, generate_pair  # noqa: E402
@@ -67,8 +68,8 @@ def run_one(size, rho, w, data_seed, pipeline_seed, ns_model, ns_test, alpha,
         "kc": report.kc, "fm": report.fm, "acc": report.acc,
         "gate": "pass" if report.kc >= KC_GATE and report.acc >= ACC_GATE else "fail",
         "rho": fitted.rho, "theta": fitted.theta, "w": fitted.w,
-        "rho_on_bound": fitted.rho == RHO_MAX,
-        "theta_on_bound": fitted.theta == THETA_MAX,
+        "rho_on_bound": fitted.rho in (RHO_MIN, RHO_MAX),
+        "theta_on_bound": fitted.theta in (THETA_MIN, THETA_MAX),
         "sec": elapsed, "digest": digest.hexdigest()[:12],
     }
 

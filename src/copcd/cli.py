@@ -38,7 +38,6 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ns-test", dest="ns_test", type=int)
     p.add_argument("--alpha", type=float)
     p.add_argument("--eps", type=float)
-    p.add_argument("--pca", type=int)
     p.add_argument("--seed", type=int)
 
 

@@ -324,8 +324,9 @@ def load_model_set(path: str) -> ChannelPairModels:
     A file of another version (a parameters-only file included), a cx or cy
     that is not a positive int, a column count that differs from cx/cy, a
     malformed column or record, an n_train other than the length of the
-    training columns, a rho or theta outside the box EM fits in, or a pair
-    grid that is not exactly cx x cy raises ValueError naming the field.
+    training columns, a rho or theta outside the box EM fits in, or pair
+    keys other than exactly the ``"c1,c2"`` spellings of the cx x cy grid
+    raises ValueError naming the field.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -340,9 +341,16 @@ def load_model_set(path: str) -> ChannelPairModels:
     ecdfs_x = _training_ecdfs(doc, "x", "cx")
     ecdfs_y = _training_ecdfs(doc, "y", "cy")
     lengths = {e.n for e in ecdfs_x + ecdfs_y}
+    pairs = doc.get("pairs")
+    if not isinstance(pairs, dict):
+        raise ValueError("model field 'pairs' must be an object")
+    grid = [(c1, c2) for c1 in range(1, doc["cx"] + 1) for c2 in range(1, doc["cy"] + 1)]
+    keys = {f"{c1},{c2}" for c1, c2 in grid}
+    if set(pairs) != keys:
+        raise ValueError(f"model field 'pairs' must have the 'c1,c2' keys of the cx x cy grid: "
+                         f"missing {sorted(keys - set(pairs))}, extra {sorted(set(pairs) - keys)}")
     try:
-        models = {tuple(int(t) for t in key.split(",")): _pair_model(rec, lengths)
-                  for key, rec in doc["pairs"].items()}
+        models = {(c1, c2): _pair_model(pairs[f"{c1},{c2}"], lengths) for c1, c2 in grid}
         return ChannelPairModels(cx=doc["cx"], cy=doc["cy"], models=models,
                                  ecdfs_x=ecdfs_x, ecdfs_y=ecdfs_y)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -53,9 +53,6 @@ class EmTrace:
     rows: list = field(default_factory=list)  # (iter, l, rho, theta, w, mean_gamma1)
     status: str = STATUS_MAX_ITERS
 
-    def log_likelihoods(self) -> np.ndarray:
-        return np.array([r[1] for r in self.rows])
-
 
 def _validate_data(u, v):
     u = np.asarray(u, dtype=np.float64)

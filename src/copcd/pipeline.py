@@ -30,7 +30,6 @@ from .raster import (
     export_graymap,
     load_binary_map,
     load_raster,
-    pca_reduce,
     save_binary_map,
     save_raster,
 )
@@ -51,7 +50,6 @@ class PipelineConfig:
     ns_test: int = 2000
     alpha: float = 5.0
     eps: float = 0.01
-    pca: int = None
     seed: int = 0
 
     def __post_init__(self):
@@ -68,8 +66,6 @@ class PipelineConfig:
             if not math.isfinite(value) or value < 0 or (positive and value == 0):
                 raise ValueError(f"config field {name!r} must be finite and "
                                  f"{'> 0' if positive else '>= 0'}, got {value!r}")
-        if self.pca is not None and self.pca < 1:
-            raise ValueError(f"config field 'pca' must be >= 1, got {self.pca!r}")
         if self.seed < 0:
             raise ValueError(f"config field 'seed' must be >= 0, got {self.seed!r}")
 
@@ -166,15 +162,10 @@ def write_traces_csv(traces: dict, path: str) -> None:
 
 
 def _load_pair(config: PipelineConfig):
-    """Load the pre/post rasters and PCA-reduce them if asked."""
+    """Load the pre/post rasters."""
     if config.pre is None or config.post is None:
         raise StageError("load", ValueError("--pre and --post are required"))
-    x = _stage("load", load_raster, config.pre)
-    y = _stage("load", load_raster, config.post)
-    if config.pca is not None:
-        x = _stage("pca", pca_reduce, x, min(config.pca, x.channels))
-        y = _stage("pca", pca_reduce, y, min(config.pca, y.channels))
-    return x, y
+    return _stage("load", load_raster, config.pre), _stage("load", load_raster, config.post)
 
 
 def run_fit(config: PipelineConfig) -> dict:

@@ -1,4 +1,4 @@
-"""Multiband raster container with bit-exact file I/O and PCA band reduction.
+"""Multiband raster container with bit-exact file I/O.
 
 A raster on disk is a two-part container: ``<name>.hdr.json`` holding the
 dimensions/dtype and ``<name>.<ext>`` holding the raw little-endian payload.
@@ -138,30 +138,6 @@ def load_binary_map(path: str) -> np.ndarray:
     if not np.isin(out, (0, 1)).all():
         raise ValueError("binary map values must be 0 or 1")
     return out
-
-
-def pca_reduce(r: Raster, k: int) -> Raster:
-    """Project per-pixel channel vectors onto the top-k principal components.
-
-    Components are ordered by descending explained variance; each component's
-    sign is fixed so its largest-magnitude loading is positive.
-    """
-    if not 1 <= k <= r.channels:
-        raise ValueError(f"k={k} out of range [1, {r.channels}]")
-    if r.height * r.width < 2:
-        raise ValueError("PCA requires at least 2 pixels")
-    flat = r.data.reshape(-1, r.channels).astype(np.float64)
-    centered = flat - flat.mean(axis=0)
-    cov = centered.T @ centered / (flat.shape[0] - 1)
-    evals, evecs = np.linalg.eigh(cov)
-    order = np.argsort(evals)[::-1][:k]
-    comps = evecs[:, order]
-    for j in range(comps.shape[1]):
-        i_max = np.argmax(np.abs(comps[:, j]))
-        if comps[i_max, j] < 0:
-            comps[:, j] = -comps[:, j]
-    scores = centered @ comps
-    return Raster(r.height, r.width, k, scores.reshape(r.height, r.width, k).astype(np.float32))
 
 
 def export_graymap(values: np.ndarray, path: str) -> None:

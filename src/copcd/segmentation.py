@@ -30,9 +30,6 @@ class SegmentationMap:
             raise ValueError("label array shape mismatch")
         self.labels.setflags(write=False)
 
-    def region_sizes(self) -> np.ndarray:
-        return np.bincount(self.labels.ravel() - 1, minlength=self.count)
-
 
 def _relabel_contiguous(labels: np.ndarray) -> SegmentationMap:
     uniq, inv = np.unique(labels, return_inverse=True)

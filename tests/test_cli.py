@@ -139,7 +139,7 @@ def pairs_raster(tmp_path):
     (["--pre", "nope"], {}, "pre"),
     (["--post", "nope"], {}, "post"),
     (["--translated", "nope"], {}, "translated"),
-    (["--pca", "3"], {}, "pca"),
+    (["--gt", "nope"], {}, "gt"),
     (["--ns-model", "50000"], {}, "ns_model"),
     (["--alpha", "3"], {}, "alpha"),
     (["--seed", "1"], {}, "seed"),
@@ -191,9 +191,9 @@ def test_cli_import_leaves_out_verification_maths(tmp_path, pairs_raster):
 
 def test_unknown_config_key_is_contract_error(tmp_path, capsys):
     # translate_method was a field; histogram matching is now the only
-    # built-in translation.
+    # built-in translation. pca was a field; there is no band reduction.
     cfg = tmp_path / "cfg.json"
-    for key in ("bogus_key", "translate_method"):
+    for key in ("bogus_key", "translate_method", "pca"):
         cfg.write_text(json.dumps({key: "histogram_match"}))
         code = cli.main(["detect", "--config", str(cfg)])
         assert code == cli.EXIT_CONTRACT
@@ -207,6 +207,7 @@ def test_unknown_config_key_is_contract_error(tmp_path, capsys):
     # theta's range is the box copula.THETA_MIN to copula.THETA_MAX
     ["detect", "--theta-max", "3"],
     ["fit", "--pairs", "pairs", "--theta-max", "3"],
+    ["detect", "--pca", "2"],  # there is no band reduction
 ])
 def test_removed_translation_flags_are_contract_errors(capsys, args):
     assert cli.main(args) == cli.EXIT_CONTRACT
@@ -225,7 +226,7 @@ def test_pipeline_flags_match_config_fields(command, extra):
     ({"ns_model": "400"}, "ns_model"),
     ({"ns_test": True}, "ns_test"),
     ({"alpha": "5"}, "alpha"),
-    ({"pca": 2.0}, "pca"),
+    ({"seed": 1.5}, "seed"),
 ])
 def test_mistyped_config_value_is_contract_error(tmp_path, capsys, values, key):
     cfg = tmp_path / "cfg.json"
@@ -241,11 +242,12 @@ def test_mistyped_config_value_is_contract_error(tmp_path, capsys, values, key):
     *[(key, value) for key in ("alpha", "eps", "theta_max")
       for value in (float("nan"), float("inf"), float("-inf"))],
     ("alpha", -1.0), ("eps", 0.0), ("eps", -1e-3), ("theta_max", 0.0),
-    ("theta_max", -2.0), ("theta_max", 20.0), ("pca", 0), ("pca", -1), ("seed", -1),
-    # SLIC compactness and theta's range are constants, so these keys are
-    # refused whatever their value.
+    ("theta_max", -2.0), ("theta_max", 20.0), ("seed", -1),
+    # SLIC compactness and theta's range are constants, and there is no band
+    # reduction, so these keys are refused whatever their value.
     *[("compactness", value)
       for value in (float("nan"), float("inf"), float("-inf"), 0.0, -10.0)],
+    ("pca", 0), ("pca", -1),
 ])
 def test_out_of_range_config_value_is_contract_error(tmp_path, capsys, key, value):
     # JSON carries NaN and Infinity as bare literals; each must be refused
@@ -420,6 +422,9 @@ def _three_band(doc):
     (lambda d: d.update(x=d["x"] * 2), "'x'"),
     (lambda d: d["pairs"].pop("1,1"), "'pairs'"),
     (lambda d: d["pairs"].update({"1,2": d["pairs"]["1,1"]}), "'pairs'"),
+    *[(lambda d, k=key: d["pairs"].update({k: d["pairs"].pop("1,1")}), "'pairs'")
+      for key in ("01,1", " 1,1", "+1,1")],
+    (lambda d: d["pairs"].update({"01,1": d["pairs"]["1,1"]}), "'pairs'"),
     (_three_band, "cx=3"),
     *[(lambda d, v=value: d["pairs"]["1,1"].update(theta=v), "'pairs': theta")
       for value in (float("nan"), float("inf"), 1e308)],
@@ -434,7 +439,8 @@ def _three_band(doc):
     *[(lambda d, f=field, v=value: d.update({f: v}), f"'{field}'")
       for field, value in (("cx", True), ("cx", 1.0), ("cy", 0))],
 ], ids=["parameters-only", "version-3", "not-base64", "bytes-not-multiple-of-8",
-        "nan", "two-x-columns", "missing-pair", "extra-pair", "three-band-model",
+        "nan", "two-x-columns", "missing-pair", "extra-pair", "pair-key-01,1",
+        "pair-key-space-1,1", "pair-key-+1,1", "pair-key-duplicate-01,1", "three-band-model",
         "theta-nan", "theta-inf", "theta-1e308", "n_train-2.5", "n_train-true",
         "n_train-string", "n_train-1e308", "n_train-off-by-one", "theta-true", "w-true",
         "w-false", "rho-false", "w-string", "theta-1e-17", "theta-50", "rho-0.995",

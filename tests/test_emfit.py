@@ -36,7 +36,7 @@ from copcd.raster import Raster, save_raster
 
 
 def assert_monotone(trace, slack=1e-9):
-    ll = trace.log_likelihoods()
+    ll = np.array([row[1] for row in trace.rows])
     assert (np.diff(ll) >= -slack).all(), f"likelihood decreased: {ll}"
 
 

@@ -1,4 +1,4 @@
-"""Raster container I/O, PCA reduction, and graymap export."""
+"""Raster container I/O and graymap export."""
 
 import json
 
@@ -14,7 +14,6 @@ from copcd.raster import (
     export_graymap,
     load_binary_map,
     load_raster,
-    pca_reduce,
     save_binary_map,
     save_raster,
 )
@@ -176,67 +175,6 @@ def test_binary_map_round_trip_and_validation(tmp_path):
     assert np.array_equal(load_binary_map(base), bcm)
     with pytest.raises(ValueError):
         save_binary_map(np.array([[2]]), str(tmp_path / "b2"))
-
-
-# --- PCA ---
-
-
-def test_pca_rank_one_explains_everything():
-    rng = np.random.default_rng(1)
-    direction = np.array([1.0, -2.0, 0.5])
-    weights = rng.normal(size=(6, 6, 1))
-    r = Raster.from_array((weights * direction).astype(np.float32))
-    out = pca_reduce(r, 1)
-    flat = r.data.reshape(-1, 3).astype(np.float64)
-    total = ((flat - flat.mean(axis=0)) ** 2).sum()
-    kept = (out.data.astype(np.float64) ** 2).sum()
-    assert kept == pytest.approx(total, rel=1e-5)
-
-
-def test_pca_full_rank_preserves_total_variance():
-    rng = np.random.default_rng(2)
-    r = Raster.from_array(rng.normal(size=(10, 10, 4)).astype(np.float32))
-    out = pca_reduce(r, 4)
-    flat = r.data.reshape(-1, 4).astype(np.float64)
-    total = ((flat - flat.mean(axis=0)) ** 2).sum()
-    assert (out.data.astype(np.float64) ** 2).sum() == pytest.approx(total, rel=1e-5)
-
-
-def test_pca_matches_eigendecomposition_oracle():
-    rng = np.random.default_rng(3)
-    r = Raster.from_array(rng.normal(size=(16, 16, 7)).astype(np.float32))
-    out = pca_reduce(r, 2)
-
-    flat = r.data.reshape(-1, 7).astype(np.float64)
-    centered = flat - flat.mean(axis=0)
-    evals, evecs = np.linalg.eigh(centered.T @ centered / (len(flat) - 1))
-    order = np.argsort(evals)[::-1][:2]
-    comps = evecs[:, order]
-    for j in range(2):
-        if comps[np.argmax(np.abs(comps[:, j])), j] < 0:
-            comps[:, j] = -comps[:, j]
-    expected = centered @ comps
-    assert np.allclose(out.data.reshape(-1, 2), expected, atol=1e-4)
-
-
-def test_pca_scores_uncorrelated_and_variance_ordered():
-    rng = np.random.default_rng(4)
-    r = Raster.from_array(rng.normal(size=(12, 12, 5)).astype(np.float32))
-    out = pca_reduce(r, 3)
-    scores = out.data.reshape(-1, 3).astype(np.float64)
-    cov = np.cov(scores, rowvar=False)
-    variances = np.diag(cov)
-    assert np.all(np.diff(variances) <= 1e-9)
-    off = cov - np.diag(variances)
-    assert np.abs(off).max() < 1e-4 * variances.max()
-
-
-def test_pca_k_out_of_range():
-    r = Raster.from_array(np.zeros((2, 2, 2), dtype=np.float32))
-    with pytest.raises(ValueError):
-        pca_reduce(r, 3)
-    with pytest.raises(ValueError):
-        pca_reduce(r, 0)
 
 
 # --- PGM export ---

@@ -52,8 +52,8 @@ def test_row_reports_the_gate_and_the_fitted_pair(sweep, tmp_path):
                                                     fitted["w"])
     assert row["gate"] == ("pass" if report["kc"] >= 0.8 and report["acc"] >= 0.95
                            else "fail")
-    assert row["rho_on_bound"] == (fitted["rho"] == 0.99)
-    assert row["theta_on_bound"] == (fitted["theta"] == 20.0)
+    assert row["rho_on_bound"] == (fitted["rho"] in (0.01, 0.99))
+    assert row["theta_on_bound"] == (fitted["theta"] in (0.1, 20.0))
     artifacts = (out / "di.f32").read_bytes() + (out / "bcm.u8").read_bytes()
     assert row["digest"] == hashlib.sha256(artifacts).hexdigest()[:12]
 
@@ -61,6 +61,9 @@ def test_row_reports_the_gate_and_the_fitted_pair(sweep, tmp_path):
     assert line.split()[:2] == ["5", "0"] and row["gate"] in line.split()
     assert line.count("*") == row["rho_on_bound"] + row["theta_on_bound"]
     assert line.split()[-1] == row["digest"]
+    # A fit at theta's lower end is marked as one at its upper end is.
+    low = dict(row, rho=0.5, theta=0.1, rho_on_bound=False, theta_on_bound=True)
+    assert "0.100*" in sweep.format_row(low) and sweep.format_row(low).count("*") == 1
     rows = [{"kc": 0.9, "gate": "pass"}, {"kc": 0.5, "gate": "fail"},
             {"kc": 0.7, "gate": "fail"}]
     assert sweep.summary(rows) == "KC median 0.700 min 0.500; gate failures 2/3"

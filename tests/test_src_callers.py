@@ -1,7 +1,8 @@
-"""Every public module-level function in copcd has a caller outside the
-tests: in src/, in the benchmark harness or in scripts/. Code that only
-tests call belongs in tests/, the way ``copula_oracle.py`` holds the
-densities and CDFs that verify the log densities."""
+"""Every public module-level function and every public method of a public
+class in copcd has a caller outside the tests: in src/, in the benchmark
+harness or in scripts/. Code that only tests call belongs in tests/, the
+way ``copula_oracle.py`` holds the densities and CDFs that verify the log
+densities."""
 
 import ast
 from pathlib import Path
@@ -11,8 +12,9 @@ ENTRY_POINTS = {"cli.main"}  # the console script of pyproject.toml
 
 
 def _uncalled(modules: dict, callers: list) -> list:
-    """'module.function' for each public module-level function of `modules`
-    (module name -> source) that no source in `modules` or `callers` names."""
+    """'module.function' for each public module-level function and
+    'module.Class.method' for each public method of `modules` (module name
+    -> source) that no source in `modules` or `callers` names."""
     named = set()
     for source in [*modules.values(), *callers]:
         for node in ast.walk(ast.parse(source)):
@@ -20,10 +22,26 @@ def _uncalled(modules: dict, callers: list) -> list:
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
-    return sorted(f"{module}.{node.name}" for module, source in modules.items()
-                  for node in ast.parse(source).body
-                  if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-                  and node.name not in named)
+    return sorted(f"{module}.{name}" for module, source in modules.items()
+                  for name in _public_functions(ast.parse(source).body)
+                  if name.rsplit(".", 1)[-1] not in named)
+
+
+def _public_functions(body: list) -> list:
+    """'function' for each public function of a module body and
+    'Class.method' for each public method of its public classes."""
+    names = []
+    for node in body:
+        if _is_public(node, ast.FunctionDef):
+            names.append(node.name)
+        elif _is_public(node, ast.ClassDef):
+            names += [f"{node.name}.{m.name}" for m in node.body
+                      if _is_public(m, ast.FunctionDef)]
+    return names
+
+
+def _is_public(node, kind) -> bool:
+    return isinstance(node, kind) and not node.name.startswith("_")
 
 
 def test_every_public_function_has_a_caller_outside_the_tests():
@@ -39,3 +57,11 @@ def test_checker_flags_a_function_nothing_calls():
                "n": "import m\n\ndef k():\n    return m.g\n"}
     assert _uncalled(modules, []) == ["n.k"]
     assert _uncalled(modules, ["from n import k\nk()\n"]) == []
+
+
+def test_checker_flags_a_method_nothing_calls():
+    modules = {"m": "class A:\n    def f(self):\n        return self.g()\n\n"
+                    "    def g(self):\n        pass\n\n    def _h(self):\n        pass\n\n"
+                    "class _B:\n    def k(self):\n        pass\n"}
+    assert _uncalled(modules, []) == ["m.A.f"]
+    assert _uncalled(modules, ["from m import A\nA().f()\n"]) == []
