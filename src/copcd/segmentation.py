@@ -6,8 +6,7 @@ import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
+from scipy import ndimage
 
 from .raster import Raster
 
@@ -32,31 +31,30 @@ class SegmentationMap:
 
 
 def _relabel_contiguous(labels: np.ndarray) -> SegmentationMap:
-    uniq, inv = np.unique(labels, return_inverse=True)
-    out = (inv + 1).reshape(labels.shape).astype(np.int64)
-    return SegmentationMap(labels.shape[0], labels.shape[1], len(uniq), out)
+    """Number the non-negative values of ``labels`` 1, 2, ... in value order."""
+    rank = np.zeros(int(labels.max()) + 1, dtype=np.int64)
+    rank[labels.ravel()] = 1
+    np.cumsum(rank, out=rank)
+    return SegmentationMap(labels.shape[0], labels.shape[1], int(rank[-1]),
+                           rank[labels])
 
 
 def _connected_regions(code: np.ndarray) -> np.ndarray:
-    """Split equal-valued 4-connected groups of `code` into distinct labels."""
+    """Split equal-valued 4-connected groups of `code` into distinct labels,
+    numbered 0, 1, ... in the scan order of each group's first pixel.
+
+    ``ndimage.label`` runs on a (2m - 1) x (2n - 1) grid: pixel (i, j) is
+    cell (2i, 2j), and the cell between two 4-neighbours is set where their
+    codes are equal. A group's first cell in scan order is a pixel, so the
+    grid's scan order numbers the groups as the pixels' does.
+    """
     m, n = code.shape
-    # int32 pixel indices, while they reach every pixel, halve the graph.
-    index_type = np.int32 if m * n < 2 ** 31 else np.int64
-    idx = np.arange(m * n, dtype=index_type).reshape(m, n)
-    rows, cols = [], []
-    horiz = code[:, :-1] == code[:, 1:]
-    rows.append(idx[:, :-1][horiz])
-    cols.append(idx[:, 1:][horiz])
-    vert = code[:-1, :] == code[1:, :]
-    rows.append(idx[:-1, :][vert])
-    cols.append(idx[1:, :][vert])
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    graph = sparse.coo_matrix(
-        (np.ones(len(r), dtype=np.int8), (r, c)), shape=(m * n, m * n)
-    )
-    _, comp = connected_components(graph, directed=False)
-    return comp.reshape(m, n)
+    grid = np.zeros((2 * m - 1, 2 * n - 1), dtype=bool)
+    grid[::2, ::2] = True
+    grid[::2, 1::2] = code[:, :-1] == code[:, 1:]
+    grid[1::2, ::2] = code[:-1, :] == code[1:, :]
+    comp, _ = ndimage.label(grid)
+    return comp[::2, ::2] - 1
 
 
 def slic(r: Raster, target_count: int) -> SegmentationMap:
@@ -92,8 +90,11 @@ def slic(r: Raster, target_count: int) -> SegmentationMap:
     k = len(centers_pos)
     win = int(np.ceil(spacing))
     ratio = COMPACTNESS / spacing
-    yy, xx = np.mgrid[0:m, 0:n].astype(np.float64)
     pixels = data.reshape(m * n, -1)
+    # Rows y, x and the bands, each pixel in row-major order.
+    planes = np.empty((2 + pixels.shape[1], m * n))
+    planes[0], planes[1] = np.divmod(np.arange(m * n), n)
+    planes[2:] = pixels.T
     # Each block's windows hold at most m * n pixel entries.
     block = max(1, (m * n) // (2 * win + 1) ** 2)
 
@@ -104,7 +105,7 @@ def slic(r: Raster, target_count: int) -> SegmentationMap:
             ids = slice(b0, b0 + block)
             _assign_block(pixels, (m, n), centers_pos[ids], centers_col[ids], b0,
                           win, ratio, best, assign)
-        _update_centers(assign, yy, xx, data, centers_pos, centers_col)
+        _update_centers(assign, planes, centers_pos, centers_col)
     return _enforce_connectivity(assign.reshape(m, n))
 
 
@@ -116,10 +117,14 @@ def _assign_block(pixels, shape, pos, col, first, win, ratio, best, assign) -> N
 
     Every distance is bit-identical to the one-centre loop of
     ``tests/segmentation_oracle.py``: the same float64 expressions in the
-    same order. Window indices are clipped to the image. A centre lies in
-    the image, so a clipped index names an edge pixel its window already
-    holds, at the same distance from the same centre: the duplicate entries
-    change no minimum and no tie.
+    same order, except that one band's colour distance is ``|x - c|``, which
+    equals ``sqrt((x - c) ** 2)`` because the square of a difference of
+    finite float32 values and their means neither overflows nor underflows.
+    Window indices are clipped to the image. A centre lies in the image, so
+    a clipped index names an edge pixel its window already holds, at the
+    same distance from the same centre: the duplicate entries change no
+    minimum and no tie. The scratch arrays cover only the band of rows the
+    windows touch.
     """
     m, n = shape
     width = 2 * win + 1
@@ -127,29 +132,39 @@ def _assign_block(pixels, shape, pos, col, first, win, ratio, best, assign) -> N
     corner = pos.astype(np.int64)  # int() of a non-negative float
     rows = (corner[:, 0, None] + offsets).clip(0, m - 1)
     cols = (corner[:, 1, None] + offsets).clip(0, n - 1)
-    pix = (rows[:, :, None] * n + cols[:, None, :]).ravel()
-    patch = pixels[pix].reshape(len(pos), width, width, -1)
-    d_color = np.sqrt(((patch - col[:, None, None]) ** 2).sum(axis=3))
+    top, bottom = rows[:, 0].min(), rows[:, -1].max() + 1
+    band = slice(top * n, bottom * n)
+    pix = ((rows - top)[:, :, None] * n + cols[:, None, :]).ravel()
+    patch = np.take(pixels[band], pix, axis=0).reshape(len(pos), width, width, -1)
+    patch -= col[:, None, None]
+    if patch.shape[3] == 1:
+        d_color = np.abs(patch, out=patch)[..., 0]
+    else:
+        d_color = np.sqrt(np.square(patch, out=patch).sum(axis=3))
     dy2 = (rows - pos[:, 0, None]) ** 2
     dx2 = (cols - pos[:, 1, None]) ** 2
-    d = (d_color + ratio * np.sqrt(dy2[:, :, None] + dx2[:, None, :])).ravel()
-    block_best = np.full(m * n, np.inf)
+    d = dy2[:, :, None] + dx2[:, None, :]
+    np.sqrt(d, out=d)
+    d *= ratio
+    d += d_color
+    d = d.ravel()
+    block_best = np.full((bottom - top) * n, np.inf)
     np.minimum.at(block_best, pix, d)
     ties = np.flatnonzero(d == block_best[pix])
-    owner = np.full(m * n, first + len(pos))
+    owner = np.full(block_best.size, first + len(pos))
     np.minimum.at(owner, pix[ties], first + ties // width ** 2)
     # A tie with an earlier block keeps the earlier centre, as in the loop.
-    better = block_best < best
-    best[better] = block_best[better]
-    assign[better] = owner[better]
+    band_best = best[band]
+    better = block_best < band_best
+    band_best[better] = block_best[better]
+    assign[band][better] = owner[better]
 
 
-def _update_centers(assign, yy, xx, data, centers_pos, centers_col) -> None:
+def _update_centers(assign, planes, centers_pos, centers_col) -> None:
     """Move each non-empty cluster's centre to the mean position and colour
-    of its pixels, with sums taken in pixel order, in place."""
-    flat = assign.ravel()
-    planes = np.column_stack([yy.ravel(), xx.ravel(), data.reshape(flat.size, -1)])
-    counts, sums = _region_sums(flat, planes, len(centers_pos))
+    of its pixels, with sums taken in pixel order, in place. ``planes`` holds
+    the rows y, x and the bands of the pixels ``assign`` labels."""
+    counts, sums = _region_sums(assign, planes, len(centers_pos))
     nz = counts > 0
     means = sums[nz] / counts[nz, None]
     centers_pos[nz] = means[:, :2]
@@ -157,11 +172,11 @@ def _update_centers(assign, yy, xx, data, centers_pos, centers_col) -> None:
 
 
 def _region_sums(flat, planes, k):
-    """Pixel count and column sums of ``planes`` (pixels x columns) of each
+    """Pixel count and per-plane sums of ``planes`` (planes x pixels) of each
     label in [0, k); ``np.bincount`` adds each label's pixels in pixel order."""
     counts = np.bincount(flat, minlength=k)
-    sums = np.column_stack([np.bincount(flat, weights=col, minlength=k)
-                            for col in planes.T])
+    sums = np.column_stack([np.bincount(flat, weights=plane, minlength=k)
+                            for plane in planes])
     return counts, sums
 
 
@@ -245,18 +260,26 @@ def _boundary_pairs(labels: np.ndarray):
 
 
 def _absorb_small(labels: np.ndarray, min_region: int) -> np.ndarray:
-    """Merge regions below min_region in the order :func:`cosegment` states."""
+    """Merge regions below min_region in the order :func:`cosegment` states.
+
+    Only a region below min_region is ever popped, and sizes only grow, so
+    only those regions get a neighbour map (shared boundary length per
+    neighbour); the maps of the others would never be read.
+    """
     n_lab = int(labels.max()) + 1
-    sizes = np.bincount(labels.ravel(), minlength=n_lab).tolist()
-    alive = sum(1 for sz in sizes if sz > 0)
-    # Region adjacency graph: shared boundary length between each pair.
+    counts = np.bincount(labels.ravel(), minlength=n_lab)
+    small = (counts > 0) & (counts < min_region)
+    sizes = counts.tolist()
+    alive = int(np.count_nonzero(counts))
     p, q = _boundary_pairs(labels.astype(np.int64))
-    uniq, counts = np.unique(np.concatenate([p * n_lab + q, q * n_lab + p]),
+    own, other = np.concatenate([p, q]), np.concatenate([q, p])
+    mapped = small[own]
+    uniq, shared = np.unique(own[mapped] * n_lab + other[mapped],
                              return_counts=True)
     adj = {}
-    for code, cnt in zip(uniq.tolist(), counts.tolist()):
+    for code, cnt in zip(uniq.tolist(), shared.tolist()):
         adj.setdefault(code // n_lab, {})[code % n_lab] = cnt
-    heap = [(sz, lab) for lab, sz in enumerate(sizes) if 0 < sz < min_region]
+    heap = [(sizes[lab], lab) for lab in np.flatnonzero(small).tolist()]
     heapq.heapify(heap)
     parent = np.arange(n_lab)
     while heap and alive > 1:
@@ -266,13 +289,16 @@ def _absorb_small(labels: np.ndarray, min_region: int) -> np.ndarray:
         nbrs = adj.pop(lab)
         target = max(nbrs, key=lambda nb: (nbrs[nb], -nb))
         del nbrs[target]
-        tgt_nbrs = adj[target]
-        del tgt_nbrs[lab]
+        tgt_nbrs = adj.get(target)
+        if tgt_nbrs is not None:
+            del tgt_nbrs[lab]
+            for nb, cnt in nbrs.items():
+                tgt_nbrs[nb] = tgt_nbrs.get(nb, 0) + cnt
         for nb, cnt in nbrs.items():
-            tgt_nbrs[nb] = tgt_nbrs.get(nb, 0) + cnt
-            nb_nbrs = adj[nb]
-            del nb_nbrs[lab]
-            nb_nbrs[target] = nb_nbrs.get(target, 0) + cnt
+            nb_nbrs = adj.get(nb)
+            if nb_nbrs is not None:
+                del nb_nbrs[lab]
+                nb_nbrs[target] = nb_nbrs.get(target, 0) + cnt
         sizes[target] += size
         sizes[lab] = 0
         alive -= 1
@@ -289,5 +315,5 @@ def extract_features(r: Raster, seg: SegmentationMap) -> np.ndarray:
     if (r.height, r.width) != (seg.height, seg.width):
         raise ValueError("raster/segmentation dimensions differ")
     counts, sums = _region_sums(seg.labels.ravel() - 1,
-                                r.data.reshape(-1, r.channels), seg.count)
+                                r.data.reshape(-1, r.channels).T, seg.count)
     return sums / counts[:, None]

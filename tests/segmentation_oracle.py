@@ -6,7 +6,9 @@ updates each centre through a full-image ``assign == ci`` mask
 (``update_centers``), whose mean is a running sum from 0.0 over the masked
 pixels in row-major order (pixel order) divided by their count; and
 ``enforce_connectivity`` picks each cluster's kept component with one mask
-per cluster and grows the orphans over whole-image shifted copies. They are
+per cluster and grows the orphans over whole-image shifted copies;
+``connected_regions`` labels components with a sparse pixel graph and
+``relabel_contiguous`` renumbers labels by an ``np.unique`` sort. They are
 slow (O(regions x pixels), O(k x pixels) per iteration and
 O(k x components)) but state the rules plainly, so the tests compare
 ``copcd.segmentation`` against them label for label and the centres bit
@@ -14,15 +16,38 @@ for bit.
 """
 
 import numpy as np
-from scipy import ndimage
+from scipy import ndimage, sparse
+from scipy.sparse.csgraph import connected_components
 
 from copcd.segmentation import (
     COMPACTNESS,
     SLIC_ITERS,
+    SegmentationMap,
     _boundary_pairs,
-    _connected_regions,
-    _relabel_contiguous,
 )
+
+
+def relabel_contiguous(labels: np.ndarray) -> SegmentationMap:
+    """Number the distinct values of ``labels`` 1, 2, ... in sorted order."""
+    uniq, inv = np.unique(labels, return_inverse=True)
+    out = (inv + 1).reshape(labels.shape).astype(np.int64)
+    return SegmentationMap(labels.shape[0], labels.shape[1], len(uniq), out)
+
+
+def connected_regions(code: np.ndarray) -> np.ndarray:
+    """Label the 4-connected groups of equal ``code`` values as the connected
+    components of the pixel graph whose edges join equal 4-neighbours."""
+    m, n = code.shape
+    idx = np.arange(m * n).reshape(m, n)
+    horiz = code[:, :-1] == code[:, 1:]
+    vert = code[:-1, :] == code[1:, :]
+    r = np.concatenate([idx[:, :-1][horiz], idx[:-1, :][vert]])
+    c = np.concatenate([idx[:, 1:][horiz], idx[1:, :][vert]])
+    graph = sparse.coo_matrix(
+        (np.ones(len(r), dtype=np.int8), (r, c)), shape=(m * n, m * n)
+    )
+    _, comp = connected_components(graph, directed=False)
+    return comp.reshape(m, n)
 
 
 def absorb_small(labels: np.ndarray, min_region: int) -> np.ndarray:
@@ -115,7 +140,7 @@ def update_centers(assign, yy, xx, data, centers_pos, centers_col) -> None:
 def enforce_connectivity(assign: np.ndarray, k: int):
     """Keep each cluster's largest component; merge orphan components into
     the adjacent kept region with the most pixels."""
-    comp = _connected_regions(assign)
+    comp = connected_regions(assign)
     n_comp = comp.max() + 1
     comp_sizes = np.bincount(comp.ravel(), minlength=n_comp)
     comp_cluster = np.full(n_comp, -1, dtype=np.int64)
@@ -154,4 +179,4 @@ def enforce_connectivity(assign: np.ndarray, k: int):
             final[orphan] = candidates[orphan]
             break
         final[progressed] = best_nb[progressed]
-    return _relabel_contiguous(final)
+    return relabel_contiguous(final)

@@ -15,7 +15,9 @@ from copcd.segmentation import (
     SLIC_ITERS,
     SegmentationMap,
     _absorb_small,
+    _connected_regions,
     _enforce_connectivity,
+    _relabel_contiguous,
     _update_centers,
     cosegment,
     extract_features,
@@ -99,22 +101,37 @@ def test_slic_rejects_bad_arguments():
         slic(r, 17)
 
 
+def _extreme_values(rng, shape):
+    """float32 values of random sign whose magnitudes run log-uniformly from
+    the smallest subnormal, 1e-45, to 3e38, both ends included."""
+    arr = np.sign(rng.normal(size=shape)) * 10.0 ** rng.uniform(-45, np.log10(3e38),
+                                                                size=shape)
+    arr.flat[:4] = (1e-45, -1e-45, 3e38, -3e38)[:arr.size]
+    return arr.astype(np.float32)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 48), st.integers(1, 48),
-       st.integers(1, 3), st.integers(1, 60), st.booleans())
+       st.integers(1, 3), st.integers(1, 60),
+       st.sampled_from(("normal", "quantized", "extreme")))
 # 48 x 48 at 60: 64 centres in blocks of 10 (15 x 15 windows), ties common.
-@example(seed=1, m=48, n=48, channels=1, target=60, quantized=True)
-@example(seed=2, m=48, n=48, channels=3, target=60, quantized=True)
+@example(seed=1, m=48, n=48, channels=1, target=60, values="quantized")
+@example(seed=2, m=48, n=48, channels=3, target=60, values="quantized")
 # Targets 1 and 2: every window is larger than the image.
-@example(seed=3, m=7, n=9, channels=2, target=1, quantized=True)
-@example(seed=4, m=7, n=9, channels=2, target=2, quantized=False)
+@example(seed=3, m=7, n=9, channels=2, target=1, values="quantized")
+@example(seed=4, m=7, n=9, channels=2, target=2, values="normal")
 # Strips: the windows leave the image on both sides of the short axis.
-@example(seed=5, m=1, n=48, channels=1, target=12, quantized=False)
-@example(seed=6, m=48, n=1, channels=2, target=5, quantized=True)
-def test_slic_matches_mask_oracle(seed, m, n, channels, target, quantized):
+@example(seed=5, m=1, n=48, channels=1, target=12, values="normal")
+@example(seed=6, m=48, n=1, channels=2, target=5, values="quantized")
+# One band: the colour distance |x - c| must equal sqrt((x - c) ** 2) from
+# subnormal to near-overflow float32 values in one raster.
+@example(seed=7, m=40, n=40, channels=1, target=30, values="extreme")
+def test_slic_matches_mask_oracle(seed, m, n, channels, target, values):
     rng = np.random.default_rng(seed)
-    if quantized:  # few distinct values, so distance ties occur
+    if values == "quantized":  # few distinct values, so distance ties occur
         arr = rng.integers(0, 3, size=(m, n, channels)).astype(np.float32)
+    elif values == "extreme":
+        arr = _extreme_values(rng, (m, n, channels))
     else:
         arr = rng.normal(size=(m, n, channels)).astype(np.float32)
     r = Raster.from_array(arr)
@@ -171,7 +188,8 @@ def test_update_centers_is_bit_identical_to_pixel_order_sums(seed, m, n, channel
     yy, xx = np.mgrid[0:m, 0:n].astype(np.float64)
     pos, col = rng.normal(size=(k, 2)), rng.normal(size=(k, channels))
     want_pos, want_col = pos.copy(), col.copy()
-    _update_centers(assign, yy, xx, data, pos, col)
+    planes = np.vstack([yy.ravel(), xx.ravel(), data.reshape(m * n, -1).T])
+    _update_centers(assign.ravel(), planes, pos, col)
     oracle.update_centers(assign, yy, xx, data, want_pos, want_col)
     assert pos.tobytes() == want_pos.tobytes()
     assert col.tobytes() == want_col.tobytes()
@@ -183,10 +201,10 @@ def test_scene_centre_colours_equal_mask_means(scene5, monkeypatch):
     # data[mask].mean(axis=0): every SLIC iteration's every cluster is checked.
     clusters = 0
 
-    def checked(assign, yy, xx, data, centers_pos, centers_col):
+    def checked(assign, planes, centers_pos, centers_col):
         nonlocal clusters
-        _update_centers(assign, yy, xx, data, centers_pos, centers_col)
-        pixels = data.reshape(assign.size, -1)
+        _update_centers(assign, planes, centers_pos, centers_col)
+        pixels = planes[2:].T
         for ci in np.unique(assign):
             # The pixels the mask assign == ci selects, in row-major order.
             want = pixels[np.flatnonzero(assign == ci)].mean(axis=0)
@@ -199,6 +217,15 @@ def test_scene_centre_colours_equal_mask_means(scene5, monkeypatch):
     assert clusters > 2 * SLIC_ITERS * 700
 
 
+def _block_map(seed, m, n, n_labels, block, offset=0, stride=1):
+    """A random m x n map of ``n_labels`` values ``offset + stride * i``,
+    constant on block x block squares."""
+    rng = np.random.default_rng(seed)
+    coarse = rng.integers(0, n_labels, size=(-(-m // block), -(-n // block)))
+    labels = np.kron(coarse, np.ones((block, block), dtype=np.int64))[:m, :n]
+    return np.ascontiguousarray(offset + stride * labels)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 30), st.integers(1, 30),
        st.booleans(), st.integers(1, 8), st.integers(1, 5))
@@ -208,10 +235,7 @@ def test_enforce_connectivity_matches_oracle(seed, m, n, strip, n_labels, block)
     # pixels deep; strips are 1 x N; some cluster ids never occur.
     if strip:
         m = 1
-    rng = np.random.default_rng(seed)
-    coarse = rng.integers(0, n_labels, size=(-(-m // block), -(-n // block)))
-    assign = np.kron(coarse, np.ones((block, block), dtype=np.int64))[:m, :n]
-    assign = np.ascontiguousarray(assign)
+    assign = _block_map(seed, m, n, n_labels, block)
     got = _enforce_connectivity(assign)
     want = oracle.enforce_connectivity(assign, n_labels)
     assert got.count == want.count
@@ -293,12 +317,46 @@ def test_absorb_small_matches_oracle(seed, m, n, strip, n_labels, block, min_reg
     # lengths, so both tie rules are exercised; strips are 1 x N.
     if strip:
         m = 1
-    rng = np.random.default_rng(seed)
-    coarse = rng.integers(0, n_labels, size=(-(-m // block), -(-n // block)))
-    labels = np.kron(coarse, np.ones((block, block), dtype=np.int64))[:m, :n]
+    labels = _block_map(seed, m, n, n_labels, block)
     got = _absorb_small(labels, min_region)
     want = oracle.absorb_small(labels, min_region)
     assert np.array_equal(got, want)
+
+
+def test_absorb_small_updates_the_maps_of_a_target_that_grew_big():
+    # min_region 10. A (label 2, 2 px) shares 4 pixels of boundary with B
+    # (label 3, 9 px) and goes first, so B reaches 11 px. C (label 4, 2 px)
+    # touched A 2, B 2 and D (label 1) 2; after A's merge C's boundary with
+    # B is 4, so C joins B, where a stale count (B 2, tie with D) would give
+    # it to D, the lower label.
+    labels = np.array([[1, 1, 1, 1, 1, 1],
+                       [1, 3, 3, 3, 3, 1],
+                       [1, 3, 2, 4, 1, 1],
+                       [1, 3, 2, 4, 1, 1],
+                       [1, 3, 3, 3, 1, 1],
+                       [1, 1, 1, 1, 1, 1]])
+    got = _absorb_small(labels, 10)
+    assert np.array_equal(got, oracle.absorb_small(labels, 10))
+    assert np.array_equal(got, np.where(labels == 1, 1, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 30), st.integers(1, 30),
+       st.integers(1, 8), st.integers(1, 4), st.integers(0, 50), st.integers(1, 7))
+@example(seed=0, m=1, n=1, n_labels=3, block=1, offset=0, stride=1)
+@example(seed=1, m=1, n=25, n_labels=3, block=2, offset=0, stride=1)
+@example(seed=2, m=25, n=1, n_labels=3, block=2, offset=0, stride=1)
+@example(seed=3, m=20, n=20, n_labels=6, block=3, offset=5, stride=4)
+def test_connected_regions_and_relabel_match_oracle(seed, m, n, n_labels, block,
+                                                     offset, stride):
+    # Block maps with few values split each value into several components;
+    # the values have gaps and need not start at 0.
+    code = _block_map(seed, m, n, n_labels, block, offset, stride)
+    assert np.array_equal(_connected_regions(code), oracle.connected_regions(code))
+    got = _relabel_contiguous(code)
+    want = oracle.relabel_contiguous(code)
+    assert got.count == want.count
+    assert np.array_equal(got.labels, want.labels)
 
 
 def test_cosegment_dimension_mismatch():
