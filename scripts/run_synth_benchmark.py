@@ -4,14 +4,16 @@
 Generates heterogeneous pairs with known ground truth across a grid of data
 seeds and pipeline seeds, runs the full detection pipeline on each, and
 prints one row per run: KC / Fm / ACC, the acceptance gate (KC >= 0.8 and
-ACC >= 0.95, as in tests/test_acceptance.py::test_08) and the fitted rho,
-theta and w of the channel pair, a `*` marking a value on either end of
-the box EM fits in (rho = 0.01 or 0.99, theta = 0.1 or 20), and a digest:
-the first 12 hex digits of the sha256 of the run's di.f32 and bcm.u8
-bytes, so that two sweeps with byte-identical artifacts print the same
-digests. A last line gives the median and minimum KC and the gate
-failures. With the defaults each scene is perfbench's `scene256` scene for
-that data seed (at --size 256).
+ACC >= 0.95, as in tests/test_acceptance.py::test_08), the test
+superpixel count, the fitted rho, theta and w of channel pair (1, 1), a `*`
+marking a value on either end of the box EM fits in (rho = 0.01 or 0.99,
+theta = 0.1 or 20), how many of all the channel pairs fit on an end of
+that box, and a digest: the first 12 hex digits of the sha256 of the run's
+di.f32 and bcm.u8 bytes, so that two sweeps with byte-identical artifacts
+print the same digests. A last line gives the median and minimum KC, the
+gate failures and the box-end fits. With the defaults each scene is
+perfbench's `scene256` scene for that data seed (at --size 256);
+`--size 128 --bands 3` gives its `multiband_staged` scene.
 
 Example:
     python3 scripts/run_synth_benchmark.py --size 256 --data-seeds 0 1 2 \
@@ -36,12 +38,18 @@ from copcd.synth import SynthConfig, generate_pair  # noqa: E402
 KC_GATE, ACC_GATE = 0.8, 0.95
 
 
+def on_box_end(model) -> bool:
+    """Whether a fitted pair's rho or theta lies on an end of EM's box."""
+    return model.rho in (RHO_MIN, RHO_MAX) or model.theta in (THETA_MIN, THETA_MAX)
+
+
 def run_one(size, rho, w, data_seed, pipeline_seed, ns_model, ns_test, alpha,
-            workdir):
-    """Generate one scene, detect on it, and return its row as a dict."""
+            workdir, bands=1):
+    """Generate one scene with ``bands`` bands per side, detect on it, and
+    return its row as a dict."""
     model = CopulaMixtureModel(rho=rho, theta=1.0, w=w, n_train=1)
-    cfg = SynthConfig(m=size, n=size, model=model, change_fraction=0.1,
-                      noise_sigma=0.05, seed=data_seed)
+    cfg = SynthConfig(m=size, n=size, cx=bands, cy=bands, model=model,
+                      change_fraction=0.1, noise_sigma=0.05, seed=data_seed)
     x, y, gt = generate_pair(cfg)
     base = os.path.join(workdir, f"d{data_seed}_p{pipeline_seed}")
     os.makedirs(base, exist_ok=True)
@@ -62,7 +70,8 @@ def run_one(size, rho, w, data_seed, pipeline_seed, ns_model, ns_test, alpha,
     for name in ("di.f32", "bcm.u8"):
         with open(os.path.join(base, name), "rb") as fh:
             digest.update(fh.read())
-    report, fitted = result["report"], result["model_set"].model(1, 1)
+    report, model_set = result["report"], result["model_set"]
+    fitted = model_set.model(1, 1)
     return {
         "data": data_seed, "pipe": pipeline_seed,
         "kc": report.kc, "fm": report.fm, "acc": report.acc,
@@ -70,32 +79,42 @@ def run_one(size, rho, w, data_seed, pipeline_seed, ns_model, ns_test, alpha,
         "rho": fitted.rho, "theta": fitted.theta, "w": fitted.w,
         "rho_on_bound": fitted.rho in (RHO_MIN, RHO_MAX),
         "theta_on_bound": fitted.theta in (THETA_MIN, THETA_MAX),
+        "superpixels": result["seg_test"].count,
+        "box_end_pairs": sum(map(on_box_end, model_set.models.values())),
+        "pairs": len(model_set.models),
         "sec": elapsed, "digest": digest.hexdigest()[:12],
     }
 
 
 HEADER = (f"{'data':>4} {'pipe':>4} {'KC':>7} {'Fm':>7} {'ACC':>7} {'gate':>4} "
-          f"{'rho':>7} {'theta':>8} {'w':>6} {'sec':>6} {'digest':>12}")
+          f"{'sp':>5} {'rho':>7} {'theta':>8} {'w':>6} {'ends':>5} {'sec':>6} "
+          f"{'digest':>12}")
 
 
 def format_row(row) -> str:
     rho_mark = "*" if row["rho_on_bound"] else " "
     theta_mark = "*" if row["theta_on_bound"] else " "
     return (f"{row['data']:>4} {row['pipe']:>4} {row['kc']:>7.3f} {row['fm']:>7.3f} "
-            f"{row['acc']:>7.3f} {row['gate']:>4} {row['rho']:>6.4f}{rho_mark} "
-            f"{row['theta']:>7.3f}{theta_mark} {row['w']:>6.3f} {row['sec']:>6.1f} {row['digest']}")
+            f"{row['acc']:>7.3f} {row['gate']:>4} {row['superpixels']:>5} "
+            f"{row['rho']:>6.4f}{rho_mark} {row['theta']:>7.3f}{theta_mark} "
+            f"{row['w']:>6.3f} {row['box_end_pairs']:>3}/{row['pairs']:<1} "
+            f"{row['sec']:>6.1f} {row['digest']}")
 
 
 def summary(rows) -> str:
     kcs = [row["kc"] for row in rows]
     fails = sum(row["gate"] == "fail" for row in rows)
+    ends = sum(row["box_end_pairs"] for row in rows)
+    pairs = sum(row["pairs"] for row in rows)
     return (f"KC median {statistics.median(kcs):.3f} min {min(kcs):.3f}; "
-            f"gate failures {fails}/{len(rows)}")
+            f"gate failures {fails}/{len(rows)}; box-end fits {ends}/{pairs}")
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--size", type=int, default=256)
+    parser.add_argument("--bands", type=int, default=1,
+                        help="bands per side (cx = cy)")
     parser.add_argument("--rho", type=float, default=0.9)
     parser.add_argument("--w", type=float, default=1.0)
     parser.add_argument("--ns-model", type=int, default=400)
@@ -113,7 +132,7 @@ def main():
             for pipeline_seed in args.pipeline_seeds:
                 rows.append(run_one(
                     args.size, args.rho, args.w, data_seed, pipeline_seed,
-                    args.ns_model, args.ns_test, args.alpha, workdir,
+                    args.ns_model, args.ns_test, args.alpha, workdir, args.bands,
                 ))
                 print(format_row(rows[-1]), flush=True)
     print(summary(rows))

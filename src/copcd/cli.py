@@ -133,9 +133,7 @@ def cmd_score(args) -> int:
     gt = load_binary_map(args.gt)
     report = metrics.score(bcm, gt)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
+        report.write(args.out)
     print(f"kc={report.kc:.4f} fm={report.fm:.4f} acc={report.acc:.4f}")
     return EXIT_OK
 

@@ -13,6 +13,7 @@ from .segmentation import SegmentationMap
 
 KMEANS_MAX_ITERS = 300
 KMEANS_TOL = 1e-6
+STAGE1_K = 3  # clusters of the first k-means stage of two_stage_bcm
 
 
 def test_statistics(feat_x: np.ndarray, feat_y: np.ndarray,
@@ -126,9 +127,9 @@ def two_stage_bcm(rep: np.ndarray, di: np.ndarray, seg_test: SegmentationMap,
     if np.all(rep == rep[0]):
         return np.zeros((seg_test.height, seg_test.width), dtype=np.uint8)
 
-    assign3, _ = kmeans(rep, 3, seed)
+    assign3, _ = kmeans(rep, STAGE1_K, seed)
     means3 = np.array([
-        di[assign3 == j].mean() if (assign3 == j).any() else -np.inf for j in range(3)
+        di[assign3 == j].mean() if (assign3 == j).any() else -np.inf for j in range(STAGE1_K)
     ])
     a2 = int(np.argmax(means3))
     in_a2 = assign3 == a2

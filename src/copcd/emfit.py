@@ -30,6 +30,7 @@ from .dependence import TAIL_CLAYTON, TAIL_CLAYTON_SURVIVAL
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters"
 
+MIN_PAIRS = 10  # the fewest data pairs EM fits
 THETA_XTOL = 1e-6  # absolute part of the search tolerance, times THETA_MAX
 RHO_START, THETA_START, W_START = 0.5, 0.5, 0.5
 _GOLDEN = (3.0 - 5.0 ** 0.5) / 2.0
@@ -203,8 +204,8 @@ def fit(u, v, tail_mode: str, config: EmConfig | None = None):
         raise ValueError(f"unknown tail_mode {tail_mode!r}")
     config = config or EmConfig()
     u, v = _validate_data(u, v)
-    if len(u) < 10:
-        raise ValueError("need at least 10 data pairs to fit")
+    if len(u) < MIN_PAIRS:
+        raise ValueError(f"need at least {MIN_PAIRS} data pairs to fit")
 
     def evaluate(rho, theta, w):
         logf, gamma1 = mixture_logpdf_and_gamma(u, v, rho, theta, w, tail_mode)

@@ -29,6 +29,11 @@ class MetricsReport:
             indent=2,
         )
 
+    def write(self, path: str) -> None:
+        """Write ``metrics.json``: the JSON of :meth:`to_json` and a newline."""
+        with open(path, "w") as fh:
+            fh.write(self.to_json() + "\n")
+
 
 def score_counts(tp: int, tn: int, fp: int, fn: int) -> MetricsReport:
     total = tp + tn + fp + fn

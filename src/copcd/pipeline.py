@@ -149,6 +149,17 @@ def cosegment_pair(a: Raster, b: Raster, target: int):
     return segmentation.cosegment(seg_a, seg_b)
 
 
+def _segment(a: Raster, b: Raster, config: PipelineConfig, field: str, least: int):
+    """``cosegment_pair`` at the target of config field ``field``, which an
+    error names when the map has fewer than ``least`` regions."""
+    seg = _stage("segment", cosegment_pair, a, b, getattr(config, field))
+    if seg.count < least:
+        raise StageError("segment", ValueError(
+            f"config field {field!r} = {getattr(config, field)} gives {seg.count} "
+            f"superpixels on this scene; at least {least} are needed"))
+    return seg
+
+
 def write_traces_csv(traces: dict, path: str) -> None:
     import csv
 
@@ -184,7 +195,7 @@ def run_fit(config: PipelineConfig) -> dict:
                              ValueError("translated raster shape mismatch"))
     else:
         y_t = _stage("translate", translate.translate_baseline, x, y)
-    seg_train = _stage("segment", cosegment_pair, x, y_t, config.ns_model)
+    seg_train = _segment(x, y_t, config, "ns_model", emfit.MIN_PAIRS)
     feat_x = _stage("features", segmentation.extract_features, x, seg_train)
     feat_y = _stage("features", segmentation.extract_features, y_t, seg_train)
     model_set, traces = _stage("fit", fit_model_set, feat_x, feat_y, config.em_config())
@@ -206,7 +217,7 @@ def run_detect(config: PipelineConfig) -> dict:
         out = {"model_set": _stage("load", load_model_set, config.model), "traces": {}}
     model_set = out["model_set"]
 
-    seg_test = _stage("segment", cosegment_pair, x, y, config.ns_test)
+    seg_test = _segment(x, y, config, "ns_test", detector.STAGE1_K)
     feat_x_test = _stage("features", segmentation.extract_features, x, seg_test)
     feat_y_test = _stage("features", segmentation.extract_features, y, seg_test)
 
@@ -246,6 +257,4 @@ def write_artifacts(result: dict, config: PipelineConfig) -> None:
     export_graymap(bcm.astype(np.float64) * 255.0, join("bcm.pgm"))
 
     if "report" in result:
-        with open(join("metrics.json"), "w") as fh:
-            fh.write(result["report"].to_json())
-            fh.write("\n")
+        result["report"].write(join("metrics.json"))

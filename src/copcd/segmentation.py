@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,7 +11,7 @@ from .raster import Raster
 
 SLIC_ITERS = 10
 COMPACTNESS = 10.0  # weight of the spatial term of the SLIC distance
-MIN_REGION = 10  # pixels; smaller co-segmentation regions are absorbed
+MIN_REGION = 10  # pixels; a smaller co-segmentation piece stays only as a label's largest
 
 
 @dataclass(frozen=True)
@@ -181,31 +180,40 @@ def _region_sums(flat, planes, k):
 
 
 def _enforce_connectivity(assign: np.ndarray) -> SegmentationMap:
-    """Keep each cluster's largest component (ties: lowest component id);
-    merge orphan components into the adjacent kept region with the most
-    pixels.
-
-    Orphans grow in synchronous passes: every remaining orphan reads its
-    up, down, left and right neighbours, in that order, and takes the one
-    whose kept component is strictly largest; only then are the labels
-    written. Each pass labels at least one orphan: every cluster that occurs
-    keeps a component, so some pixel is labelled, and the 4-connected grid is
-    connected, so while orphans remain one of them touches a labelled pixel.
-    ``tests/segmentation_oracle.py`` keeps the whole-image form of this rule.
-    """
-    m, n = assign.shape
+    """Keep each cluster's largest component (ties: lowest component id) and
+    grow the kept ones into the others; ``tests/segmentation_oracle.py``
+    keeps the whole-image form of this rule."""
     comp = _connected_regions(assign).ravel()
-    n_comp = comp.max() + 1
-    comp_sizes = np.bincount(comp, minlength=n_comp)
-    comp_cluster = np.empty(n_comp, dtype=np.int64)
-    comp_cluster[comp] = assign.ravel()
-    # Per cluster: largest component first, then lowest id.
-    order = np.lexsort((np.arange(n_comp), -comp_sizes, comp_cluster))
-    first = np.ones(n_comp, dtype=bool)
-    first[1:] = comp_cluster[order[1:]] != comp_cluster[order[:-1]]
-    keep = np.zeros(n_comp, dtype=bool)
-    keep[order[first]] = True
+    sizes = np.bincount(comp)
+    keep = _largest_per_label(comp, assign, sizes)
+    return _relabel_contiguous(_grow_kept(comp, keep, sizes, assign.shape))
 
+
+def _largest_per_label(comp: np.ndarray, labels: np.ndarray,
+                       sizes: np.ndarray) -> np.ndarray:
+    """Mask of the pieces of the flat piece map ``comp`` that are the
+    largest piece of their value of ``labels`` (ties: lowest piece id)."""
+    n = len(sizes)
+    piece_label = np.empty(n, dtype=np.int64)
+    piece_label[comp] = labels.ravel()
+    order = np.lexsort((np.arange(n), -sizes, piece_label))
+    _, first = np.unique(piece_label[order], return_index=True)
+    keep = np.zeros(n, dtype=bool)
+    keep[order[first]] = True
+    return keep
+
+
+def _grow_kept(comp: np.ndarray, keep: np.ndarray, sizes: np.ndarray,
+               shape) -> np.ndarray:
+    """Grow the kept pieces of the flat piece map ``comp`` into the other
+    pixels in synchronous passes; return the (m, n) map of kept piece ids.
+    In a pass every remaining orphan reads its up, down, left and right
+    neighbours, in that order, and takes the one whose kept piece is
+    strictly largest; only then are the labels written. While some piece is
+    kept, each pass labels at least one orphan: the 4-connected grid is
+    connected, so while orphans remain one of them touches a labelled pixel.
+    """
+    m, n = shape
     final = np.where(keep[comp], comp, -1)
     orphans = np.flatnonzero(final < 0)
     while orphans.size:
@@ -215,99 +223,36 @@ def _enforce_connectivity(assign: np.ndarray) -> SegmentationMap:
         for inside, step in ((row > 0, -n), (row < m - 1, n), (col > 0, -1),
                              (col < n - 1, 1)):
             nb = np.where(inside, final[np.where(inside, orphans + step, 0)], -1)
-            sz = np.where(nb >= 0, comp_sizes[nb], -1)
+            sz = np.where(nb >= 0, sizes[nb], -1)
             upd = sz > best_sz
             best_nb[upd] = nb[upd]
             best_sz[upd] = sz[upd]
         done = best_nb >= 0
         final[orphans[done]] = best_nb[done]
         orphans = orphans[~done]
-    return _relabel_contiguous(final.reshape(m, n))
+    return final.reshape(m, n)
 
 
-def cosegment(a: SegmentationMap, b: SegmentationMap,
-              min_region: int = MIN_REGION) -> SegmentationMap:
-    """Intersect two partitions into a common refinement.
+def cosegment(a: SegmentationMap, b: SegmentationMap) -> SegmentationMap:
+    """Intersect two partitions; merge the slivers by SLIC's connectivity rule.
 
-    Connected components of identical (a, b) label pairs become regions.
-    Then regions smaller than min_region pixels are absorbed one at a time:
-    the smallest region goes first (ties: lowest label) and merges into the
-    adjacent region sharing the longest boundary (ties: lowest label), which
-    keeps its label, gains the merged region's pixels and boundaries, and
-    goes back in the queue under its new size while it is still smaller than
-    min_region. Absorption ends when no region is small or one region is
-    left. ``tests/segmentation_oracle.py`` states this order directly.
+    A piece is a 4-connected group of one (a, b) label pair. A piece stays a
+    region if it has at least MIN_REGION pixels or is the largest piece of
+    its a label or of its b label (ties: lowest piece id). The pixels of the
+    other pieces join the adjacent kept piece with the most pixels, as SLIC's
+    orphans do (:func:`_grow_kept`); every a label keeps a piece, so they all
+    find one. A region under MIN_REGION pixels is the largest piece of a label.
+    ``tests/segmentation_oracle.py`` states this rule directly.
     """
     if (a.height, a.width) != (b.height, b.width):
         raise ValueError("segmentation dimensions differ")
     code = a.labels.astype(np.int64) * (b.count + 1) + b.labels
-    comp = _connected_regions(code)
-
-    if min_region > 1:
-        comp = _absorb_small(comp, min_region)
-    return _relabel_contiguous(comp)
-
-
-def _boundary_pairs(labels: np.ndarray):
-    h1 = labels[:, :-1].ravel()
-    h2 = labels[:, 1:].ravel()
-    v1 = labels[:-1, :].ravel()
-    v2 = labels[1:, :].ravel()
-    p = np.concatenate([h1, v1])
-    q = np.concatenate([h2, v2])
-    diff = p != q
-    return p[diff], q[diff]
-
-
-def _absorb_small(labels: np.ndarray, min_region: int) -> np.ndarray:
-    """Merge regions below min_region in the order :func:`cosegment` states.
-
-    Only a region below min_region is ever popped, and sizes only grow, so
-    only those regions get a neighbour map (shared boundary length per
-    neighbour); the maps of the others would never be read.
-    """
-    n_lab = int(labels.max()) + 1
-    counts = np.bincount(labels.ravel(), minlength=n_lab)
-    small = (counts > 0) & (counts < min_region)
-    sizes = counts.tolist()
-    alive = int(np.count_nonzero(counts))
-    p, q = _boundary_pairs(labels.astype(np.int64))
-    own, other = np.concatenate([p, q]), np.concatenate([q, p])
-    mapped = small[own]
-    uniq, shared = np.unique(own[mapped] * n_lab + other[mapped],
-                             return_counts=True)
-    adj = {}
-    for code, cnt in zip(uniq.tolist(), shared.tolist()):
-        adj.setdefault(code // n_lab, {})[code % n_lab] = cnt
-    heap = [(sizes[lab], lab) for lab in np.flatnonzero(small).tolist()]
-    heapq.heapify(heap)
-    parent = np.arange(n_lab)
-    while heap and alive > 1:
-        size, lab = heapq.heappop(heap)
-        if sizes[lab] != size:  # merged away, or grown since pushed
-            continue
-        nbrs = adj.pop(lab)
-        target = max(nbrs, key=lambda nb: (nbrs[nb], -nb))
-        del nbrs[target]
-        tgt_nbrs = adj.get(target)
-        if tgt_nbrs is not None:
-            del tgt_nbrs[lab]
-            for nb, cnt in nbrs.items():
-                tgt_nbrs[nb] = tgt_nbrs.get(nb, 0) + cnt
-        for nb, cnt in nbrs.items():
-            nb_nbrs = adj.get(nb)
-            if nb_nbrs is not None:
-                del nb_nbrs[lab]
-                nb_nbrs[target] = nb_nbrs.get(target, 0) + cnt
-        sizes[target] += size
-        sizes[lab] = 0
-        alive -= 1
-        if sizes[target] < min_region:
-            heapq.heappush(heap, (sizes[target], target))
-        parent[lab] = target
-    while not np.array_equal(parent[parent], parent):  # follow merge chains
-        parent = parent[parent]
-    return parent[labels]
+    comp = _connected_regions(code).ravel()
+    sizes = np.bincount(comp)
+    keep = ((sizes >= MIN_REGION)
+            | _largest_per_label(comp, a.labels, sizes)
+            | _largest_per_label(comp, b.labels, sizes))
+    return _relabel_contiguous(_grow_kept(comp, keep, sizes, code.shape))
 
 
 def extract_features(r: Raster, seg: SegmentationMap) -> np.ndarray:

@@ -1,30 +1,23 @@
 """Reference segmentation: the direct algorithms the fast code must match.
 
-``absorb_small`` merges one region per pass and recomputes every boundary
-length after each merge; ``slic`` scores one centre's window per step and
-updates each centre through a full-image ``assign == ci`` mask
-(``update_centers``), whose mean is a running sum from 0.0 over the masked
-pixels in row-major order (pixel order) divided by their count; and
-``enforce_connectivity`` picks each cluster's kept component with one mask
-per cluster and grows the orphans over whole-image shifted copies;
+``slic`` scores one centre's window per step and updates each centre
+through a full-image ``assign == ci`` mask (``update_centers``), whose mean
+is a running sum from 0.0 over the masked pixels in row-major order (pixel
+order) divided by their count; ``enforce_connectivity`` and ``cosegment``
+pick each label's kept piece with one mask per label and grow the other
+pieces over whole-image shifted copies (``grow_kept``);
 ``connected_regions`` labels components with a sparse pixel graph and
 ``relabel_contiguous`` renumbers labels by an ``np.unique`` sort. They are
-slow (O(regions x pixels), O(k x pixels) per iteration and
-O(k x components)) but state the rules plainly, so the tests compare
-``copcd.segmentation`` against them label for label and the centres bit
-for bit.
+slow (O(k x pixels) per iteration and O(labels x pieces)) but state the
+rules plainly, so the tests compare ``copcd.segmentation`` against them
+label for label and the centres bit for bit.
 """
 
 import numpy as np
 from scipy import ndimage, sparse
 from scipy.sparse.csgraph import connected_components
 
-from copcd.segmentation import (
-    COMPACTNESS,
-    SLIC_ITERS,
-    SegmentationMap,
-    _boundary_pairs,
-)
+from copcd.segmentation import COMPACTNESS, MIN_REGION, SLIC_ITERS, SegmentationMap
 
 
 def relabel_contiguous(labels: np.ndarray) -> SegmentationMap:
@@ -48,38 +41,6 @@ def connected_regions(code: np.ndarray) -> np.ndarray:
     )
     _, comp = connected_components(graph, directed=False)
     return comp.reshape(m, n)
-
-
-def absorb_small(labels: np.ndarray, min_region: int) -> np.ndarray:
-    """Absorb the smallest region (ties: lowest label) into the neighbour
-    with the longest shared boundary (ties: lowest label); repeat until no
-    region is below min_region or one region is left."""
-    labels = labels.astype(np.int64)
-    while True:
-        n_lab = labels.max() + 1
-        sizes = np.bincount(labels.ravel(), minlength=n_lab)
-        small = np.flatnonzero((sizes > 0) & (sizes < min_region))
-        if len(small) == 0 or (sizes > 0).sum() <= 1:
-            return labels
-        p, q = _boundary_pairs(labels)
-        # Boundary length between each ordered region pair.
-        pair_codes = np.concatenate([p * n_lab + q, q * n_lab + p])
-        uniq, counts = np.unique(pair_codes, return_counts=True)
-        changed = False
-        # Absorb the smallest region first; recompute after each pass.
-        for lab in small[np.argsort(sizes[small], kind="stable")]:
-            mask = (uniq // n_lab) == lab
-            if not mask.any():
-                continue
-            neighbors = uniq[mask] % n_lab
-            shared = counts[mask]
-            best = np.max(shared)
-            target = int(np.min(neighbors[shared == best]))
-            labels[labels == lab] = target
-            changed = True
-            break
-        if not changed:
-            return labels
 
 
 def slic(r, target_count: int):
@@ -137,22 +98,49 @@ def update_centers(assign, yy, xx, data, centers_pos, centers_col) -> None:
             centers_col[ci] = mean[2:]
 
 
+def largest_per_label(comp: np.ndarray, labels: np.ndarray, sizes: np.ndarray):
+    """Mask of the pieces of ``comp`` that are the largest piece of their
+    value of ``labels``; ``np.argmax`` over the ascending piece ids of one
+    label takes the lowest id of a tie."""
+    piece_label = np.full(len(sizes), -1, dtype=np.int64)
+    piece_label[comp.ravel()] = labels.ravel()
+    keep = np.zeros(len(sizes), dtype=bool)
+    for lab in np.unique(labels):
+        members = np.flatnonzero(piece_label == lab)
+        keep[members[np.argmax(sizes[members])]] = True
+    return keep
+
+
 def enforce_connectivity(assign: np.ndarray, k: int):
     """Keep each cluster's largest component; merge orphan components into
     the adjacent kept region with the most pixels."""
     comp = connected_regions(assign)
-    n_comp = comp.max() + 1
-    comp_sizes = np.bincount(comp.ravel(), minlength=n_comp)
-    comp_cluster = np.full(n_comp, -1, dtype=np.int64)
+    comp_sizes = np.bincount(comp.ravel())
+    comp_cluster = np.full(len(comp_sizes), -1, dtype=np.int64)
     comp_cluster[comp.ravel()] = assign.ravel()
-    keep = np.zeros(n_comp, dtype=bool)
+    keep = np.zeros(len(comp_sizes), dtype=bool)
     for ci in range(k):
         members = np.flatnonzero(comp_cluster == ci)
         if len(members):
             keep[members[np.argmax(comp_sizes[members])]] = True
+    return relabel_contiguous(grow_kept(comp, keep, comp_sizes))
 
+
+def cosegment(a: SegmentationMap, b: SegmentationMap):
+    """Keep each (a, b) piece of at least MIN_REGION pixels and the largest
+    piece of each a label and of each b label; merge the other pieces into
+    the adjacent kept piece with the most pixels."""
+    code = a.labels * (b.count + 1) + b.labels
+    comp = connected_regions(code)
+    sizes = np.bincount(comp.ravel())
+    keep = ((sizes >= MIN_REGION) | largest_per_label(comp, a.labels, sizes)
+            | largest_per_label(comp, b.labels, sizes))
+    return relabel_contiguous(grow_kept(comp, keep, sizes))
+
+
+def grow_kept(comp: np.ndarray, keep: np.ndarray, comp_sizes: np.ndarray):
+    """Iteratively absorb orphan pixels into the largest adjacent kept piece."""
     final = np.where(keep[comp], comp, -1)
-    # Iteratively absorb orphan pixels into the largest adjacent kept region.
     while (final < 0).any():
         grown = ndimage.grey_dilation(final, size=3, mode="constant", cval=-1)
         orphan = final < 0
@@ -179,4 +167,4 @@ def enforce_connectivity(assign: np.ndarray, k: int):
             final[orphan] = candidates[orphan]
             break
         final[progressed] = best_nb[progressed]
-    return relabel_contiguous(final)
+    return final

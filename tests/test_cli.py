@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from copcd import cli, pipeline, translate
 from copcd.copula import CopulaMixtureModel, encode_column, sample_mixture
 from copcd.raster import Raster, load_binary_map, load_raster, save_binary_map, save_raster
+from copcd.segmentation import SegmentationMap
 
 
 def test_synth_writes_all_artifacts(tmp_path, capsys):
@@ -400,6 +401,34 @@ def test_detect_with_model_runs_only_the_test_half(small_scene, fitted_model, tm
     assert segmented == [80]  # the test co-segmentation only, at --ns-test
     assert (out / "model.json").read_bytes() == Path(fitted_model).read_bytes()
     assert (out / "em_trace.csv").read_text().count("\n") == 1  # header only
+
+
+def test_too_few_training_superpixels_names_ns_model(tmp_path, capsys):
+    # This 10 x 10 scene co-segments into 9 regions at target 10; EM fits 10.
+    data = str(tmp_path / "data")
+    assert cli.main(["synth", "--m", "10", "--n", "10", "--rho", "0.9",
+                     "--noise-sigma", "0.05", "--seed", "5", "--out-dir", data]) == 0
+    args = ["detect", "--pre", os.path.join(data, "pre"), "--post",
+            os.path.join(data, "post"), "--ns-model", "10", "--ns-test", "10",
+            "--out-dir", str(tmp_path / "run")]
+    assert cli.main(args) == cli.EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert "config field 'ns_model' = 10 gives 9 superpixels" in err
+    assert "at least 10" in err and "Traceback" not in err
+
+
+def test_too_few_test_superpixels_names_ns_test(small_scene, fitted_model, tmp_path,
+                                               capsys, monkeypatch):
+    # Two test regions cannot make the three clusters of the first k-means.
+    halves = np.ones((48, 48), dtype=np.int64)
+    halves[:, 24:] = 2
+    monkeypatch.setattr(pipeline, "cosegment_pair",
+                        lambda *args: SegmentationMap(48, 48, 2, halves))
+    args = _detect_args(small_scene, str(tmp_path / "run")) + ["--model", fitted_model]
+    assert cli.main(args) == cli.EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert "config field 'ns_test' = 80 gives 2 superpixels" in err
+    assert "at least 3" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flags, code, needle", [

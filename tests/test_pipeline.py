@@ -159,8 +159,7 @@ def test_threaded_cosegment_pair_matches_serial_segmentation(size, bands):
     threads = threading.active_count()
     got = cosegment_pair(a, b, 60)
     assert threading.active_count() == threads
-    want = segmentation.cosegment(segmentation.slic(a, 60),
-                                  segmentation.slic(b, 60), segmentation.MIN_REGION)
+    want = segmentation.cosegment(segmentation.slic(a, 60), segmentation.slic(b, 60))
     assert got.count == want.count
     assert got.labels.tobytes() == want.labels.tobytes()
 

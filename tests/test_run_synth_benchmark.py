@@ -1,5 +1,5 @@
-"""The sweep script's per-seed row: its scene, gate, fitted parameters,
-bound marks and artifact digest."""
+"""The sweep script's per-seed row: its scene, gate, superpixel count,
+fitted parameters, box-end marks and counts, and artifact digest."""
 
 import hashlib
 import importlib.util
@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from copcd import cli
+from copcd import cli, pipeline
+from copcd.raster import load_raster
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -27,25 +28,39 @@ def sweep():
     return _load("run_synth_benchmark", ROOT / "scripts" / "run_synth_benchmark.py")
 
 
-def test_row_reports_the_gate_and_the_fitted_pair(sweep, tmp_path):
-    row = sweep.run_one(64, 0.9, 1.0, 5, 0, 40, 80, 5.0, str(tmp_path))
-    base = tmp_path / "d5_p0"
-
-    # The scene is perfbench's scene256 generator at 64 x 64.
+def _check_scene_and_counts(row, tmp_path, size, bands):
+    """The row's scene is perfbench's generator at ``size`` with ``bands``
+    bands per side, and its superpixel and box-end counts are those of
+    `copcd detect` on the same files; returns that run's metrics and fits."""
+    base = tmp_path / f"d{row['data']}_p{row['pipe']}"
     workloads = _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    scene = workloads.Scene("s", "", size=64, bands=1, staged=False, gate=True)
+    scene = workloads.Scene("s", "", size=size, bands=bands, staged=False, gate=True)
     (tmp_path / "bench").mkdir()
-    files = scene.setup(str(tmp_path / "bench"), 5)
+    files = scene.setup(str(tmp_path / "bench"), row["data"])
     for name, ext in (("pre", ".f32"), ("post", ".f32"), ("gt", ".u8")):
         assert (base / (name + ext)).read_bytes() == Path(files[name] + ext).read_bytes()
 
-    # The row's figures are those of `copcd detect` on the same files.
     out = tmp_path / "cli"
     assert cli.main(["detect", "--pre", str(base / "pre"), "--post", str(base / "post"),
                      "--gt", str(base / "gt"), "--ns-model", "40", "--ns-test", "80",
                      "--alpha", "5", "--seed", "0", "--out-dir", str(out)]) == cli.EXIT_OK
-    report = json.loads((out / "metrics.json").read_text())
-    fitted = json.loads((out / "model.json").read_text())["pairs"]["1,1"]
+    seg = pipeline.cosegment_pair(load_raster(str(base / "pre")),
+                                  load_raster(str(base / "post")), 80)
+    assert row["superpixels"] == seg.count
+    fits = json.loads((out / "model.json").read_text())["pairs"]
+    assert row["pairs"] == len(fits) == bands * bands
+    assert row["box_end_pairs"] == sum(fit["rho"] in (0.01, 0.99)
+                                       or fit["theta"] in (0.1, 20.0)
+                                       for fit in fits.values())
+    return json.loads((out / "metrics.json").read_text()), fits, out
+
+
+def test_row_reports_the_gate_and_the_fitted_pair(sweep, tmp_path):
+    row = sweep.run_one(64, 0.9, 1.0, 5, 0, 40, 80, 5.0, str(tmp_path))
+    # The scene is perfbench's scene256 generator at 64 x 64, and the row's
+    # figures are those of `copcd detect` on the same files.
+    report, fits, out = _check_scene_and_counts(row, tmp_path, 64, 1)
+    fitted = fits["1,1"]
     assert (row["data"], row["pipe"]) == (5, 0)
     assert (row["kc"], row["fm"], row["acc"]) == (report["kc"], report["fm"], report["acc"])
     assert (row["rho"], row["theta"], row["w"]) == (fitted["rho"], fitted["theta"],
@@ -60,10 +75,22 @@ def test_row_reports_the_gate_and_the_fitted_pair(sweep, tmp_path):
     line = sweep.format_row(row)
     assert line.split()[:2] == ["5", "0"] and row["gate"] in line.split()
     assert line.count("*") == row["rho_on_bound"] + row["theta_on_bound"]
+    assert str(row["superpixels"]) in line.split()
+    assert f"{row['box_end_pairs']}/1" in line.split()
     assert line.split()[-1] == row["digest"]
     # A fit at theta's lower end is marked as one at its upper end is.
     low = dict(row, rho=0.5, theta=0.1, rho_on_bound=False, theta_on_bound=True)
     assert "0.100*" in sweep.format_row(low) and sweep.format_row(low).count("*") == 1
-    rows = [{"kc": 0.9, "gate": "pass"}, {"kc": 0.5, "gate": "fail"},
-            {"kc": 0.7, "gate": "fail"}]
-    assert sweep.summary(rows) == "KC median 0.700 min 0.500; gate failures 2/3"
+    rows = [{"kc": 0.9, "gate": "pass", "box_end_pairs": 1, "pairs": 1},
+            {"kc": 0.5, "gate": "fail", "box_end_pairs": 7, "pairs": 9},
+            {"kc": 0.7, "gate": "fail", "box_end_pairs": 0, "pairs": 4}]
+    assert sweep.summary(rows) == ("KC median 0.700 min 0.500; gate failures 2/3; "
+                                   "box-end fits 8/14")
+
+
+def test_multiband_row_counts_box_ends_over_every_pair(sweep, tmp_path):
+    # --bands 3 gives perfbench's multiband_staged scene (here at 48 x 48):
+    # nine channel pairs, each counted when it fits on an end of the box.
+    row = sweep.run_one(48, 0.9, 1.0, 11, 0, 40, 80, 5.0, str(tmp_path), bands=3)
+    _check_scene_and_counts(row, tmp_path, 48, 3)
+    assert f"{row['box_end_pairs']}/9" in sweep.format_row(row).split()

@@ -14,7 +14,6 @@ from copcd.raster import Raster
 from copcd.segmentation import (
     SLIC_ITERS,
     SegmentationMap,
-    _absorb_small,
     _connected_regions,
     _enforce_connectivity,
     _relabel_contiguous,
@@ -266,7 +265,7 @@ def test_cosegment_self_is_relabeling():
     rng = np.random.default_rng(7)
     r = Raster.from_array(rng.normal(size=(16, 16)).astype(np.float32))
     a = slic(r, 4)
-    out = cosegment(a, a, min_region=1)
+    out = cosegment(a, a)  # each piece is its label's only piece: none dissolves
     assert out.count == a.count
     # same partition: output label is a bijection of the input label
     pairs = {(x, y) for x, y in zip(a.labels.ravel(), out.labels.ravel())}
@@ -276,68 +275,97 @@ def test_cosegment_self_is_relabeling():
 def test_cosegment_halves_make_quadrants():
     a = _grid_map(8, 8, 1, 2)  # left/right halves
     b = _grid_map(8, 8, 2, 1)  # top/bottom halves
-    out = cosegment(a, b, min_region=1)
+    out = cosegment(a, b)
     assert out.count == 4
     assert sorted(_region_sizes(out).tolist()) == [16, 16, 16, 16]
 
 
 def test_cosegment_refines_both_inputs():
-    rng = np.random.default_rng(8)
-    r1 = Raster.from_array(rng.normal(size=(20, 20)).astype(np.float32))
-    r2 = Raster.from_array(rng.normal(size=(20, 20)).astype(np.float32))
-    a = slic(r1, 6)
-    b = slic(r2, 6)
-    out = cosegment(a, b, min_region=1)
-    assert out.count >= max(a.count, b.count)
+    # Offset grids: every (a, b) piece has at least MIN_REGION pixels
+    # (the smallest is 4 x 4), so the intersection is the whole answer.
+    a = _grid_map(24, 24, 2, 3)
+    b = _grid_map(24, 24, 3, 2)
+    out = cosegment(a, b)
+    assert _region_sizes(out).min() >= segmentation.MIN_REGION
+    assert out.count == len({*zip(a.labels.ravel(), b.labels.ravel())})
     for lab in range(1, out.count + 1):
         mask = out.labels == lab
         assert len(np.unique(a.labels[mask])) == 1
         assert len(np.unique(b.labels[mask])) == 1
 
 
+def _halves_and(b_labels):
+    """Left/right halves of an 8 x 8 image, and the map ``b_labels``."""
+    return _grid_map(8, 8, 1, 2), SegmentationMap(8, 8, int(b_labels.max()),
+                                                   b_labels.copy())
+
+
 def test_cosegment_absorbs_small_regions():
-    # a 2-pixel sliver inside a quadrant layout must be merged away
-    labels = np.ones((8, 8), dtype=np.int64)
-    labels[:, 4:] = 2
-    a = SegmentationMap(8, 8, 2, labels)
-    labels_b = np.ones((8, 8), dtype=np.int64)
-    labels_b[0, :2] = 2
-    b = SegmentationMap(8, 8, 2, labels_b)
-    out = cosegment(a, b, min_region=10)
-    assert _region_sizes(out).min() >= 10
-    out_keep = cosegment(a, b, min_region=1)
-    assert out_keep.count == 3  # the sliver survives without absorption
+    b = np.ones((8, 8), dtype=np.int64)
+    # A 2-pixel sliver that is its b label's only piece stays: the soft floor.
+    b[0, :2] = 2
+    out = cosegment(*_halves_and(b))
+    assert sorted(_region_sizes(out).tolist()) == [2, 30, 32]
+    assert np.array_equal(out.labels, oracle.cosegment(*_halves_and(b)).labels)
+
+    # b label 2 splits into two 2-pixel pieces across the halves: the tie
+    # keeps the first in scan order, at (0, 2); the one at (0, 4) is not the
+    # largest of a label 2 either, so its pixels join the right half below
+    # them (30 pixels) and not the 2-pixel piece on their left.
+    b[0, :2] = 1
+    b[0, 2:6] = 2
+    out = cosegment(*_halves_and(b))
+    want = np.where(_grid_map(8, 8, 1, 2).labels == 1, 1, 3)
+    want[0, 2:4] = 2
+    assert np.array_equal(out.labels, want)
+    assert np.array_equal(out.labels, oracle.cosegment(*_halves_and(b)).labels)
+
+    # Pieces of MIN_REGION pixels stay although none is its b label's largest
+    # on the left (12 and 20 pixels) or its a label's largest at the top.
+    b = np.ones((8, 8), dtype=np.int64)
+    b[:3] = 2
+    out = cosegment(*_halves_and(b))
+    assert sorted(_region_sizes(out).tolist()) == [12, 12, 20, 20]
+
+    # A dissolved pixel takes the neighbour whose kept piece is strictly
+    # largest, not the first one read: (3, 3), b label 3's smaller piece,
+    # reads the 9-pixel b label 2 block above it first, then the rest of
+    # the image (52 pixels) below it, and joins the rest.
+    a = SegmentationMap(8, 8, 1, np.ones((8, 8), dtype=np.int64))
+    b = np.ones((8, 8), dtype=np.int64)
+    b[:3, 2:5] = 2
+    b[3, 3] = b[7, 6] = b[7, 7] = 3
+    b = SegmentationMap(8, 8, 3, b)
+    out = cosegment(a, b)
+    want = np.ones((8, 8), dtype=np.int64)
+    want[:3, 2:5] = 2
+    want[7, 6:] = 3
+    assert np.array_equal(out.labels, want)
+    assert np.array_equal(out.labels, oracle.cosegment(a, b).labels)
+
+
+def _segmentation_from(labels, count):
+    return SegmentationMap(labels.shape[0], labels.shape[1], count, labels + 1)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 30), st.integers(1, 30),
-       st.booleans(), st.integers(1, 40), st.integers(1, 4), st.integers(2, 15))
-def test_absorb_small_matches_oracle(seed, m, n, strip, n_labels, block, min_region):
-    # Block-upsampled random maps give equal region sizes and equal boundary
-    # lengths, so both tie rules are exercised; strips are 1 x N.
+       st.booleans(), st.integers(1, 12), st.integers(1, 12), st.integers(1, 4),
+       st.integers(1, 4))
+@example(seed=0, m=1, n=1, strip=False, la=1, lb=1, block_a=1, block_b=1)
+@example(seed=1, m=1, n=30, strip=True, la=4, lb=3, block_a=3, block_b=2)
+def test_cosegment_matches_oracle(seed, m, n, strip, la, lb, block_a, block_b):
+    # Block-upsampled random maps split each label into pieces of tied
+    # sizes, both under and over MIN_REGION, and labels need not be
+    # connected; strips are 1 x N.
     if strip:
         m = 1
-    labels = _block_map(seed, m, n, n_labels, block)
-    got = _absorb_small(labels, min_region)
-    want = oracle.absorb_small(labels, min_region)
-    assert np.array_equal(got, want)
-
-
-def test_absorb_small_updates_the_maps_of_a_target_that_grew_big():
-    # min_region 10. A (label 2, 2 px) shares 4 pixels of boundary with B
-    # (label 3, 9 px) and goes first, so B reaches 11 px. C (label 4, 2 px)
-    # touched A 2, B 2 and D (label 1) 2; after A's merge C's boundary with
-    # B is 4, so C joins B, where a stale count (B 2, tie with D) would give
-    # it to D, the lower label.
-    labels = np.array([[1, 1, 1, 1, 1, 1],
-                       [1, 3, 3, 3, 3, 1],
-                       [1, 3, 2, 4, 1, 1],
-                       [1, 3, 2, 4, 1, 1],
-                       [1, 3, 3, 3, 1, 1],
-                       [1, 1, 1, 1, 1, 1]])
-    got = _absorb_small(labels, 10)
-    assert np.array_equal(got, oracle.absorb_small(labels, 10))
-    assert np.array_equal(got, np.where(labels == 1, 1, 3))
+    a = _segmentation_from(_block_map(seed, m, n, la, block_a), la)
+    b = _segmentation_from(_block_map(seed + 1, m, n, lb, block_b), lb)
+    got = cosegment(a, b)
+    want = oracle.cosegment(a, b)
+    assert got.count == want.count
+    assert np.array_equal(got.labels, want.labels)
 
 
 @settings(max_examples=150, deadline=None)
@@ -363,7 +391,7 @@ def test_cosegment_dimension_mismatch():
     a = _grid_map(4, 4, 2, 2)
     b = _grid_map(4, 5, 2, 2)
     with pytest.raises(ValueError):
-        cosegment(a, b, min_region=1)
+        cosegment(a, b)
 
 
 def test_extract_features_constant_channel():
