@@ -13,7 +13,10 @@ di.f32 and bcm.u8 bytes, so that two sweeps with byte-identical artifacts
 print the same digests. A last line gives the median and minimum KC, the
 gate failures and the box-end fits. With the defaults each scene is
 perfbench's `scene256` scene for that data seed (at --size 256);
-`--size 128 --bands 3` gives its `multiband_staged` scene.
+`--size 128 --bands 3` gives its `multiband_staged` scene. `--post-bands`
+sets the post-event band count apart from the pre-event one, as for an
+optical image of 3 bands against a SAR image of 1 (`--bands 3
+--post-bands 1`); it defaults to `--bands`.
 
 Example:
     python3 scripts/run_synth_benchmark.py --size 256 --data-seeds 0 1 2 \
@@ -44,11 +47,13 @@ def on_box_end(model) -> bool:
 
 
 def run_one(size, rho, w, data_seed, pipeline_seed, ns_model, ns_test, alpha,
-            workdir, bands=1):
-    """Generate one scene with ``bands`` bands per side, detect on it, and
-    return its row as a dict."""
+            workdir, bands=1, post_bands=None):
+    """Generate one scene with ``bands`` pre-event bands and ``post_bands``
+    post-event bands (default ``bands``), detect on it, and return its row
+    as a dict."""
     model = CopulaMixtureModel(rho=rho, theta=1.0, w=w, n_train=1)
-    cfg = SynthConfig(m=size, n=size, cx=bands, cy=bands, model=model,
+    cy = bands if post_bands is None else post_bands
+    cfg = SynthConfig(m=size, n=size, cx=bands, cy=cy, model=model,
                       change_fraction=0.1, noise_sigma=0.05, seed=data_seed)
     x, y, gt = generate_pair(cfg)
     base = os.path.join(workdir, f"d{data_seed}_p{pipeline_seed}")
@@ -114,7 +119,9 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--size", type=int, default=256)
     parser.add_argument("--bands", type=int, default=1,
-                        help="bands per side (cx = cy)")
+                        help="pre-event bands (cx)")
+    parser.add_argument("--post-bands", type=int, default=None,
+                        help="post-event bands (cy; default --bands)")
     parser.add_argument("--rho", type=float, default=0.9)
     parser.add_argument("--w", type=float, default=1.0)
     parser.add_argument("--ns-model", type=int, default=400)
@@ -133,6 +140,7 @@ def main():
                 rows.append(run_one(
                     args.size, args.rho, args.w, data_seed, pipeline_seed,
                     args.ns_model, args.ns_test, args.alpha, workdir, args.bands,
+                    args.post_bands,
                 ))
                 print(format_row(rows[-1]), flush=True)
     print(summary(rows))

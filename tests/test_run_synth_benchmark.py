@@ -28,27 +28,34 @@ def sweep():
     return _load("run_synth_benchmark", ROOT / "scripts" / "run_synth_benchmark.py")
 
 
-def _check_scene_and_counts(row, tmp_path, size, bands):
-    """The row's scene is perfbench's generator at ``size`` with ``bands``
-    bands per side, and its superpixel and box-end counts are those of
-    `copcd detect` on the same files; returns that run's metrics and fits."""
+def _check_scene_and_counts(row, tmp_path, size, bands, post_bands=None):
+    """The row's scene has ``bands`` pre-event and ``post_bands`` (default
+    ``bands``) post-event bands and, when the two are equal, is perfbench's
+    generator at ``size``; its superpixel and box-end counts are those of
+    `copcd detect` on the same files. Returns that run's metrics and fits."""
     base = tmp_path / f"d{row['data']}_p{row['pipe']}"
-    workloads = _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    scene = workloads.Scene("s", "", size=size, bands=bands, staged=False, gate=True)
-    (tmp_path / "bench").mkdir()
-    files = scene.setup(str(tmp_path / "bench"), row["data"])
-    for name, ext in (("pre", ".f32"), ("post", ".f32"), ("gt", ".u8")):
-        assert (base / (name + ext)).read_bytes() == Path(files[name] + ext).read_bytes()
+    post_bands = bands if post_bands is None else post_bands
+    pre, post = load_raster(str(base / "pre")), load_raster(str(base / "post"))
+    assert (pre.height, pre.width, pre.channels) == (size, size, bands)
+    assert (post.height, post.width, post.channels) == (size, size, post_bands)
+    if bands == post_bands:
+        workloads = _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+        scene = workloads.Scene("s", "", size=size, bands=bands, staged=False,
+                                gate=True)
+        (tmp_path / "bench").mkdir()
+        files = scene.setup(str(tmp_path / "bench"), row["data"])
+        for name, ext in (("pre", ".f32"), ("post", ".f32"), ("gt", ".u8")):
+            assert ((base / (name + ext)).read_bytes()
+                    == Path(files[name] + ext).read_bytes())
 
     out = tmp_path / "cli"
     assert cli.main(["detect", "--pre", str(base / "pre"), "--post", str(base / "post"),
                      "--gt", str(base / "gt"), "--ns-model", "40", "--ns-test", "80",
                      "--alpha", "5", "--seed", "0", "--out-dir", str(out)]) == cli.EXIT_OK
-    seg = pipeline.cosegment_pair(load_raster(str(base / "pre")),
-                                  load_raster(str(base / "post")), 80)
+    seg = pipeline.cosegment_pair(pre, post, 80)
     assert row["superpixels"] == seg.count
     fits = json.loads((out / "model.json").read_text())["pairs"]
-    assert row["pairs"] == len(fits) == bands * bands
+    assert row["pairs"] == len(fits) == bands * post_bands
     assert row["box_end_pairs"] == sum(fit["rho"] in (0.01, 0.99)
                                        or fit["theta"] in (0.1, 20.0)
                                        for fit in fits.values())
@@ -94,3 +101,12 @@ def test_multiband_row_counts_box_ends_over_every_pair(sweep, tmp_path):
     row = sweep.run_one(48, 0.9, 1.0, 11, 0, 40, 80, 5.0, str(tmp_path), bands=3)
     _check_scene_and_counts(row, tmp_path, 48, 3)
     assert f"{row['box_end_pairs']}/9" in sweep.format_row(row).split()
+
+
+def test_optical_against_sar_row_counts_box_ends_over_its_three_pairs(sweep, tmp_path):
+    # --bands 3 --post-bands 1: a 3-band optical image against a 1-band SAR
+    # image gives three channel pairs, (1, 1), (2, 1) and (3, 1).
+    row = sweep.run_one(48, 0.9, 1.0, 11, 0, 40, 80, 5.0, str(tmp_path), bands=3,
+                        post_bands=1)
+    _check_scene_and_counts(row, tmp_path, 48, 3, post_bands=1)
+    assert f"{row['box_end_pairs']}/3" in sweep.format_row(row).split()

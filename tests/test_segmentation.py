@@ -112,7 +112,7 @@ def _extreme_values(rng, shape):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 48), st.integers(1, 48),
        st.integers(1, 3), st.integers(1, 60),
-       st.sampled_from(("normal", "quantized", "extreme")))
+       st.sampled_from(("normal", "quantized", "extreme", "scaled")))
 # 48 x 48 at 60: 64 centres in blocks of 10 (15 x 15 windows), ties common.
 @example(seed=1, m=48, n=48, channels=1, target=60, values="quantized")
 @example(seed=2, m=48, n=48, channels=3, target=60, values="quantized")
@@ -125,12 +125,23 @@ def _extreme_values(rng, shape):
 # One band: the colour distance |x - c| must equal sqrt((x - c) ** 2) from
 # subnormal to near-overflow float32 values in one raster.
 @example(seed=7, m=40, n=40, channels=1, target=30, values="extreme")
+# More bands, summed in band order: numpy sums a trailing axis of 8 or more
+# elements pairwise, so 7 to 9 bands straddle that change.
+@example(seed=8, m=40, n=40, channels=4, target=30, values="normal")
+@example(seed=9, m=40, n=40, channels=7, target=30, values="normal")
+@example(seed=10, m=40, n=40, channels=8, target=30, values="normal")
+@example(seed=11, m=40, n=40, channels=9, target=30, values="quantized")
+# Bands whose scales differ by 1e-3 to 1e3, so that rounding in the sum bites.
+@example(seed=12, m=40, n=40, channels=3, target=30, values="scaled")
 def test_slic_matches_mask_oracle(seed, m, n, channels, target, values):
     rng = np.random.default_rng(seed)
     if values == "quantized":  # few distinct values, so distance ties occur
         arr = rng.integers(0, 3, size=(m, n, channels)).astype(np.float32)
     elif values == "extreme":
         arr = _extreme_values(rng, (m, n, channels))
+    elif values == "scaled":
+        scale = 10.0 ** np.linspace(-3, 3, channels)
+        arr = (rng.normal(size=(m, n, channels)) * scale).astype(np.float32)
     else:
         arr = rng.normal(size=(m, n, channels)).astype(np.float32)
     r = Raster.from_array(arr)
@@ -154,21 +165,31 @@ def test_slic_cross_block_tie_goes_to_lower_centre():
     assert got.labels[5, 30] == got.labels[5, 25] != got.labels[5, 35]
 
 
-@pytest.fixture(scope="module")
-def scene5():
-    """The seed-5 acceptance scene's rasters X and Y (perfbench scene256)."""
-    cfg = SynthConfig(m=256, n=256, noise_sigma=0.05, seed=5,
+def _seed5_scene(bands):
+    """The seed-5 256 x 256 scene's rasters X and Y with ``bands`` bands a side."""
+    cfg = SynthConfig(m=256, n=256, cx=bands, cy=bands, noise_sigma=0.05, seed=5,
                       model=CopulaMixtureModel(rho=0.9, theta=1.0, w=1.0, n_train=1))
     x, y, _ = generate_pair(cfg)
     return x, y
 
 
-def test_slic_temporaries_stay_linear_in_pixels(scene5):
-    # Scoring centres in blocks bounds the window arrays by the image size;
-    # all centres at once peaked at about 17 MiB here, the blocks at about 6.
+@pytest.fixture(scope="module")
+def scene5():
+    """The seed-5 acceptance scene's rasters X and Y (perfbench scene256)."""
+    return _seed5_scene(1)
+
+
+@pytest.mark.parametrize("bands", [1, 3])
+def test_slic_temporaries_stay_linear_in_pixels(bands):
+    # Scoring centres in blocks bounds the window arrays by the image size,
+    # and the colour distance is summed band by band from one float64 copy
+    # of the bands. Peaks in float64 images of 256 x 256: 10.6 with 1 band
+    # and 13.0 with 3; a (centres, window, window, bands) colour patch beside
+    # a second copy of the bands peaked at 11.6 and 17.9.
+    raster = _seed5_scene(bands)[0]
     tracemalloc.start()
     try:
-        slic(scene5[0], 800)
+        slic(raster, 800)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
