@@ -40,16 +40,27 @@ def _check_interior(u1, u2):
     return u1, u2
 
 
-def gaussian_logpdf(u1, u2, rho: float):
+def normal_scores(u1, u2):
+    """The Gaussian density's transforms of (u1, u2): the normal scores
+    x1 = ndtri(u1) and x2 = ndtri(u2), and x1 * x1 + x2 * x2."""
     u1, u2 = _check_interior(u1, u2)
-    if not -1 < rho < 1:
-        raise ValueError("rho must lie in (-1, 1)")
     x1 = ndtri(u1)
     x2 = ndtri(u2)
+    return x1, x2, x1 * x1 + x2 * x2
+
+
+def gaussian_logpdf_at(scores, rho: float):
+    """Gaussian copula log density from ``normal_scores``. x1 * x2 is not
+    among them: ``2 * rho * x1 * x2`` multiplies from the left."""
+    if not -1 < rho < 1:
+        raise ValueError("rho must lie in (-1, 1)")
+    x1, x2, x_sq = scores
     r2 = rho * rho
-    return -0.5 * np.log1p(-r2) - (r2 * (x1 * x1 + x2 * x2) - 2 * rho * x1 * x2) / (
-        2 * (1 - r2)
-    )
+    return -0.5 * np.log1p(-r2) - (r2 * x_sq - 2 * rho * x1 * x2) / (2 * (1 - r2))
+
+
+def gaussian_logpdf(u1, u2, rho: float):
+    return gaussian_logpdf_at(normal_scores(u1, u2), rho)
 
 
 def log_expm1(x):
@@ -63,20 +74,35 @@ def log_expm1(x):
     return np.where(big, x + np.log(-np.expm1(-x)), np.log(s))
 
 
-def clayton_logpdf(u1, u2, theta: float):
+def tail_logs(u1, u2, tail_mode: str):
+    """The tail density's transforms of (u1, u2): l1, l2 and l1 + l2, with
+    l = log u for Clayton and l = log(1 - u) for its survival copula."""
+    if tail_mode not in (TAIL_CLAYTON, TAIL_CLAYTON_SURVIVAL):
+        raise ValueError(f"unknown tail_mode {tail_mode!r}")
     u1, u2 = _check_interior(u1, u2)
-    if theta <= 0:
-        raise ValueError("theta must be > 0")
+    if tail_mode == TAIL_CLAYTON_SURVIVAL:
+        u1, u2 = _check_interior(1.0 - u1, 1.0 - u2)
     l1 = np.log(u1)
     l2 = np.log(u2)
+    return l1, l2, l1 + l2
+
+
+def clayton_logpdf_at(logs, theta: float):
+    """Clayton copula log density from ``tail_logs``."""
+    if theta <= 0:
+        raise ValueError("theta must be > 0")
+    l1, l2, l_sum = logs
     # s = u1^-t + u2^-t - 1, computed via log terms to survive small u.
     log_sum = log_expm1(np.logaddexp(-theta * l1, -theta * l2))
-    return np.log1p(theta) + (-1 - theta) * (l1 + l2) + (-1 / theta - 2) * log_sum
+    return np.log1p(theta) + (-1 - theta) * l_sum + (-1 / theta - 2) * log_sum
+
+
+def clayton_logpdf(u1, u2, theta: float):
+    return clayton_logpdf_at(tail_logs(u1, u2, TAIL_CLAYTON), theta)
 
 
 def sclayton_logpdf(u1, u2, theta: float):
-    u1, u2 = _check_interior(u1, u2)
-    return clayton_logpdf(1.0 - u1, 1.0 - u2, theta)
+    return clayton_logpdf_at(tail_logs(u1, u2, TAIL_CLAYTON_SURVIVAL), theta)
 
 
 @dataclass(frozen=True)
@@ -134,23 +160,26 @@ def tail_logpdf(u1, u2, theta: float, tail_mode: str):
     raise ValueError(f"unknown tail_mode {tail_mode!r}")
 
 
-def mixture_logpdf_and_gamma(u1, u2, rho: float, theta: float, w: float,
-                             tail_mode: str):
+def mix_logpdfs(lg, lc, w: float):
     """Per point, log(w * f_gaussian + (1-w) * f_tail), stable in log space,
-    and the Gaussian-component responsibility gamma_1, from one evaluation
-    of each component density."""
+    and the Gaussian-component responsibility gamma_1, from the component
+    log densities lg and lc; lg is read only if w > 0 and lc only if w < 1."""
     if w >= 1.0:
-        lg = gaussian_logpdf(u1, u2, rho)
         return lg, np.ones_like(lg)
     if w <= 0.0:
-        lc = tail_logpdf(u1, u2, theta, tail_mode)
         return lc, np.zeros_like(lc)
-    lg = gaussian_logpdf(u1, u2, rho)
-    lc = tail_logpdf(u1, u2, theta, tail_mode)
     fg = w * np.exp(lg)
     fc = (1 - w) * np.exp(lc)
     gamma1 = np.clip(fg / np.maximum(fg + fc, LOG_FLOOR), 0.0, 1.0)
     return np.logaddexp(np.log(w) + lg, np.log1p(-w) + lc), gamma1
+
+
+def mixture_logpdf_and_gamma(u1, u2, rho: float, theta: float, w: float,
+                             tail_mode: str):
+    """``mix_logpdfs`` of (u1, u2), each component density evaluated once."""
+    lg = None if w <= 0.0 else gaussian_logpdf(u1, u2, rho)
+    lc = None if w >= 1.0 else tail_logpdf(u1, u2, theta, tail_mode)
+    return mix_logpdfs(lg, lc, w)
 
 
 def mixture_logpdf_params(u1, u2, rho: float, theta: float, w: float, tail_mode: str):

@@ -12,6 +12,11 @@ from .raster import Raster
 SLIC_ITERS = 10
 COMPACTNESS = 10.0  # weight of the spatial term of the SLIC distance
 MIN_REGION = 10  # pixels; a smaller co-segmentation piece stays only as a label's largest
+# The most pixel entries a SLIC block's windows hold together, or m * n if
+# fewer. At 2048 x 2048 (1 band, target 51,200, 2 cores) a slic call after a
+# process's first took 5.6-7.9 s with 2 ** 18 (2 MiB of float64) and
+# 7.3-10.7 s with blocks of m * n entries. A cap above m * n slows small images.
+SLIC_BLOCK_ENTRIES = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -67,8 +72,10 @@ def slic(r: Raster, target_count: int) -> SegmentationMap:
     State-of-the-Art Superpixel Methods" (IEEE TPAMI, 2012). A pixel goes to
     the nearest centre whose window covers it, ties to the lowest centre
     index; a pixel no window covers keeps its label. The centres are scored
-    in index order, in blocks whose windows hold at most m * n pixel entries
-    together, so the temporaries stay linear in pixels. The colour distance
+    in index order, in blocks whose windows hold at most
+    min(m * n, SLIC_BLOCK_ENTRIES) pixel entries together (at least one
+    centre a block), so the temporaries stay linear in pixels; no label
+    depends on the block size. The colour distance
     is accumulated band by band, in band order, from one band-major float64
     copy of the bands, ``planes``; on a 1024 x 1024 3-band scene (2 cores)
     this took ``copcd detect`` from 11.6-12.9 s (a 4-D patch) to 7.2-7.4 s.
@@ -94,8 +101,7 @@ def slic(r: Raster, target_count: int) -> SegmentationMap:
     k = len(centers_pos)
     win = int(np.ceil(spacing))
     ratio = COMPACTNESS / spacing
-    # Each block's windows hold at most m * n pixel entries.
-    block = max(1, (m * n) // (2 * win + 1) ** 2)
+    block = max(1, min(m * n, SLIC_BLOCK_ENTRIES) // (2 * win + 1) ** 2)
 
     assign = np.zeros(m * n, dtype=np.int64)
     for _ in range(SLIC_ITERS):
@@ -214,31 +220,28 @@ def _largest_per_label(comp: np.ndarray, labels: np.ndarray,
 def _grow_kept(comp: np.ndarray, keep: np.ndarray, sizes: np.ndarray,
                shape) -> np.ndarray:
     """Grow the kept pieces of the flat piece map ``comp`` into the other
-    pixels in synchronous passes; return the (m, n) map of kept piece ids.
-    In a pass every remaining orphan reads its up, down, left and right
-    neighbours, in that order, and takes the one whose kept piece is
-    strictly largest; only then are the labels written. While some piece is
-    kept, each pass labels at least one orphan: the 4-connected grid is
-    connected, so while orphans remain one of them touches a labelled pixel.
+    pixels, the orphans, in synchronous passes; return the (m, n) map of kept
+    piece ids. In a pass every remaining orphan reads its up, down, left and
+    right neighbours, in that order, and takes the first whose kept piece is
+    largest; only then are the labels written. Pass d labels the orphans at
+    taxicab distance d from the nearest kept pixel (the grid has no walls),
+    so each pass visits only that layer, reading the neighbours from a label
+    array padded with -1. ``tests/segmentation_oracle.py`` keeps the loop
+    over all remaining orphans.
     """
     m, n = shape
-    final = np.where(keep[comp], comp, -1)
-    orphans = np.flatnonzero(final < 0)
-    while orphans.size:
-        row, col = np.divmod(orphans, n)
-        best_nb = np.full(orphans.size, -1, dtype=np.int64)
-        best_sz = np.full(orphans.size, -1, dtype=np.int64)
-        for inside, step in ((row > 0, -n), (row < m - 1, n), (col > 0, -1),
-                             (col < n - 1, 1)):
-            nb = np.where(inside, final[np.where(inside, orphans + step, 0)], -1)
-            sz = np.where(nb >= 0, sizes[nb], -1)
-            upd = sz > best_sz
-            best_nb[upd] = nb[upd]
-            best_sz[upd] = sz[upd]
-        done = best_nb >= 0
-        final[orphans[done]] = best_nb[done]
-        orphans = orphans[~done]
-    return final.reshape(m, n)
+    padded = np.full((m + 2, n + 2), -1, dtype=np.int64)
+    padded[1:-1, 1:-1] = np.where(keep[comp], comp, -1).reshape(m, n)
+    layer = ndimage.distance_transform_cdt(padded[1:-1, 1:-1] < 0, metric="taxicab")
+    flat = padded.ravel()
+    size_of = np.append(sizes, -1)  # a -1 neighbour has no piece
+    steps = np.array([-(n + 2), n + 2, -1, 1])  # up, down, left, right
+    for d in range(1, layer.max() + 1):
+        at = np.flatnonzero(layer == d)
+        px = at + 2 * (at // n) + n + 3  # the padded index of pixel at
+        nb = flat[px[:, None] + steps]
+        flat[px] = nb[np.arange(len(px)), np.argmax(size_of[nb], axis=1)]
+    return padded[1:-1, 1:-1]
 
 
 def cosegment(a: SegmentationMap, b: SegmentationMap) -> SegmentationMap:

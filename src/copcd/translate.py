@@ -22,17 +22,31 @@ def _match_channel(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     tgt_sorted = np.sort(tgt.ravel())
     if flat.min() == flat.max():
         return np.full_like(flat, np.median(tgt_sorted)).reshape(src.shape)
-    order = np.argsort(flat, kind="stable")
-    assigned = tgt_sorted.astype(np.float64).copy()
+    # The order within a run of ties never shows, as the run shares one mean,
+    # so the sort need not be stable (on finite values, which rasters hold).
+    order = np.argsort(flat)
+    assigned = tgt_sorted.astype(np.float64)
     sorted_src = flat[order]
-    # Average target values over runs of tied source values; a run of one
-    # keeps its value, so only the longer runs are visited.
+    # Average target values over runs of tied source values. A run of one
+    # keeps its value, so only the longer runs are summed, by one reduceat
+    # whose every other result is a run's sum. ``ndarray.mean`` adds the
+    # pairwise sum of a run to 0.0, but reduceat adds the pairwise sum of all
+    # but a segment's first value to that value; so each run's segment starts
+    # at a 0.0 put before the run. reduceat rejects a final edge equal to the
+    # length; a last segment runs to the end.
     boundaries = np.flatnonzero(np.diff(sorted_src) != 0) + 1
     starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [len(flat)]])
-    tied = ends - starts > 1
-    for a, b in zip(starts[tied].tolist(), ends[tied].tolist()):
-        assigned[a:b] = assigned[a:b].mean()
+    lengths = np.diff(np.concatenate([starts, [len(flat)]]))
+    tied = lengths > 1
+    if tied.any():
+        first, run = starts[tied], lengths[tied]
+        padded = np.insert(assigned, first, 0.0)
+        zero = first + np.arange(first.size)
+        edges = np.column_stack([zero, zero + 1 + run]).ravel()
+        if edges[-1] == padded.size:
+            edges = edges[:-1]
+        means = np.add.reduceat(padded, edges)[::2] / run
+        assigned[np.repeat(tied, lengths)] = np.repeat(means, run)
     out = np.empty(len(flat), dtype=np.float64)
     out[order] = assigned
     return out.reshape(src.shape)

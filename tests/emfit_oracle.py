@@ -1,8 +1,8 @@
 """The grid-search EM M-step that `copcd.emfit.m_step` replaced, kept as the
 reference for its exact maximization.
 
-`m_step` is the old code with the top of its theta grid passed as `theta_max`
-and without the per-fit tail-term cache (the cache only memoized log s(theta)).
+`m_step` is the old code with the top of its theta grid passed as `theta_max`.
+It takes (u, v) and computes their normal scores and tail logs on each call.
 `component_objectives` returns the same two weighted objectives, so a test
 can score any (rho, theta) against them.
 """

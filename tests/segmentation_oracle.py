@@ -178,3 +178,27 @@ def grow_kept(comp: np.ndarray, keep: np.ndarray, comp_sizes: np.ndarray):
             break
         final[progressed] = best_nb[progressed]
     return final
+
+
+def grow_kept_passes(comp: np.ndarray, keep: np.ndarray, sizes: np.ndarray, shape):
+    """``grow_kept``'s rule in synchronous passes over the flat piece map
+    ``comp``, each pass visiting every remaining orphan; the (m, n) map of
+    kept piece ids."""
+    m, n = shape
+    final = np.where(keep[comp], comp, -1)
+    orphans = np.flatnonzero(final < 0)
+    while orphans.size:
+        row, col = np.divmod(orphans, n)
+        best_nb = np.full(orphans.size, -1, dtype=np.int64)
+        best_sz = np.full(orphans.size, -1, dtype=np.int64)
+        for inside, step in ((row > 0, -n), (row < m - 1, n), (col > 0, -1),
+                             (col < n - 1, 1)):
+            nb = np.where(inside, final[np.where(inside, orphans + step, 0)], -1)
+            sz = np.where(nb >= 0, sizes[nb], -1)
+            upd = sz > best_sz
+            best_nb[upd] = nb[upd]
+            best_sz[upd] = sz[upd]
+        done = best_nb >= 0
+        final[orphans[done]] = best_nb[done]
+        orphans = orphans[~done]
+    return final.reshape(m, n)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from copula_oracle import (
     clayton_cdf,
@@ -18,20 +19,31 @@ from copula_oracle import (
     sclayton_density,
 )
 from copcd.copula import (
+    RHO_MAX,
+    RHO_MIN,
+    THETA_MAX,
+    THETA_MIN,
     ChannelPairModels,
     CopulaMixtureModel,
     _clayton_conditional_inverse,
     clamp_pseudo_obs,
     clayton_logpdf,
+    clayton_logpdf_at,
     conditional_sample,
     joint_logpdf_superpixel,
     decode_column,
     encode_column,
+    gaussian_logpdf,
+    gaussian_logpdf_at,
     load_model_set,
     log_expm1,
+    normal_scores,
     sample_clayton_pairs,
     sample_gaussian_pairs,
     sample_mixture,
+    sclayton_logpdf,
+    tail_logpdf,
+    tail_logs,
 )
 from copcd.dependence import (
     ORIENT_NEGATED,
@@ -103,6 +115,38 @@ def test_clayton_logpdf_keeps_its_bits_and_survives_large_theta():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.isfinite(clayton_logpdf(u1, u2, 5000.0)).all()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_transform_formulas_equal_the_public_densities_bit_for_bit(seed):
+    """The formulas on normal_scores and tail_logs give the bytes of the
+    public u/v densities and of the densities' inline expressions before
+    they were split, on (u, v) clamped at delta next to 0 and 1, with rho
+    and theta at both ends of the box EM fits in."""
+    n_train = 500
+    u, v = clamp_pseudo_obs(np.random.default_rng(seed).uniform(-0.01, 1.01, (2, 3000)),
+                            n_train)
+    delta = 1 / (2 * n_train)
+    assert {u.min(), v.min(), u.max(), v.max()} == {delta, 1 - delta}
+
+    def same_bytes(*arrays):
+        return len({a.tobytes() for a in arrays}) == 1
+
+    x1, x2 = ndtri(u), ndtri(v)
+    for rho in (RHO_MIN, 0.37, RHO_MAX):
+        r2 = rho * rho
+        inline = -0.5 * np.log1p(-r2) - (r2 * (x1 * x1 + x2 * x2) - 2 * rho * x1 * x2) / (
+            2 * (1 - r2))
+        assert same_bytes(gaussian_logpdf_at(normal_scores(u, v), rho),
+                          gaussian_logpdf(u, v, rho), inline)
+    for mode, public, (a, b) in ((TAIL_CLAYTON, clayton_logpdf, (u, v)),
+                                 (TAIL_CLAYTON_SURVIVAL, sclayton_logpdf, (1.0 - u, 1.0 - v))):
+        l1, l2 = np.log(a), np.log(b)
+        for theta in (THETA_MIN, 2.0, THETA_MAX):
+            inline = (np.log1p(theta) + (-1 - theta) * (l1 + l2) + (-1 / theta - 2)
+                      * log_expm1(np.logaddexp(-theta * l1, -theta * l2)))
+            assert same_bytes(clayton_logpdf_at(tail_logs(u, v, mode), theta),
+                              public(u, v, theta), tail_logpdf(u, v, theta, mode), inline)
 
 
 def test_sclayton_is_reflection():

@@ -27,7 +27,9 @@ from copcd.emfit import (
     THETA_MAX,
     THETA_MIN,
     EmConfig,
+    e_step,
     fit,
+    fit_transforms,
     log_likelihood,
     m_step,
 )
@@ -85,27 +87,40 @@ def test_e_step_hand_value():
     assert gamma[0] == pytest.approx(0.37605, abs=1e-4)
 
 
+@pytest.mark.parametrize("tail_mode", [TAIL_CLAYTON, TAIL_CLAYTON_SURVIVAL])
+def test_e_step_is_the_public_mixture_bit_for_bit(tail_mode):
+    """fit's E-step on the per-fit transforms gives the bytes detection's
+    mixture gives on (u, v), at the box's ends and at w = 0 and 1."""
+    u, v = np.random.default_rng(6).uniform(0.001, 0.999, (2, 500))
+    tf = fit_transforms(u, v, tail_mode)
+    for rho, theta, w in ((RHO_MIN, THETA_MIN, 0.3), (RHO_MAX, THETA_MAX, 0.7),
+                          (0.5, 2.0, 0.0), (0.5, 2.0, 1.0)):
+        got = e_step(tf, rho, theta, w)
+        want = mixture_logpdf_and_gamma(u, v, rho, theta, w, tail_mode)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 def test_m_step_weight_is_mean_responsibility():
     rng = np.random.default_rng(2)
     u, v = rng.uniform(0.05, 0.95, (2, 100))
-    w, _, _ = m_step(u, v, np.ones(100), TAIL_CLAYTON, 0.5, 0.5)
+    w, _, _ = m_step(fit_transforms(u, v, TAIL_CLAYTON), np.ones(100), 0.5, 0.5)
     assert w == 1.0
     gamma = rng.random(100)
-    w2, _, _ = m_step(u, v, gamma, TAIL_CLAYTON, 0.5, 0.5)
+    w2, _, _ = m_step(fit_transforms(u, v, TAIL_CLAYTON), gamma, 0.5, 0.5)
     assert w2 == pytest.approx(gamma.mean(), abs=1e-12)
 
 
 def test_m_step_recovers_gaussian_correlation():
     model = CopulaMixtureModel(rho=0.8, theta=1.0, w=1.0, n_train=1)
     u, v = sample_mixture(model, 5000, seed=3)
-    _, rho, _ = m_step(u, v, np.ones(5000), TAIL_CLAYTON, 0.5, 0.5)
+    _, rho, _ = m_step(fit_transforms(u, v, TAIL_CLAYTON), np.ones(5000), 0.5, 0.5)
     assert 0.77 <= rho <= 0.83
 
 
 def test_m_step_recovers_clayton_theta():
     rng = np.random.default_rng(4)
     u, v = sample_clayton_pairs(2.0, 5000, rng)
-    _, _, theta = m_step(u, v, np.zeros(5000), TAIL_CLAYTON, 0.5, 0.5)
+    _, _, theta = m_step(fit_transforms(u, v, TAIL_CLAYTON), np.zeros(5000), 0.5, 0.5)
     assert 1.7 <= theta <= 2.3
 
 
@@ -124,7 +139,7 @@ def test_exact_m_step_beats_grid_oracle(seed, n, tail_mode, rho_cur, theta_cur):
                                n_train=1)
     u, v = sample_mixture(model, n, seed=seed)
     gamma = rng.random(n) ** float(rng.uniform(0.2, 5))
-    w, rho, theta = m_step(u, v, gamma, tail_mode, rho_cur, theta_cur)
+    w, rho, theta = m_step(fit_transforms(u, v, tail_mode), gamma, rho_cur, theta_cur)
     w_grid, rho_grid, theta_grid = emfit_oracle.m_step(u, v, gamma, tail_mode,
                                                        THETA_MAX, rho_cur, theta_cur)
     _, rho_obj, theta_obj = emfit_oracle.component_objectives(u, v, gamma, tail_mode)
@@ -156,8 +171,8 @@ def test_m_step_keeps_theta_at_a_binding_bound(tail_mode):
     both updates land exactly on the bound, not a search step short of it."""
     u = (np.arange(1, 201) - 0.5) / 200
     for gamma in (np.full(200, 0.5), np.zeros(200)):
-        assert m_step(u, u, gamma, tail_mode, 0.5, 0.5)[2] == 20.0
-    _, rho, _ = m_step(u, u, np.ones(200), tail_mode, 0.5, 0.5)
+        assert m_step(fit_transforms(u, u, tail_mode), gamma, 0.5, 0.5)[2] == 20.0
+    _, rho, _ = m_step(fit_transforms(u, u, tail_mode), np.ones(200), 0.5, 0.5)
     assert rho == RHO_MAX
 
 
@@ -244,6 +259,8 @@ def _two_pass_logpdf_and_gamma(u, v, rho, theta, w, tail_mode):
 @pytest.mark.parametrize("tail_mode", [TAIL_CLAYTON, TAIL_CLAYTON_SURVIVAL])
 def test_one_density_pass_keeps_fit_outputs_byte_identical(tmp_path, monkeypatch,
                                                           tail_mode):
+    """fit's E-step on the per-fit transforms writes the bytes of a fit whose
+    E-step evaluates the public u/v densities, each component twice."""
     model = CopulaMixtureModel(rho=0.6, theta=3.0, w=0.4, tail_mode=tail_mode,
                                n_train=1)
     u, v = sample_mixture(model, 2000, seed=11)
@@ -256,9 +273,21 @@ def test_one_density_pass_keeps_fit_outputs_byte_identical(tmp_path, monkeypatch
                          "--out-dir", str(out)]) == cli.EXIT_OK
         return {f: (out / f).read_bytes() for f in ("model.json", "em_trace.csv")}
 
-    got = run("one_pass")
-    monkeypatch.setattr(emfit, "mixture_logpdf_and_gamma", _two_pass_logpdf_and_gamma)
+    got = run("transforms")
+    fitted = []  # the (u, v, tail_mode) of each fit
+    transforms = emfit.fit_transforms
+
+    def recording_transforms(u, v, mode):
+        fitted.append((u, v, mode))
+        return transforms(u, v, mode)
+
+    def two_pass_e_step(tf, rho, theta, w):
+        return _two_pass_logpdf_and_gamma(*fitted[-1][:2], rho, theta, w, fitted[-1][2])
+
+    monkeypatch.setattr(emfit, "fit_transforms", recording_transforms)
+    monkeypatch.setattr(emfit, "e_step", two_pass_e_step)
     want = run("two_pass")
+    assert [mode for _, _, mode in fitted] == [tail_mode]
     assert got == want
     assert json.loads(got["model.json"])["pairs"]["1,1"]["tail_mode"] == tail_mode
 
@@ -266,10 +295,11 @@ def test_one_density_pass_keeps_fit_outputs_byte_identical(tmp_path, monkeypatch
 def test_non_finite_log_likelihood_is_numerical_failure(tmp_path, monkeypatch, capsys):
     # No input inside the fitted box is known to overflow the densities, so
     # a -inf log density is injected to reach the check and exit code 3.
-    def overflowing(u, v, rho, theta, w, tail_mode):
-        return np.full(len(u), -np.inf), np.full(len(u), 0.5)
+    def overflowing(tf, rho, theta, w):
+        n = len(tf.t_hi)
+        return np.full(n, -np.inf), np.full(n, 0.5)
 
-    monkeypatch.setattr(emfit, "mixture_logpdf_and_gamma", overflowing)
+    monkeypatch.setattr(emfit, "e_step", overflowing)
     rng = np.random.default_rng(4)
     u, v = rng.uniform(0.05, 0.95, (2, 50))
     with pytest.raises(ArithmeticError, match="not finite"):

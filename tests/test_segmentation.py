@@ -16,6 +16,7 @@ from copcd.segmentation import (
     SegmentationMap,
     _connected_regions,
     _enforce_connectivity,
+    _grow_kept,
     _relabel_contiguous,
     _update_centers,
     cosegment,
@@ -165,6 +166,23 @@ def test_slic_cross_block_tie_goes_to_lower_centre():
     assert got.labels[5, 30] == got.labels[5, 25] != got.labels[5, 35]
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 40), st.integers(1, 40),
+       st.integers(1, 3), st.integers(1, 50), st.integers(1, 100))
+def test_slic_labels_do_not_depend_on_the_block_cap(seed, m, n, channels, target, cap):
+    """Blocks capped far below the image (down to one centre per block) give
+    the labels of the default cap: ties go to the lowest centre index, and
+    blocks are scored in index order."""
+    arr = np.random.default_rng(seed).integers(0, 3, size=(m, n, channels))
+    r = Raster.from_array(arr.astype(np.float32))
+    target = min(target, m * n)
+    want = slic(r, target)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(segmentation, "SLIC_BLOCK_ENTRIES", cap)
+        got = slic(r, target)
+    assert np.array_equal(got.labels, want.labels)
+
+
 def _seed5_scene(bands):
     """The seed-5 256 x 256 scene's rasters X and Y with ``bands`` bands a side."""
     cfg = SynthConfig(m=256, n=256, cx=bands, cy=bands, noise_sigma=0.05, seed=5,
@@ -272,6 +290,21 @@ def test_enforce_connectivity_deep_orphan():
     assert got.count == 2
     assert np.array_equal(got.labels, oracle.enforce_connectivity(assign, 2).labels)
     assert (got.labels[:, 3:] == got.labels[0, 3]).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 30), st.integers(1, 30),
+       st.integers(1, 8), st.integers(1, 4), st.floats(0.0, 1.0))
+def test_grow_kept_layers_match_the_pass_loop(seed, m, n, n_labels, block, kept_share):
+    """Any kept set of pieces, from one piece to all, grows as in the loop
+    over all remaining orphans of ``tests/segmentation_oracle.py``."""
+    comp = _connected_regions(_block_map(seed, m, n, n_labels, block)).ravel()
+    sizes = np.bincount(comp)
+    rng = np.random.default_rng(seed)
+    keep = rng.random(len(sizes)) < kept_share
+    keep[rng.integers(len(sizes))] = True
+    got = _grow_kept(comp, keep, sizes, (m, n))
+    assert np.array_equal(got, oracle.grow_kept_passes(comp, keep, sizes, (m, n)))
 
 
 def _grid_map(m, n, rows, cols):

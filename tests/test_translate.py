@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+import translate_oracle
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from copcd.raster import Raster
-from copcd.translate import translate_baseline
+from copcd.translate import _match_channel, translate_baseline
 
 
 def _raster(arr):
@@ -96,6 +99,37 @@ def test_quantized_source_groups_take_the_mean_of_their_target_slice():
         assert np.unique(got[group]).tolist() == [expected]
         start = end
     assert start == src.size
+
+
+_TARGETS = {
+    "float32": lambda rng, size: rng.gamma(2.0, size=size).astype(np.float32),
+    # float64 values over many octaves: a sum taken in another order differs
+    "wide": lambda rng, size: rng.lognormal(0.0, 8.0, size),
+    "signed zeros": lambda rng, size: np.where(rng.random(size) < 0.5, -0.0, 0.0),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 5000),
+       levels=st.integers(1, 60), unique_share=st.floats(0.0, 1.0),
+       target=st.sampled_from(sorted(_TARGETS)))
+@example(seed=0, size=4000, levels=2, unique_share=0.0, target="wide")  # long runs
+@example(seed=1, size=50, levels=1, unique_share=0.0, target="float32")  # constant
+@example(seed=2, size=300, levels=10, unique_share=1.0, target="float32")  # no ties
+@example(seed=3, size=2000, levels=15, unique_share=0.5, target="signed zeros")
+def test_match_channel_is_the_run_loop_bit_for_bit(seed, size, levels, unique_share,
+                                                    target):
+    """Quantized float32 sources, some values made unique so that runs of
+    one sit between tied runs, the last run tied or not, match the loop of
+    ``tests/translate_oracle.py`` byte for byte."""
+    rng = np.random.default_rng(seed)
+    src = np.floor(rng.random(size) * levels)
+    unique = rng.random(size) < unique_share
+    src[unique] = levels + rng.random(int(unique.sum()))
+    src = src.astype(np.float32)
+    tgt = _TARGETS[target](rng, size)
+    assert (_match_channel(src, tgt).tobytes()
+            == translate_oracle.match_channel(src, tgt).tobytes())
 
 
 def test_dimension_mismatch():
