@@ -9,9 +9,10 @@ superpixel count, the fitted rho, theta and w of channel pair (1, 1), a `*`
 marking a value on either end of the box EM fits in (rho = 0.01 or 0.99,
 theta = 0.1 or 20), how many of all the channel pairs fit on an end of
 that box, and a digest: the first 12 hex digits of the sha256 of the run's
-di.f32 and bcm.u8 bytes, so that two sweeps with byte-identical artifacts
-print the same digests. A last line gives the median and minimum KC, the
-gate failures and the box-end fits. With the defaults each scene is
+di.f32, bcm.u8, model.json and em_trace.csv bytes, so that two sweeps with
+byte-identical artifacts and fits print the same digests. A last line
+gives the median and minimum KC, the gate failures and the box-end fits.
+With the defaults each scene is
 perfbench's `scene256` scene for that data seed (at --size 256);
 `--size 128 --bands 3` gives its `multiband_staged` scene. `--post-bands`
 sets the post-event band count apart from the pre-event one, as for an
@@ -72,7 +73,7 @@ def run_one(size, rho, w, data_seed, pipeline_seed, ns_model, ns_test, alpha,
     elapsed = time.monotonic() - start
     write_artifacts(result, pipeline)
     digest = hashlib.sha256()
-    for name in ("di.f32", "bcm.u8"):
+    for name in ("di.f32", "bcm.u8", "model.json", "em_trace.csv"):
         with open(os.path.join(base, name), "rb") as fh:
             digest.update(fh.read())
     report, model_set = result["report"], result["model_set"]

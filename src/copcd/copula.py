@@ -1,9 +1,12 @@
 """Bivariate Gaussian / Clayton / Clayton-survival copulas, their mixture,
 seeded samplers, and the model file (``model.json``) of a fitted model set.
 
-Densities are evaluated in log space; the Clayton-survival density is the
-reflection f_clayton(1-u1, 1-u2) so it stays consistent with its CDF. The
-CDFs and the plain densities only verify the log densities and live in
+Densities are evaluated in log space, each from the transforms of (u1, u2):
+``normal_scores`` for the Gaussian and ``tail_logs`` for the tail copula,
+whose survival form is the reflection f_clayton(1-u1, 1-u2) so it stays
+consistent with its CDF. ``mixture_logpdf_at`` combines the two components;
+EM and detection both evaluate the mixture through it. The CDFs and the
+plain densities only verify the log densities and live in
 ``tests/copula_oracle.py``.
 """
 
@@ -35,7 +38,8 @@ THETA_MIN, THETA_MAX = 0.1, 20.0
 def _check_interior(u1, u2):
     u1 = np.asarray(u1, dtype=np.float64)
     u2 = np.asarray(u2, dtype=np.float64)
-    if (u1 <= 0).any() or (u1 >= 1).any() or (u2 <= 0).any() or (u2 >= 1).any():
+    # NaN fails every comparison, so it fails this check.
+    if not (((u1 > 0) & (u1 < 1)).all() and ((u2 > 0) & (u2 < 1)).all()):
         raise ValueError("copula density arguments must lie in (0, 1)")
     return u1, u2
 
@@ -57,10 +61,6 @@ def gaussian_logpdf_at(scores, rho: float):
     x1, x2, x_sq = scores
     r2 = rho * rho
     return -0.5 * np.log1p(-r2) - (r2 * x_sq - 2 * rho * x1 * x2) / (2 * (1 - r2))
-
-
-def gaussian_logpdf(u1, u2, rho: float):
-    return gaussian_logpdf_at(normal_scores(u1, u2), rho)
 
 
 def log_expm1(x):
@@ -97,12 +97,21 @@ def clayton_logpdf_at(logs, theta: float):
     return np.log1p(theta) + (-1 - theta) * l_sum + (-1 / theta - 2) * log_sum
 
 
-def clayton_logpdf(u1, u2, theta: float):
-    return clayton_logpdf_at(tail_logs(u1, u2, TAIL_CLAYTON), theta)
-
-
-def sclayton_logpdf(u1, u2, theta: float):
-    return clayton_logpdf_at(tail_logs(u1, u2, TAIL_CLAYTON_SURVIVAL), theta)
+def mixture_logpdf_at(scores, logs, rho: float, theta: float, w: float):
+    """Per point, log(w * f_gaussian + (1-w) * f_tail), stable in log space,
+    and the Gaussian-component responsibility gamma_1, from ``normal_scores``
+    and ``tail_logs`` of the same (u1, u2). Each component density is
+    evaluated once: the Gaussian only if w > 0, the tail only if w < 1."""
+    lg = None if w <= 0.0 else gaussian_logpdf_at(scores, rho)
+    lc = None if w >= 1.0 else clayton_logpdf_at(logs, theta)
+    if w >= 1.0:
+        return lg, np.ones_like(lg)
+    if w <= 0.0:
+        return lc, np.zeros_like(lc)
+    fg = w * np.exp(lg)
+    fc = (1 - w) * np.exp(lc)
+    gamma1 = np.clip(fg / np.maximum(fg + fc, LOG_FLOOR), 0.0, 1.0)
+    return np.logaddexp(np.log(w) + lg, np.log1p(-w) + lc), gamma1
 
 
 @dataclass(frozen=True)
@@ -152,41 +161,6 @@ class CopulaMixtureModel:
                       ("rho", "theta", "w", "tail_mode", "orientation", "n_train")})
 
 
-def tail_logpdf(u1, u2, theta: float, tail_mode: str):
-    if tail_mode == TAIL_CLAYTON:
-        return clayton_logpdf(u1, u2, theta)
-    if tail_mode == TAIL_CLAYTON_SURVIVAL:
-        return sclayton_logpdf(u1, u2, theta)
-    raise ValueError(f"unknown tail_mode {tail_mode!r}")
-
-
-def mix_logpdfs(lg, lc, w: float):
-    """Per point, log(w * f_gaussian + (1-w) * f_tail), stable in log space,
-    and the Gaussian-component responsibility gamma_1, from the component
-    log densities lg and lc; lg is read only if w > 0 and lc only if w < 1."""
-    if w >= 1.0:
-        return lg, np.ones_like(lg)
-    if w <= 0.0:
-        return lc, np.zeros_like(lc)
-    fg = w * np.exp(lg)
-    fc = (1 - w) * np.exp(lc)
-    gamma1 = np.clip(fg / np.maximum(fg + fc, LOG_FLOOR), 0.0, 1.0)
-    return np.logaddexp(np.log(w) + lg, np.log1p(-w) + lc), gamma1
-
-
-def mixture_logpdf_and_gamma(u1, u2, rho: float, theta: float, w: float,
-                             tail_mode: str):
-    """``mix_logpdfs`` of (u1, u2), each component density evaluated once."""
-    lg = None if w <= 0.0 else gaussian_logpdf(u1, u2, rho)
-    lc = None if w >= 1.0 else tail_logpdf(u1, u2, theta, tail_mode)
-    return mix_logpdfs(lg, lc, w)
-
-
-def mixture_logpdf_params(u1, u2, rho: float, theta: float, w: float, tail_mode: str):
-    """log(w * f_gaussian + (1-w) * f_tail) per point."""
-    return mixture_logpdf_and_gamma(u1, u2, rho, theta, w, tail_mode)[0]
-
-
 def clamp_pseudo_obs(u, n_train: int):
     delta = 1.0 / (2.0 * n_train)
     return np.clip(u, delta, 1.0 - delta)
@@ -216,7 +190,8 @@ def joint_logpdf_superpixel(hx, hy, ecdf_x: EmpiricalCdf, ecdf_y: EmpiricalCdf,
         raise ValueError("model has no training-set size")
     u, v = pseudo_obs(hx, hy, ecdf_x, ecdf_y, model.orientation == ORIENT_NEGATED,
                       model.n_train)
-    return mixture_logpdf_params(u, v, model.rho, model.theta, model.w, model.tail_mode)
+    return mixture_logpdf_at(normal_scores(u, v), tail_logs(u, v, model.tail_mode),
+                             model.rho, model.theta, model.w)[0]
 
 
 def sample_gaussian_pairs(rho: float, n: int, rng: np.random.Generator):

@@ -109,7 +109,7 @@ def tail_dependence(u, v):
     n = len(u)
     if n < 4:
         raise ValueError("need at least 4 samples")
-    if (u < 0).any() or (u > 1).any() or (v < 0).any() or (v > 1).any():
+    if not (((u >= 0) & (u <= 1)).all() and ((v >= 0) & (v <= 1)).all()):  # NaN fails
         raise ValueError("pseudo-observations must lie in [0, 1]")
     k = int(np.floor(np.sqrt(n)))
     t = k / n

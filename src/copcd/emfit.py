@@ -11,10 +11,10 @@ so the observed log-likelihood is non-decreasing by the usual EM argument.
 The pseudo-observations stay fixed for the whole fit, as in the rank-based
 pseudo-likelihood estimator of Genest, Ghoudi and Rivest (Biometrika 1995),
 so ``fit_transforms`` computes their normal scores and tail logs once per fit
-and every M-step and E-step reads them. ``e_step`` evaluates the mixture with
-the formulas detection scores with (``copula.gaussian_logpdf_at``,
-``clayton_logpdf_at`` and ``mix_logpdfs``): the log-likelihood and the next
-responsibilities come from one evaluation of each component density.
+and every M-step and E-step reads them. The E-step is
+``copula.mixture_logpdf_at``, the function detection scores with: the
+log-likelihood and the next responsibilities come from one evaluation of each
+component density.
 
 rho stays in [0.01, 0.99] and theta in [0.1, 20] (``copula``'s box), the
 intervals of the grids this search replaced: on the 256 x 256 acceptance scene
@@ -29,16 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .copula import RHO_MAX, RHO_MIN, THETA_MAX, THETA_MIN
-from .copula import (
-    clayton_logpdf_at,
-    gaussian_logpdf_at,
-    log_expm1,
-    mix_logpdfs,
-    mixture_logpdf_params,
-    normal_scores,
-    tail_logs,
-)
-from .dependence import TAIL_CLAYTON, TAIL_CLAYTON_SURVIVAL
+from .copula import log_expm1, mixture_logpdf_at, normal_scores, tail_logs
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters"
@@ -69,19 +60,18 @@ class EmTrace:
 
 
 def _validate_data(u, v):
+    """The shape check; ``copula``'s transforms check that (u, v) lie in (0, 1)."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape or u.ndim != 1 or len(u) == 0:
         raise ValueError("need matching nonempty pseudo-observation vectors")
-    if (u <= 0).any() or (u >= 1).any() or (v <= 0).any() or (v >= 1).any():
-        raise ValueError("pseudo-observations must lie strictly inside (0, 1)")
     return u, v
 
 
 def log_likelihood(u, v, rho: float, theta: float, w: float, tail_mode: str) -> float:
     """Mean log mixture density over the sample."""
-    u, v = _validate_data(u, v)
-    return float(np.mean(mixture_logpdf_params(u, v, rho, theta, w, tail_mode)))
+    tf = fit_transforms(u, v, tail_mode)
+    return float(np.mean(mixture_logpdf_at(tf.scores, tf.logs, rho, theta, w)[0]))
 
 
 class FitTransforms(NamedTuple):
@@ -99,14 +89,6 @@ def fit_transforms(u, v, tail_mode: str) -> FitTransforms:
     t1, t2, _ = logs
     return FitTransforms(normal_scores(u, v), logs, -np.minimum(t1, t2),
                          np.abs(t1 - t2))
-
-
-def e_step(tf: FitTransforms, rho: float, theta: float, w: float):
-    """Per point, the mixture log density and the Gaussian-component
-    responsibility gamma_1 (``copula.mix_logpdfs``)."""
-    lg = None if w <= 0.0 else gaussian_logpdf_at(tf.scores, rho)
-    lc = None if w >= 1.0 else clayton_logpdf_at(tf.logs, theta)
-    return mix_logpdfs(lg, lc, w)
 
 
 def _best(objective, candidates) -> float:
@@ -230,16 +212,13 @@ def fit(u, v, tail_mode: str, config: EmConfig | None = None):
     Overflow in the densities shows as a non-finite log-likelihood, which
     raises ArithmeticError.
     """
-    if tail_mode not in (TAIL_CLAYTON, TAIL_CLAYTON_SURVIVAL):
-        raise ValueError(f"unknown tail_mode {tail_mode!r}")
     config = config or EmConfig()
-    u, v = _validate_data(u, v)
-    if len(u) < MIN_PAIRS:
-        raise ValueError(f"need at least {MIN_PAIRS} data pairs to fit")
     tf = fit_transforms(u, v, tail_mode)
+    if len(tf.t_hi) < MIN_PAIRS:
+        raise ValueError(f"need at least {MIN_PAIRS} data pairs to fit")
 
     def evaluate(rho, theta, w):
-        logf, gamma1 = e_step(tf, rho, theta, w)
+        logf, gamma1 = mixture_logpdf_at(tf.scores, tf.logs, rho, theta, w)
         ll = float(np.mean(logf))
         if not np.isfinite(ll):
             raise ArithmeticError(f"EM log-likelihood is not finite at theta={theta!r}")

@@ -1,10 +1,11 @@
 """Copula densities and CDFs: verification only, never called by the pipeline.
 
-The detector needs only the log densities in ``copcd.copula``; the densities
-here are their exponentials, and the CDFs check them (the density is the
-CDF's mixed derivative) and pin the boundary conditions. ``gaussian_cdf``
-integrates by adaptive quadrature, which is why this module, and not
-``copcd``, imports ``scipy.integrate``.
+The detector needs only the log densities in ``copcd.copula``, which take
+the transforms of (u1, u2); the log densities here take (u1, u2) itself, the
+densities are their exponentials, and the CDFs check them (the density is
+the CDF's mixed derivative) and pin the boundary conditions.
+``gaussian_cdf`` integrates by adaptive quadrature, which is why this
+module, and not ``copcd``, imports ``scipy.integrate``.
 """
 
 import numpy as np
@@ -13,12 +14,21 @@ from scipy.special import ndtr, ndtri
 
 from copcd.copula import (
     CopulaMixtureModel,
-    clayton_logpdf,
-    gaussian_logpdf,
-    mixture_logpdf_params,
-    sclayton_logpdf,
+    clayton_logpdf_at,
+    gaussian_logpdf_at,
+    mixture_logpdf_at,
+    normal_scores,
+    tail_logs,
 )
-from copcd.dependence import TAIL_CLAYTON
+from copcd.dependence import TAIL_CLAYTON, TAIL_CLAYTON_SURVIVAL
+
+
+def gaussian_logpdf(u1, u2, rho: float):
+    return gaussian_logpdf_at(normal_scores(u1, u2), rho)
+
+
+def tail_logpdf(u1, u2, theta: float, tail_mode: str):
+    return clayton_logpdf_at(tail_logs(u1, u2, tail_mode), theta)
 
 
 def gaussian_density(u1, u2, rho: float):
@@ -26,22 +36,27 @@ def gaussian_density(u1, u2, rho: float):
 
 
 def clayton_density(u1, u2, theta: float):
-    return np.exp(clayton_logpdf(u1, u2, theta))
+    return np.exp(tail_logpdf(u1, u2, theta, TAIL_CLAYTON))
 
 
 def sclayton_density(u1, u2, theta: float):
-    return np.exp(sclayton_logpdf(u1, u2, theta))
+    return np.exp(tail_logpdf(u1, u2, theta, TAIL_CLAYTON_SURVIVAL))
+
+
+def mixture_logpdf_and_gamma(u1, u2, rho: float, theta: float, w: float, tail_mode: str):
+    return mixture_logpdf_at(normal_scores(u1, u2), tail_logs(u1, u2, tail_mode),
+                             rho, theta, w)
 
 
 def mixture_density(u1, u2, model: CopulaMixtureModel):
-    return np.exp(mixture_logpdf_params(u1, u2, model.rho, model.theta, model.w,
-                                        model.tail_mode))
+    return np.exp(mixture_logpdf_and_gamma(u1, u2, model.rho, model.theta, model.w,
+                                           model.tail_mode)[0])
 
 
 def _check_closed(u1, u2):
     u1 = np.asarray(u1, dtype=np.float64)
     u2 = np.asarray(u2, dtype=np.float64)
-    if (u1 < 0).any() or (u1 > 1).any() or (u2 < 0).any() or (u2 > 1).any():
+    if not (((u1 >= 0) & (u1 <= 1)).all() and ((u2 >= 0) & (u2 <= 1)).all()):
         raise ValueError("copula CDF arguments must lie in [0, 1]")
     return u1, u2
 

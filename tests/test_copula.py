@@ -1,5 +1,6 @@
 """Copula densities, CDFs, the mixture model, and the seeded samplers."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from copula_oracle import (
     sclayton_density,
 )
 from copcd.copula import (
+    LOG_FLOOR,
     RHO_MAX,
     RHO_MIN,
     THETA_MAX,
@@ -27,22 +29,19 @@ from copcd.copula import (
     CopulaMixtureModel,
     _clayton_conditional_inverse,
     clamp_pseudo_obs,
-    clayton_logpdf,
     clayton_logpdf_at,
     conditional_sample,
     joint_logpdf_superpixel,
     decode_column,
     encode_column,
-    gaussian_logpdf,
     gaussian_logpdf_at,
     load_model_set,
     log_expm1,
+    mixture_logpdf_at,
     normal_scores,
     sample_clayton_pairs,
     sample_gaussian_pairs,
     sample_mixture,
-    sclayton_logpdf,
-    tail_logpdf,
     tail_logs,
 )
 from copcd.dependence import (
@@ -111,18 +110,18 @@ def test_clayton_logpdf_keeps_its_bits_and_survives_large_theta():
     for theta in (0.05, 2.0, 20.0):
         old = (np.log1p(theta) + (-1 - theta) * (l1 + l2) + (-1 / theta - 2)
                * np.log(np.expm1(np.logaddexp(-theta * l1, -theta * l2))))
-        assert np.array_equal(clayton_logpdf(u1, u2, theta), old)
+        assert np.array_equal(clayton_logpdf_at(tail_logs(u1, u2, TAIL_CLAYTON), theta), old)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.isfinite(clayton_logpdf(u1, u2, 5000.0)).all()
+        assert np.isfinite(clayton_logpdf_at(tail_logs(u1, u2, TAIL_CLAYTON), 5000.0)).all()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_transform_formulas_equal_the_public_densities_bit_for_bit(seed):
-    """The formulas on normal_scores and tail_logs give the bytes of the
-    public u/v densities and of the densities' inline expressions before
-    they were split, on (u, v) clamped at delta next to 0 and 1, with rho
-    and theta at both ends of the box EM fits in."""
+    """The formulas on normal_scores and tail_logs, and the mixture that EM
+    and detection evaluate through them, give the bytes of the densities'
+    inline expressions, on (u, v) clamped at delta next to 0 and 1, with rho
+    and theta at both ends of the box EM fits in and w at 0, 0.4 and 1."""
     n_train = 500
     u, v = clamp_pseudo_obs(np.random.default_rng(seed).uniform(-0.01, 1.01, (2, 3000)),
                             n_train)
@@ -132,21 +131,35 @@ def test_transform_formulas_equal_the_public_densities_bit_for_bit(seed):
     def same_bytes(*arrays):
         return len({a.tobytes() for a in arrays}) == 1
 
+    def inline_mixture(lg, lc, w):
+        if w == 1.0:
+            return lg, np.ones_like(lg)
+        if w == 0.0:
+            return lc, np.zeros_like(lc)
+        fg = w * np.exp(lg)
+        fc = (1 - w) * np.exp(lc)
+        return (np.logaddexp(np.log(w) + lg, np.log1p(-w) + lc),
+                np.clip(fg / np.maximum(fg + fc, LOG_FLOOR), 0.0, 1.0))
+
+    scores = normal_scores(u, v)
     x1, x2 = ndtri(u), ndtri(v)
+    gaussian = {}
     for rho in (RHO_MIN, 0.37, RHO_MAX):
         r2 = rho * rho
-        inline = -0.5 * np.log1p(-r2) - (r2 * (x1 * x1 + x2 * x2) - 2 * rho * x1 * x2) / (
-            2 * (1 - r2))
-        assert same_bytes(gaussian_logpdf_at(normal_scores(u, v), rho),
-                          gaussian_logpdf(u, v, rho), inline)
-    for mode, public, (a, b) in ((TAIL_CLAYTON, clayton_logpdf, (u, v)),
-                                 (TAIL_CLAYTON_SURVIVAL, sclayton_logpdf, (1.0 - u, 1.0 - v))):
+        gaussian[rho] = -0.5 * np.log1p(-r2) - (r2 * (x1 * x1 + x2 * x2)
+                                                - 2 * rho * x1 * x2) / (2 * (1 - r2))
+        assert same_bytes(gaussian_logpdf_at(scores, rho), gaussian[rho])
+    for mode, (a, b) in ((TAIL_CLAYTON, (u, v)), (TAIL_CLAYTON_SURVIVAL, (1.0 - u, 1.0 - v))):
+        logs = tail_logs(u, v, mode)
         l1, l2 = np.log(a), np.log(b)
         for theta in (THETA_MIN, 2.0, THETA_MAX):
-            inline = (np.log1p(theta) + (-1 - theta) * (l1 + l2) + (-1 / theta - 2)
-                      * log_expm1(np.logaddexp(-theta * l1, -theta * l2)))
-            assert same_bytes(clayton_logpdf_at(tail_logs(u, v, mode), theta),
-                              public(u, v, theta), tail_logpdf(u, v, theta, mode), inline)
+            tail = (np.log1p(theta) + (-1 - theta) * (l1 + l2) + (-1 / theta - 2)
+                    * log_expm1(np.logaddexp(-theta * l1, -theta * l2)))
+            assert same_bytes(clayton_logpdf_at(logs, theta), tail)
+            for (rho, lg), w in itertools.product(gaussian.items(), (0.0, 0.4, 1.0)):
+                got = mixture_logpdf_at(scores, logs, rho, theta, w)
+                want = inline_mixture(lg, tail, w)
+                assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
 
 
 def test_sclayton_is_reflection():
@@ -163,14 +176,26 @@ def test_sclayton_upper_tail_mass():
 
 
 def test_density_boundary_and_parameter_errors():
-    with pytest.raises(ValueError):
-        gaussian_density(0.0, 0.5, 0.5)
+    for u1, u2 in ((0.0, 0.5), (0.5, 1.0), (np.nan, 0.5), (0.5, np.nan)):
+        for density, param in ((gaussian_density, 0.5), (clayton_density, 1.0),
+                               (sclayton_density, 1.0)):
+            with pytest.raises(ValueError, match=r"\(0, 1\)"):
+                density(u1, u2, param)
     with pytest.raises(ValueError):
         gaussian_density(0.5, 0.5, 1.0)
     with pytest.raises(ValueError):
-        clayton_density(0.5, 1.0, 1.0)
-    with pytest.raises(ValueError):
         clayton_density(0.5, 0.5, 0.0)
+    # u = 1e-20 lies inside (0, 1), but 1 - u rounds to 1: the survival
+    # copula's own argument is on the boundary.
+    assert np.isfinite(clayton_density(1e-20, 0.5, 1.0))
+    model = CopulaMixtureModel(rho=0.5, theta=1.0, w=0.4,
+                               tail_mode=TAIL_CLAYTON_SURVIVAL, n_train=1)
+    for density in (lambda a, b: sclayton_density(a, b, 1.0),
+                    lambda a, b: mixture_density(a, b, model)):
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            density(1e-20, 0.5)
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            density(0.5, 1e-20)
 
 
 # --- CDFs ---

@@ -184,6 +184,10 @@ def test_tail_dependence_validation():
         tail_dependence([0.1, 0.2], [0.1, 0.2])
     with pytest.raises(ValueError):
         tail_dependence([0.1, 0.2, 0.3, 1.4], [0.1, 0.2, 0.3, 0.4])
+    nan_row = [np.nan, 0.1, 0.2, 0.3, 0.9]
+    for u, v in ((nan_row, [0.1, 0.2, 0.3, 0.4, 0.9]), ([0.1, 0.2, 0.3, 0.4, 0.9], nan_row)):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            tail_dependence(u, v)
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,6 +5,7 @@ import json
 import emfit_oracle
 import numpy as np
 import pytest
+from copula_oracle import gaussian_logpdf, mixture_logpdf_and_gamma, tail_logpdf
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,12 +13,8 @@ from copcd import cli, emfit
 from copcd.copula import (
     LOG_FLOOR,
     CopulaMixtureModel,
-    gaussian_logpdf,
-    mixture_logpdf_and_gamma,
-    mixture_logpdf_params,
     sample_clayton_pairs,
     sample_mixture,
-    tail_logpdf,
 )
 from copcd.dependence import TAIL_CLAYTON, TAIL_CLAYTON_SURVIVAL
 from copcd.emfit import (
@@ -27,7 +24,6 @@ from copcd.emfit import (
     THETA_MAX,
     THETA_MIN,
     EmConfig,
-    e_step,
     fit,
     fit_transforms,
     log_likelihood,
@@ -65,7 +61,7 @@ def test_log_likelihood_matches_direct_recomputation():
     rng = np.random.default_rng(1)
     u, v = rng.uniform(0.05, 0.95, (2, 200))
     got = log_likelihood(u, v, 0.6, 2.0, 0.4, TAIL_CLAYTON_SURVIVAL)
-    direct = mixture_logpdf_params(u, v, 0.6, 2.0, 0.4, TAIL_CLAYTON_SURVIVAL)
+    direct, _ = mixture_logpdf_and_gamma(u, v, 0.6, 2.0, 0.4, TAIL_CLAYTON_SURVIVAL)
     assert got == pytest.approx(direct.sum() / len(u), abs=1e-12)
 
 
@@ -85,19 +81,6 @@ def test_e_step_hand_value():
     expected = 0.3 * (1 / np.sqrt(0.36)) / 1.3296296
     assert gamma[0] == pytest.approx(expected, abs=1e-6)
     assert gamma[0] == pytest.approx(0.37605, abs=1e-4)
-
-
-@pytest.mark.parametrize("tail_mode", [TAIL_CLAYTON, TAIL_CLAYTON_SURVIVAL])
-def test_e_step_is_the_public_mixture_bit_for_bit(tail_mode):
-    """fit's E-step on the per-fit transforms gives the bytes detection's
-    mixture gives on (u, v), at the box's ends and at w = 0 and 1."""
-    u, v = np.random.default_rng(6).uniform(0.001, 0.999, (2, 500))
-    tf = fit_transforms(u, v, tail_mode)
-    for rho, theta, w in ((RHO_MIN, THETA_MIN, 0.3), (RHO_MAX, THETA_MAX, 0.7),
-                          (0.5, 2.0, 0.0), (0.5, 2.0, 1.0)):
-        got = e_step(tf, rho, theta, w)
-        want = mixture_logpdf_and_gamma(u, v, rho, theta, w, tail_mode)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def test_m_step_weight_is_mean_responsibility():
@@ -222,6 +205,14 @@ def test_fit_rejects_bad_input():
         fit([0.5] * 5, [0.5] * 5, TAIL_CLAYTON)  # too few samples
     with pytest.raises(ValueError):
         fit([0.0] * 20, [0.5] * 20, TAIL_CLAYTON)  # boundary pseudo-obs
+    # NaN, and u = 1e-20, where the survival copula's 1 - u rounds to 1
+    u = np.linspace(0.05, 0.95, 20)
+    for bad, mode in ((np.nan, TAIL_CLAYTON), (np.nan, TAIL_CLAYTON_SURVIVAL),
+                      (1e-20, TAIL_CLAYTON_SURVIVAL)):
+        for call in (fit, lambda a, b, m: log_likelihood(a, b, 0.5, 1.0, 0.5, m)):
+            with pytest.raises(ValueError, match=r"\(0, 1\)"):
+                call(np.r_[bad, u[1:]], u, mode)
+    fit(np.r_[1e-20, u[1:]], u, TAIL_CLAYTON)
     with pytest.raises(ValueError):
         fit([0.5] * 20, [0.5] * 20, "gumbel")
 
@@ -260,7 +251,8 @@ def _two_pass_logpdf_and_gamma(u, v, rho, theta, w, tail_mode):
 def test_one_density_pass_keeps_fit_outputs_byte_identical(tmp_path, monkeypatch,
                                                           tail_mode):
     """fit's E-step on the per-fit transforms writes the bytes of a fit whose
-    E-step evaluates the public u/v densities, each component twice."""
+    E-step evaluates the u/v densities of ``copula_oracle``, each component
+    twice."""
     model = CopulaMixtureModel(rho=0.6, theta=3.0, w=0.4, tail_mode=tail_mode,
                                n_train=1)
     u, v = sample_mixture(model, 2000, seed=11)
@@ -281,11 +273,11 @@ def test_one_density_pass_keeps_fit_outputs_byte_identical(tmp_path, monkeypatch
         fitted.append((u, v, mode))
         return transforms(u, v, mode)
 
-    def two_pass_e_step(tf, rho, theta, w):
+    def two_pass_e_step(scores, logs, rho, theta, w):
         return _two_pass_logpdf_and_gamma(*fitted[-1][:2], rho, theta, w, fitted[-1][2])
 
     monkeypatch.setattr(emfit, "fit_transforms", recording_transforms)
-    monkeypatch.setattr(emfit, "e_step", two_pass_e_step)
+    monkeypatch.setattr(emfit, "mixture_logpdf_at", two_pass_e_step)
     want = run("two_pass")
     assert [mode for _, _, mode in fitted] == [tail_mode]
     assert got == want
@@ -295,11 +287,11 @@ def test_one_density_pass_keeps_fit_outputs_byte_identical(tmp_path, monkeypatch
 def test_non_finite_log_likelihood_is_numerical_failure(tmp_path, monkeypatch, capsys):
     # No input inside the fitted box is known to overflow the densities, so
     # a -inf log density is injected to reach the check and exit code 3.
-    def overflowing(tf, rho, theta, w):
-        n = len(tf.t_hi)
+    def overflowing(scores, logs, rho, theta, w):
+        n = len(scores[0])
         return np.full(n, -np.inf), np.full(n, 0.5)
 
-    monkeypatch.setattr(emfit, "e_step", overflowing)
+    monkeypatch.setattr(emfit, "mixture_logpdf_at", overflowing)
     rng = np.random.default_rng(4)
     u, v = rng.uniform(0.05, 0.95, (2, 50))
     with pytest.raises(ArithmeticError, match="not finite"):

@@ -76,7 +76,8 @@ def test_row_reports_the_gate_and_the_fitted_pair(sweep, tmp_path):
                            else "fail")
     assert row["rho_on_bound"] == (fitted["rho"] in (0.01, 0.99))
     assert row["theta_on_bound"] == (fitted["theta"] in (0.1, 20.0))
-    artifacts = (out / "di.f32").read_bytes() + (out / "bcm.u8").read_bytes()
+    artifacts = b"".join((out / name).read_bytes()
+                         for name in ("di.f32", "bcm.u8", "model.json", "em_trace.csv"))
     assert row["digest"] == hashlib.sha256(artifacts).hexdigest()[:12]
 
     line = sweep.format_row(row)
