@@ -42,9 +42,9 @@ from copcd.synth import SynthConfig, generate_pair  # noqa: E402
 KC_GATE, ACC_GATE = 0.8, 0.95
 
 
-def on_box_end(model) -> bool:
-    """Whether a fitted pair's rho or theta lies on an end of EM's box."""
-    return model.rho in (RHO_MIN, RHO_MAX) or model.theta in (THETA_MIN, THETA_MAX)
+def box_ends(model):
+    """Whether a fitted pair's rho, and its theta, lie on an end of EM's box."""
+    return model.rho in (RHO_MIN, RHO_MAX), model.theta in (THETA_MIN, THETA_MAX)
 
 
 def run_one(size, rho, w, data_seed, pipeline_seed, ns_model, ns_test, alpha,
@@ -77,16 +77,16 @@ def run_one(size, rho, w, data_seed, pipeline_seed, ns_model, ns_test, alpha,
         with open(os.path.join(base, name), "rb") as fh:
             digest.update(fh.read())
     report, model_set = result["report"], result["model_set"]
-    fitted = model_set.model(1, 1)
+    fitted = model_set.models[1, 1]
+    rho_end, theta_end = box_ends(fitted)
     return {
         "data": data_seed, "pipe": pipeline_seed,
         "kc": report.kc, "fm": report.fm, "acc": report.acc,
         "gate": "pass" if report.kc >= KC_GATE and report.acc >= ACC_GATE else "fail",
         "rho": fitted.rho, "theta": fitted.theta, "w": fitted.w,
-        "rho_on_bound": fitted.rho in (RHO_MIN, RHO_MAX),
-        "theta_on_bound": fitted.theta in (THETA_MIN, THETA_MAX),
+        "rho_on_bound": rho_end, "theta_on_bound": theta_end,
         "superpixels": result["seg_test"].count,
-        "box_end_pairs": sum(map(on_box_end, model_set.models.values())),
+        "box_end_pairs": sum(any(box_ends(m)) for m in model_set.models.values()),
         "pairs": len(model_set.models),
         "sec": elapsed, "digest": digest.hexdigest()[:12],
     }

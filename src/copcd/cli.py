@@ -41,10 +41,6 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int)
 
 
-def build_pipeline_config(args) -> PipelineConfig:
-    return PipelineConfig(**_config_values(args))
-
-
 def _config_values(args) -> dict:
     """The config fields given by --config and by flags, flags winning."""
     values = {}
@@ -66,7 +62,7 @@ def _config_values(args) -> dict:
 
 
 def cmd_detect(args) -> int:
-    config = build_pipeline_config(args)
+    config = PipelineConfig(**_config_values(args))
     result = pipeline.run_detect(config)
     pipeline.write_artifacts(result, config)
     if "report" in result:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import base64
 import json
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -145,21 +145,6 @@ class CopulaMixtureModel:
         if self.orientation not in (ORIENT_IDENTITY, ORIENT_NEGATED):
             raise ValueError(f"unknown orientation {self.orientation!r}")
 
-    def to_record(self) -> dict:
-        return {
-            "rho": self.rho,
-            "theta": self.theta,
-            "w": self.w,
-            "tail_mode": self.tail_mode,
-            "orientation": self.orientation,
-            "n_train": self.n_train,
-        }
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "CopulaMixtureModel":
-        return cls(**{k: rec[k] for k in
-                      ("rho", "theta", "w", "tail_mode", "orientation", "n_train")})
-
 
 def clamp_pseudo_obs(u, n_train: int):
     delta = 1.0 / (2.0 * n_train)
@@ -172,8 +157,8 @@ def pseudo_obs(hx, hy, ecdf_x: EmpiricalCdf, ecdf_y: EmpiricalCdf, negated: bool
     detection: the training ECDFs, v reflected to 1 - v for a negatively
     associated pair, both clamped into [delta, 1-delta], delta = 1/(2 n_train).
     """
-    u = np.asarray(ecdf_x(hx))
-    v = np.asarray(ecdf_y(hy))
+    u = ecdf_x(hx)
+    v = ecdf_y(hy)
     if negated:
         v = 1.0 - v
     return clamp_pseudo_obs(u, n_train), clamp_pseudo_obs(v, n_train)
@@ -273,13 +258,11 @@ class ChannelPairModels:
         if set(self.models) != expect:
             raise ValueError(f"channel-pair model grid is not exactly {self.cx} x {self.cy}")
 
-    def model(self, c1: int, c2: int) -> CopulaMixtureModel:
-        return self.models[(c1, c2)]
-
     def to_json(self) -> str:
         """The whole model: parameters per pair and each channel's sorted
-        training column, so ``load_model_set`` needs no training data."""
-        recs = {f"{c1},{c2}": m.to_record() for (c1, c2), m in sorted(self.models.items())}
+        training column, so ``load_model_set`` needs no training data. A pair
+        record holds the model's fields in field order."""
+        recs = {f"{c1},{c2}": asdict(m) for (c1, c2), m in sorted(self.models.items())}
         return json.dumps({
             "version": MODEL_VERSION, "cx": self.cx, "cy": self.cy, "pairs": recs,
             "x": [encode_column(e.sorted) for e in self.ecdfs_x],
@@ -315,7 +298,7 @@ def _pair_model(rec: dict, lengths: set) -> CopulaMixtureModel:
     if isinstance(n_train, bool) or not isinstance(n_train, int) or {n_train} != lengths:
         raise ValueError(f"n_train must be an integer equal to the length of every "
                          f"training column {sorted(lengths)}, got {n_train!r}")
-    model = CopulaMixtureModel.from_record(rec)
+    model = CopulaMixtureModel(**{f.name: rec[f.name] for f in fields(CopulaMixtureModel)})
     for name, lo, hi in (("rho", RHO_MIN, RHO_MAX), ("theta", THETA_MIN, THETA_MAX)):
         if not lo <= getattr(model, name) <= hi:
             raise ValueError(f"{name} must lie in [{lo}, {hi}], got {getattr(model, name)!r}")

@@ -85,10 +85,8 @@ class EmpiricalCdf:
         self.n = len(samples)
 
     def __call__(self, h):
-        h = np.asarray(h, dtype=np.float64)
-        counts = np.searchsorted(self.sorted, h, side="right")
-        out = counts / self.n
-        return float(out) if out.ndim == 0 else out
+        return np.searchsorted(self.sorted, np.asarray(h, dtype=np.float64),
+                               side="right") / self.n
 
 
 def empirical_cdf(samples) -> EmpiricalCdf:

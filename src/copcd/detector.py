@@ -34,7 +34,7 @@ def test_statistics(feat_x: np.ndarray, feat_y: np.ndarray,
                 feat_y[:, c2 - 1],
                 models.ecdfs_x[c1 - 1],
                 models.ecdfs_y[c2 - 1],
-                models.model(c1, c2),
+                models.models[c1, c2],
             )
     if not np.all(np.isfinite(t)):
         raise ArithmeticError("non-finite test statistic encountered")
@@ -125,25 +125,21 @@ def two_stage_bcm(rep: np.ndarray, di: np.ndarray, seg_test: SegmentationMap,
         raise ValueError("representative vectors, DI, and segmentation disagree")
 
     if np.all(rep == rep[0]):
-        return np.zeros((seg_test.height, seg_test.width), dtype=np.uint8)
+        return np.zeros(seg_test.labels.shape, dtype=np.uint8)
 
     assign3, _ = kmeans(rep, STAGE1_K, seed)
-    means3 = np.array([
-        di[assign3 == j].mean() if (assign3 == j).any() else -np.inf for j in range(STAGE1_K)
-    ])
-    a2 = int(np.argmax(means3))
-    in_a2 = assign3 == a2
+    in_a2 = assign3 == int(np.argmax(_cluster_mean_di(di, assign3, STAGE1_K)))
 
     assign2, _ = kmeans(rep, 2, seed + 1)
     overlap = np.array([np.count_nonzero(in_a2 & (assign2 == j)) for j in range(2)])
     if overlap[0] == overlap[1]:
-        means2 = np.array([
-            di[assign2 == j].mean() if (assign2 == j).any() else -np.inf
-            for j in range(2)
-        ])
-        b2 = int(np.argmax(means2))
+        b2 = int(np.argmax(_cluster_mean_di(di, assign2, 2)))
     else:
         b2 = int(np.argmax(overlap))
+    return (assign2 == b2).astype(np.uint8)[seg_test.labels - 1]  # labels are 1-based
 
-    changed = np.flatnonzero(assign2 == b2) + 1  # superpixel labels are 1-based
-    return np.isin(seg_test.labels, changed).astype(np.uint8)
+
+def _cluster_mean_di(di: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
+    """Mean DI of each of the k clusters of ``assign``; -inf for an empty one."""
+    return np.array([di[assign == j].mean() if (assign == j).any() else -np.inf
+                     for j in range(k)])

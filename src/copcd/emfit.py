@@ -59,15 +59,6 @@ class EmTrace:
     status: str = STATUS_MAX_ITERS
 
 
-def _validate_data(u, v):
-    """The shape check; ``copula``'s transforms check that (u, v) lie in (0, 1)."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1 or len(u) == 0:
-        raise ValueError("need matching nonempty pseudo-observation vectors")
-    return u, v
-
-
 def log_likelihood(u, v, rho: float, theta: float, w: float, tail_mode: str) -> float:
     """Mean log mixture density over the sample."""
     tf = fit_transforms(u, v, tail_mode)
@@ -84,7 +75,11 @@ class FitTransforms(NamedTuple):
 
 
 def fit_transforms(u, v, tail_mode: str) -> FitTransforms:
-    u, v = _validate_data(u, v)
+    """Checks the shape of (u, v); ``copula``'s transforms check that they lie in (0, 1)."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape or u.ndim != 1 or len(u) == 0:
+        raise ValueError("need matching nonempty pseudo-observation vectors")
     logs = tail_logs(u, v, tail_mode)
     t1, t2, _ = logs
     return FitTransforms(normal_scores(u, v), logs, -np.minimum(t1, t2),

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -19,20 +19,11 @@ class MetricsReport:
     acc: float
     degenerate: bool = False
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "tp": self.tp, "tn": self.tn, "fp": self.fp, "fn": self.fn,
-                "kc": self.kc, "fm": self.fm, "acc": self.acc,
-                "degenerate": self.degenerate,
-            },
-            indent=2,
-        )
-
     def write(self, path: str) -> None:
-        """Write ``metrics.json``: the JSON of :meth:`to_json` and a newline."""
+        """Write ``metrics.json``: the fields in field order as indented JSON,
+        and a newline."""
         with open(path, "w") as fh:
-            fh.write(self.to_json() + "\n")
+            fh.write(json.dumps(asdict(self), indent=2) + "\n")
 
 
 def score_counts(tp: int, tn: int, fp: int, fn: int) -> MetricsReport:

@@ -184,8 +184,8 @@ def run_fit(config: PipelineConfig) -> dict:
     the supplied translation, which must match the post shape), co-segment
     (X, Y'), then fit every channel pair.
 
-    Returns the pre/post rasters, the translation, the training segmentation,
-    the model set and the EM traces.
+    Returns a dict: ``pre`` and ``post`` (the rasters), ``model_set`` and
+    ``traces`` (the EM trace of each channel pair).
     """
     x, y = _load_pair(config)
     if config.translated is not None:
@@ -195,19 +195,20 @@ def run_fit(config: PipelineConfig) -> dict:
                              ValueError("translated raster shape mismatch"))
     else:
         y_t = _stage("translate", translate.translate_baseline, x, y)
-    seg_train = _segment(x, y_t, config, "ns_model", emfit.MIN_PAIRS)
-    feat_x = _stage("features", segmentation.extract_features, x, seg_train)
-    feat_y = _stage("features", segmentation.extract_features, y_t, seg_train)
+    seg = _segment(x, y_t, config, "ns_model", emfit.MIN_PAIRS)
+    feat_x = _stage("features", segmentation.extract_features, x, seg)
+    feat_y = _stage("features", segmentation.extract_features, y_t, seg)
     model_set, traces = _stage("fit", fit_model_set, feat_x, feat_y, config.em_config())
-    return {"pre": x, "post": y, "translated": y_t, "seg_train": seg_train,
-            "model_set": model_set, "traces": traces}
+    return {"pre": x, "post": y, "model_set": model_set, "traces": traces}
 
 
 def run_detect(config: PipelineConfig) -> dict:
-    """Full detection pipeline; returns a dict of computed artifacts.
+    """Full detection pipeline. Returns a dict: ``model_set``, ``traces``,
+    ``seg_test`` (the test segmentation), ``di`` (the DI per superpixel),
+    ``bcm`` (the per-pixel change map) and, with ``config.gt``, ``report``.
 
     With ``config.model`` set, the model file replaces the training half:
-    only the pre/post rasters are read, and there are no EM traces.
+    only the pre/post rasters are read, and ``traces`` is empty.
     """
     if config.model is None:
         out = run_fit(config)
@@ -227,7 +228,7 @@ def run_detect(config: PipelineConfig) -> dict:
                  di, config.alpha)
     bcm = _stage("detect", detector.two_stage_bcm, rep, di, seg_test, config.seed)
 
-    out.update(seg_test=seg_test, stat_tensor=t, di=di, bcm=bcm)
+    out.update(seg_test=seg_test, di=di, bcm=bcm)
     if config.gt is not None:
         gt = _stage("score", load_binary_map, config.gt)
         out["report"] = _stage("score", metrics.score, bcm, gt)
@@ -249,7 +250,7 @@ def write_artifacts(result: dict, config: PipelineConfig) -> None:
 
     seg_test = result["seg_test"]
     di_pixels = result["di"][seg_test.labels - 1]
-    save_raster(Raster.from_array(di_pixels.astype(np.float32)), join("di"))
+    save_raster(Raster.from_array(di_pixels), join("di"))
     export_graymap(di_pixels, join("di.pgm"))
 
     bcm = result["bcm"]

@@ -62,11 +62,7 @@ def _strip_suffix(path: str) -> str:
 def _write_container(base: str, arr: np.ndarray, dtype_name: str) -> None:
     dtype, ext, layout = _DTYPES[dtype_name]
     base = _strip_suffix(base)
-    if arr.ndim == 2:
-        m, n = arr.shape
-        c = 1
-    else:
-        m, n, c = arr.shape
+    m, n, c = arr.shape
     header = {"m": int(m), "n": int(n), "c": int(c), "dtype": dtype_name, "layout": layout}
     with open(base + ".hdr.json", "w") as fh:
         json.dump(header, fh)
@@ -113,8 +109,6 @@ def _read_container(base: str, dtype_name: str):
 def load_raster(path: str) -> Raster:
     """Load a float32 raster; inverse of :func:`save_raster` bit-exactly."""
     header, arr = _read_container(path, "f32le")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("raster file contains non-finite values")
     return Raster(header["m"], header["n"], header["c"], np.ascontiguousarray(arr))
 
 
@@ -127,7 +121,7 @@ def save_binary_map(bcm: np.ndarray, path: str) -> None:
     bcm = np.asarray(bcm)
     if not np.isin(bcm, (0, 1)).all():
         raise ValueError("binary map values must be 0 or 1")
-    _write_container(path, bcm.astype(np.uint8), "u8")
+    _write_container(path, bcm.astype(np.uint8)[:, :, None], "u8")
 
 
 def load_binary_map(path: str) -> np.ndarray:

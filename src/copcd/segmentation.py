@@ -23,14 +23,10 @@ SLIC_BLOCK_ENTRIES = 2 ** 18
 class SegmentationMap:
     """Per-pixel labels in [1, count]; each label forms a 4-connected region."""
 
-    height: int
-    width: int
     count: int
     labels: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.labels.shape != (self.height, self.width):
-            raise ValueError("label array shape mismatch")
         self.labels.setflags(write=False)
 
 
@@ -39,8 +35,7 @@ def _relabel_contiguous(labels: np.ndarray) -> SegmentationMap:
     rank = np.zeros(int(labels.max()) + 1, dtype=np.int64)
     rank[labels.ravel()] = 1
     np.cumsum(rank, out=rank)
-    return SegmentationMap(labels.shape[0], labels.shape[1], int(rank[-1]),
-                           rank[labels])
+    return SegmentationMap(int(rank[-1]), rank[labels])
 
 
 def _connected_regions(code: np.ndarray) -> np.ndarray:
@@ -75,11 +70,10 @@ def slic(r: Raster, target_count: int) -> SegmentationMap:
     in index order, in blocks whose windows hold at most
     min(m * n, SLIC_BLOCK_ENTRIES) pixel entries together (at least one
     centre a block), so the temporaries stay linear in pixels; no label
-    depends on the block size. The colour distance
-    is accumulated band by band, in band order, from one band-major float64
-    copy of the bands, ``planes``; on a 1024 x 1024 3-band scene (2 cores)
-    this took ``copcd detect`` from 11.6-12.9 s (a 4-D patch) to 7.2-7.4 s.
-    ``tests/segmentation_oracle.py`` keeps the one-centre-at-a-time loop.
+    depends on the block size. The colour distance is accumulated band by
+    band, in band order, from one band-major float64 copy of the bands,
+    ``planes``. ``tests/segmentation_oracle.py`` keeps the one-centre-at-a-time
+    loop.
     """
     m, n = r.height, r.width
     if not 1 <= target_count <= m * n:
@@ -255,7 +249,7 @@ def cosegment(a: SegmentationMap, b: SegmentationMap) -> SegmentationMap:
     find one. A region under MIN_REGION pixels is the largest piece of a label.
     ``tests/segmentation_oracle.py`` states this rule directly.
     """
-    if (a.height, a.width) != (b.height, b.width):
+    if a.labels.shape != b.labels.shape:
         raise ValueError("segmentation dimensions differ")
     code = a.labels.astype(np.int64) * (b.count + 1) + b.labels
     comp = _connected_regions(code).ravel()
@@ -268,7 +262,7 @@ def cosegment(a: SegmentationMap, b: SegmentationMap) -> SegmentationMap:
 
 def extract_features(r: Raster, seg: SegmentationMap) -> np.ndarray:
     """Per-superpixel channel means: rows = superpixels, cols = channels."""
-    if (r.height, r.width) != (seg.height, seg.width):
+    if (r.height, r.width) != seg.labels.shape:
         raise ValueError("raster/segmentation dimensions differ")
     counts, sums = _region_sums(seg.labels.ravel() - 1,
                                 r.data.reshape(-1, r.channels).T, seg.count)

@@ -15,7 +15,7 @@ survives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.ndimage import uniform_filter
@@ -38,7 +38,8 @@ class SynthConfig:
     n: int = 128
     cx: int = 1
     cy: int = 1
-    model: CopulaMixtureModel = None
+    model: CopulaMixtureModel = field(
+        default_factory=lambda: CopulaMixtureModel(rho=0.8, theta=1.0, w=1.0, n_train=1))
     change_fraction: float = 0.1
     change_shape: str = SHAPE_RECTANGLE
     noise_sigma: float = 0.0
@@ -56,10 +57,6 @@ class SynthConfig:
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
-        if self.model is None:
-            object.__setattr__(
-                self, "model", CopulaMixtureModel(rho=0.8, theta=1.0, w=1.0, n_train=1)
-            )
 
 
 def _change_mask(cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray:
@@ -85,12 +82,12 @@ def _change_mask(cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray:
 
 def _smooth_base(rng: np.random.Generator, shape) -> np.ndarray:
     """Spatially smooth field with (approximately) standard normal pixels."""
-    field = uniform_filter(rng.standard_normal(shape), size=_BASE_SCALE,
-                           mode="reflect")
-    sd = field.std()
+    smooth = uniform_filter(rng.standard_normal(shape), size=_BASE_SCALE,
+                            mode="reflect")
+    sd = smooth.std()
     if sd == 0:  # single-pixel image
         return np.zeros(shape)
-    return (field - field.mean()) / sd
+    return (smooth - smooth.mean()) / sd
 
 
 def latent_pair(model: CopulaMixtureModel, shape,

@@ -24,7 +24,7 @@ def relabel_contiguous(labels: np.ndarray) -> SegmentationMap:
     """Number the distinct values of ``labels`` 1, 2, ... in sorted order."""
     uniq, inv = np.unique(labels, return_inverse=True)
     out = (inv + 1).reshape(labels.shape).astype(np.int64)
-    return SegmentationMap(labels.shape[0], labels.shape[1], len(uniq), out)
+    return SegmentationMap(len(uniq), out)
 
 
 def connected_regions(code: np.ndarray) -> np.ndarray:

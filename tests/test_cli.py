@@ -289,7 +289,7 @@ def test_float_config_fields_accept_ints(tmp_path):
     class Args:
         config = str(cfg)
 
-    built = cli.build_pipeline_config(Args())
+    built = pipeline.PipelineConfig(**cli._config_values(Args()))
     assert (built.alpha, built.eps) == (2, 1)
 
 
@@ -301,7 +301,7 @@ def test_flags_override_config_file(tmp_path):
         config = str(cfg)
         alpha = 9.0
 
-    built = cli.build_pipeline_config(Args())
+    built = pipeline.PipelineConfig(**cli._config_values(Args()))
     assert built.alpha == 9.0  # flag wins
     assert built.seed == 7  # config file still applies
 
@@ -423,7 +423,7 @@ def test_too_few_test_superpixels_names_ns_test(small_scene, fitted_model, tmp_p
     halves = np.ones((48, 48), dtype=np.int64)
     halves[:, 24:] = 2
     monkeypatch.setattr(pipeline, "cosegment_pair",
-                        lambda *args: SegmentationMap(48, 48, 2, halves))
+                        lambda *args: SegmentationMap(2, halves))
     args = _detect_args(small_scene, str(tmp_path / "run")) + ["--model", fitted_model]
     assert cli.main(args) == cli.EXIT_CONTRACT
     err = capsys.readouterr().err

@@ -145,7 +145,7 @@ def test_kmeans_deterministic_and_validates():
 
 def _unit_segmentation(m, n):
     labels = np.arange(1, m * n + 1, dtype=np.int64).reshape(m, n)
-    return SegmentationMap(m, n, m * n, labels)
+    return SegmentationMap(m * n, labels)
 
 
 def test_two_stage_bcm_flags_high_di_superpixels():
@@ -175,9 +175,8 @@ def test_two_stage_bcm_degenerate_input_is_all_unchanged():
 
 def test_two_stage_bcm_constant_per_superpixel():
     rng = np.random.default_rng(10)
-    m, n = 12, 12
     labels = np.repeat(np.repeat(np.arange(1, 10).reshape(3, 3), 4, axis=0), 4, axis=1)
-    seg = SegmentationMap(m, n, 9, labels.astype(np.int64))
+    seg = SegmentationMap(9, labels.astype(np.int64))
     rep = rng.normal(size=(9, 3))
     di = rng.random(9)
     bcm = two_stage_bcm(rep, di, seg, seed=1)

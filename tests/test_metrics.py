@@ -52,10 +52,20 @@ def test_validation_errors():
         score(np.full((2, 2), 3), np.zeros((2, 2)))
 
 
-def test_report_serialization():
-    report = score_counts(tp=1, tn=2, fp=3, fn=4)
-    doc = json.loads(report.to_json())
+def test_report_serialization(tmp_path):
+    path = tmp_path / "metrics.json"
+    score_counts(tp=1, tn=2, fp=3, fn=4).write(str(path))
+    doc = json.loads(path.read_text())
     assert doc["tp"] == 1 and doc["fn"] == 4
+
+
+def test_metrics_json_bytes(tmp_path):
+    # A whole metrics.json, byte for byte: every field, in field order.
+    path = tmp_path / "metrics.json"
+    score_counts(tp=1, tn=2, fp=3, fn=4).write(str(path))
+    assert path.read_bytes() == (b'{\n  "tp": 1,\n  "tn": 2,\n  "fp": 3,\n  "fn": 4,\n'
+                                 b'  "kc": -0.4,\n  "fm": 0.2222222222222222,\n  "acc": 0.3,\n'
+                                 b'  "degenerate": false\n}\n')
 
 
 @settings(max_examples=50, deadline=None)

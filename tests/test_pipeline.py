@@ -73,7 +73,7 @@ def test_fit_and_detection_map_features_by_one_rule():
     feat_x, feat_y = np.log(u0 / (1 - u0)), -np.tan(v0)
     assert len(np.unique(feat_x)) == len(np.unique(feat_y)) == n
     model_set, _ = fit_model_set(feat_x[:, None], feat_y[:, None], emfit.EmConfig())
-    model = model_set.model(1, 1)
+    model = model_set.models[1, 1]
     assert model.orientation == ORIENT_NEGATED
 
     rank = lambda a: np.argsort(np.argsort(a)) + 1
@@ -146,7 +146,7 @@ def test_fit_model_set_single_pair_from_sample_columns():
     u, v = sample_mixture(model, 5000, seed=6)
     model_set, traces = fit_model_set(u[:, None], v[:, None],
                                       PipelineConfig().em_config())
-    fitted = model_set.model(1, 1)
+    fitted = model_set.models[1, 1]
     assert fitted.tail_mode == TAIL_CLAYTON
     assert 1.7 <= fitted.theta <= 2.3
     assert traces[(1, 1)] is not None

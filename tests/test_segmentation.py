@@ -312,7 +312,7 @@ def _grid_map(m, n, rows, cols):
     ys = (np.arange(m) * rows // m)[:, None]
     xs = (np.arange(n) * cols // n)[None, :]
     labels = (ys * cols + xs + 1).astype(np.int64)
-    return SegmentationMap(m, n, rows * cols, np.ascontiguousarray(labels))
+    return SegmentationMap(rows * cols, np.ascontiguousarray(labels))
 
 
 def test_cosegment_self_is_relabeling():
@@ -350,8 +350,7 @@ def test_cosegment_refines_both_inputs():
 
 def _halves_and(b_labels):
     """Left/right halves of an 8 x 8 image, and the map ``b_labels``."""
-    return _grid_map(8, 8, 1, 2), SegmentationMap(8, 8, int(b_labels.max()),
-                                                   b_labels.copy())
+    return _grid_map(8, 8, 1, 2), SegmentationMap(int(b_labels.max()), b_labels.copy())
 
 
 def test_cosegment_absorbs_small_regions():
@@ -385,11 +384,11 @@ def test_cosegment_absorbs_small_regions():
     # largest, not the first one read: (3, 3), b label 3's smaller piece,
     # reads the 9-pixel b label 2 block above it first, then the rest of
     # the image (52 pixels) below it, and joins the rest.
-    a = SegmentationMap(8, 8, 1, np.ones((8, 8), dtype=np.int64))
+    a = SegmentationMap(1, np.ones((8, 8), dtype=np.int64))
     b = np.ones((8, 8), dtype=np.int64)
     b[:3, 2:5] = 2
     b[3, 3] = b[7, 6] = b[7, 7] = 3
-    b = SegmentationMap(8, 8, 3, b)
+    b = SegmentationMap(3, b)
     out = cosegment(a, b)
     want = np.ones((8, 8), dtype=np.int64)
     want[:3, 2:5] = 2
@@ -399,7 +398,7 @@ def test_cosegment_absorbs_small_regions():
 
 
 def _segmentation_from(labels, count):
-    return SegmentationMap(labels.shape[0], labels.shape[1], count, labels + 1)
+    return SegmentationMap(count, labels + 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -467,7 +466,7 @@ def test_extract_features_single_region_global_mean():
 def test_extract_features_hand_case():
     arr = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
     labels = np.array([[1, 2], [1, 2]], dtype=np.int64)
-    seg = SegmentationMap(2, 2, 2, labels)
+    seg = SegmentationMap(2, labels)
     feats = extract_features(Raster.from_array(arr), seg)
     assert feats[:, 0].tolist() == [2.0, 3.0]
 

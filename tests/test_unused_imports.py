@@ -1,11 +1,13 @@
-"""Every name a copcd module imports is used in it or re-exported by it."""
+"""Every name a copcd module or script imports is used in it or re-exported
+by it."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "copcd"
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted(ROOT.glob("src/copcd/*.py")) + sorted(ROOT.glob("scripts/*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -27,7 +29,7 @@ def _unused_imports(tree: ast.Module) -> list:
                   if name not in used and name not in exported)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
 
