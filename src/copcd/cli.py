@@ -86,7 +86,7 @@ def cmd_fit(args) -> int:
     config = PipelineConfig(**values)
     if args.pairs is not None:
         pairs = load_raster(args.pairs)
-        if pairs.width != 2 or pairs.channels != 1:
+        if pairs.data.shape[1:] != (2, 1):
             raise ValueError("--pairs expects an n x 2 x 1 raster of sample columns")
         model_set, traces = pipeline.fit_model_set(
             pairs.data[:, 0, :].astype(np.float64),

@@ -190,7 +190,7 @@ def run_fit(config: PipelineConfig) -> dict:
     x, y = _load_pair(config)
     if config.translated is not None:
         y_t = _stage("translate", load_raster, config.translated)
-        if (y_t.height, y_t.width, y_t.channels) != (y.height, y.width, y.channels):
+        if y_t.data.shape != y.data.shape:
             raise StageError("translate",
                              ValueError("translated raster shape mismatch"))
     else:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,31 +25,26 @@ _DTYPES = {
 class Raster:
     """An M x N x C cube of finite float32 values."""
 
-    height: int
-    width: int
-    channels: int
-    data: np.ndarray = field(repr=False)
+    data: np.ndarray
 
     def __post_init__(self):
-        if self.height < 1 or self.width < 1 or self.channels < 1:
-            raise ValueError("raster dimensions must be >= 1")
-        expected = (self.height, self.width, self.channels)
-        if self.data.shape != expected:
-            raise ValueError(f"data shape {self.data.shape} != {expected}")
+        if self.data.ndim != 3 or min(self.data.shape) < 1:
+            raise ValueError(f"raster data must be M x N x C with every side >= 1, "
+                             f"got shape {self.data.shape}")
         if self.data.dtype != np.float32:
             raise ValueError("raster data must be float32")
         if not np.all(np.isfinite(self.data)):
             raise ValueError("raster contains non-finite values")
         self.data.setflags(write=False)
 
+    def __repr__(self) -> str:
+        return f"Raster(shape={self.data.shape})"
+
     @classmethod
     def from_array(cls, arr) -> "Raster":
-        arr = np.asarray(arr, dtype=np.float32)
-        if arr.ndim == 2:
-            arr = arr[:, :, None]
-        if arr.ndim != 3:
-            raise ValueError("expected a 2-D or 3-D array")
-        return cls(arr.shape[0], arr.shape[1], arr.shape[2], arr.copy())
+        """A raster of a float32 copy of an M x N or M x N x C array."""
+        arr = np.array(arr, dtype=np.float32)
+        return cls(arr[:, :, None] if arr.ndim == 2 else arr)
 
 
 def _strip_suffix(path: str) -> str:
@@ -108,8 +103,7 @@ def _read_container(base: str, dtype_name: str):
 
 def load_raster(path: str) -> Raster:
     """Load a float32 raster; inverse of :func:`save_raster` bit-exactly."""
-    header, arr = _read_container(path, "f32le")
-    return Raster(header["m"], header["n"], header["c"], np.ascontiguousarray(arr))
+    return Raster(_read_container(path, "f32le")[1])
 
 
 def save_raster(r: Raster, path: str) -> None:

@@ -75,7 +75,7 @@ def slic(r: Raster, target_count: int) -> SegmentationMap:
     ``planes``. ``tests/segmentation_oracle.py`` keeps the one-centre-at-a-time
     loop.
     """
-    m, n = r.height, r.width
+    m, n, c = r.data.shape
     if not 1 <= target_count <= m * n:
         raise ValueError(f"target_count={target_count} out of range [1, {m * n}]")
 
@@ -83,7 +83,7 @@ def slic(r: Raster, target_count: int) -> SegmentationMap:
     n_rows = max(1, int(round(m / spacing)))
     n_cols = max(1, int(round(n / spacing)))
     # Rows y, x and the bands, each pixel in row-major order.
-    planes = np.empty((2 + r.channels, m * n))
+    planes = np.empty((2 + c, m * n))
     planes[0], planes[1] = np.divmod(np.arange(m * n), n)
     planes[2:] = r.data.reshape(m * n, -1).T
 
@@ -262,8 +262,8 @@ def cosegment(a: SegmentationMap, b: SegmentationMap) -> SegmentationMap:
 
 def extract_features(r: Raster, seg: SegmentationMap) -> np.ndarray:
     """Per-superpixel channel means: rows = superpixels, cols = channels."""
-    if (r.height, r.width) != seg.labels.shape:
+    if r.data.shape[:2] != seg.labels.shape:
         raise ValueError("raster/segmentation dimensions differ")
     counts, sums = _region_sums(seg.labels.ravel() - 1,
-                                r.data.reshape(-1, r.channels).T, seg.count)
+                                r.data.reshape(-1, r.data.shape[2]).T, seg.count)
     return sums / counts[:, None]

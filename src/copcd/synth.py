@@ -145,7 +145,7 @@ def generate_pair(cfg: SynthConfig):
         y = y + rng.normal(0.0, cfg.noise_sigma * 255.0, y.shape)
     gt = mask.astype(np.uint8)
     return (
-        Raster(cfg.m, cfg.n, cfg.cx, x.astype(np.float32)),
-        Raster(cfg.m, cfg.n, cfg.cy, y.astype(np.float32)),
+        Raster(x.astype(np.float32)),
+        Raster(y.astype(np.float32)),
         gt,
     )

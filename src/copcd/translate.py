@@ -55,10 +55,11 @@ def _match_channel(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
 def translate_baseline(x: Raster, y: Raster) -> Raster:
     """Produce a translated-raster candidate with y's channel count and,
     per channel, y's marginal distribution. Output band c is translated from
-    source band c % x.channels."""
-    if (x.height, x.width) != (y.height, y.width):
+    x's band c modulo x's band count."""
+    if x.data.shape[:2] != y.data.shape[:2]:
         raise ValueError("raster dimensions differ")
-    out = np.empty((x.height, x.width, y.channels), dtype=np.float64)
-    for c2 in range(y.channels):
-        out[:, :, c2] = _match_channel(x.data[:, :, c2 % x.channels], y.data[:, :, c2])
-    return Raster(x.height, x.width, y.channels, out.astype(np.float32))
+    cx = x.data.shape[2]
+    out = np.empty(y.data.shape, dtype=np.float32)
+    for c2 in range(out.shape[2]):
+        out[:, :, c2] = _match_channel(x.data[:, :, c2 % cx], y.data[:, :, c2])
+    return Raster(out)

@@ -52,7 +52,7 @@ def slic(r, target_count: int):
     fewer than 8 elements left to right; from 8 bands on numpy sums
     pairwise, so the two may differ in the last bit there.
     """
-    m, n = r.height, r.width
+    m, n = r.data.shape[:2]
     data = r.data.astype(np.float64)
     spacing = np.sqrt(m * n / target_count)
     n_rows = max(1, int(round(m / spacing)))

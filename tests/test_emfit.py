@@ -24,6 +24,7 @@ from copcd.emfit import (
     THETA_MAX,
     THETA_MIN,
     EmConfig,
+    EmTrace,
     fit,
     fit_transforms,
     log_likelihood,
@@ -231,6 +232,15 @@ def test_trace_csv_export(tmp_path):
                for line in lines[1:])
     write_traces_csv({}, str(path))  # detect --model: no EM, header only
     assert path.read_text().strip() == header
+    # em_trace.csv byte for byte: the header, the float text and csv.writer's
+    # \r\n row ending.
+    trace = EmTrace(rows=[(0, -0.5, 0.7, 2.5, 0.4, 0.25),
+                          (1, 0.1 + 0.2, -0.7, 1e-05, 1.0, 1.0)], status=STATUS_CONVERGED)
+    write_traces_csv({(2, 1): trace}, str(path))
+    assert path.read_bytes() == (
+        b"c1,c2,iteration,log_likelihood,rho,theta,w,mean_gamma1,status\r\n"
+        b"2,1,0,-0.5,0.7,2.5,0.4,0.25,converged\r\n"
+        b"2,1,1,0.30000000000000004,-0.7,1e-05,1.0,1.0,converged\r\n")
 
 
 def _two_pass_logpdf_and_gamma(u, v, rho, theta, w, tail_mode):

@@ -21,21 +21,32 @@ from copcd.raster import (
 
 def test_from_array_2d_adds_channel_axis():
     r = Raster.from_array(np.zeros((3, 4), dtype=np.float32))
-    assert (r.height, r.width, r.channels) == (3, 4, 1)
+    assert r.data.shape == (3, 4, 1)
 
 
 def test_raster_rejects_non_finite():
     arr = np.zeros((2, 2, 1), dtype=np.float32)
     arr[0, 0, 0] = np.nan
     with pytest.raises(ValueError):
-        Raster(2, 2, 1, arr)
+        Raster(arr)
 
 
 def test_raster_rejects_wrong_shape_and_dtype():
     with pytest.raises(ValueError):
-        Raster(2, 2, 2, np.zeros((2, 2, 1), dtype=np.float32))
+        Raster(np.zeros((2, 2, 1), dtype=np.float64))
     with pytest.raises(ValueError):
-        Raster(2, 2, 1, np.zeros((2, 2, 1), dtype=np.float64))
+        Raster(np.zeros((2, 2), dtype=np.float32))
+    with pytest.raises(ValueError):
+        Raster(np.zeros((2, 0, 1), dtype=np.float32))
+
+
+def test_from_array_copies_float32_input_once():
+    arr = np.arange(6, dtype=np.float32).reshape(2, 3, 1)
+    r = Raster.from_array(arr)
+    assert arr.flags.writeable
+    assert not np.shares_memory(r.data, arr)
+    arr[0, 0, 0] = -1.0
+    assert r.data[0, 0, 0] == 0.0
 
 
 def test_round_trip_random_raster(tmp_path):

@@ -36,8 +36,8 @@ def _check_scene_and_counts(row, tmp_path, size, bands, post_bands=None):
     base = tmp_path / f"d{row['data']}_p{row['pipe']}"
     post_bands = bands if post_bands is None else post_bands
     pre, post = load_raster(str(base / "pre")), load_raster(str(base / "post"))
-    assert (pre.height, pre.width, pre.channels) == (size, size, bands)
-    assert (post.height, post.width, post.channels) == (size, size, post_bands)
+    assert pre.data.shape == (size, size, bands)
+    assert post.data.shape == (size, size, post_bands)
     if bands == post_bands:
         workloads = _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
         scene = workloads.Scene("s", "", size=size, bands=bands, staged=False,

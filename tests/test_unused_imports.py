@@ -1,5 +1,5 @@
-"""Every name a copcd module or script imports is used in it or re-exported
-by it."""
+"""Every name a copcd module, script, perfbench module or test imports is
+used in it or re-exported by it."""
 
 import ast
 from pathlib import Path
@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(ROOT.glob("src/copcd/*.py")) + sorted(ROOT.glob("scripts/*.py"))
+FILES = [path for pattern in ("src/copcd/*.py", "scripts/*.py", "perfbench/*.py", "tests/*.py")
+         for path in sorted(ROOT.glob(pattern))]
 
 
 def _unused_imports(tree: ast.Module) -> list:
