@@ -8,11 +8,14 @@ ACC >= 0.95, as in tests/test_acceptance.py::test_08), the test
 superpixel count, the fitted rho, theta and w of channel pair (1, 1), a `*`
 marking a value on either end of the box EM fits in (rho = 0.01 or 0.99,
 theta = 0.1 or 20), how many of all the channel pairs fit on an end of
-that box, and a digest: the first 12 hex digits of the sha256 of the run's
+that box, the share of pixels the change map flags, the seconds of
+`run_detect`, and a digest: the first 12 hex digits of the sha256 of the run's
 di.f32, bcm.u8, model.json and em_trace.csv bytes, so that two sweeps with
 byte-identical artifacts and fits print the same digests. A last line
-gives the median and minimum KC, the gate failures and the box-end fits.
-With the defaults each scene is
+gives the median and minimum KC, the gate failures, the box-end fits and the
+median seconds. `--change-fraction` sets the changed share of each scene
+(default 0.1); at 0 nothing changes, so KC and F-measure read 0 and the
+flagged share is the whole of the false alarms. With the defaults each scene is
 perfbench's `scene256` scene for that data seed (at --size 256);
 `--size 128 --bands 3` gives its `multiband_staged` scene. `--post-bands`
 sets the post-event band count apart from the pre-event one, as for an
@@ -48,14 +51,14 @@ def box_ends(model):
 
 
 def run_one(size, rho, w, data_seed, pipeline_seed, ns_model, ns_test, alpha,
-            workdir, bands=1, post_bands=None):
+            workdir, bands=1, post_bands=None, change_fraction=0.1):
     """Generate one scene with ``bands`` pre-event bands and ``post_bands``
-    post-event bands (default ``bands``), detect on it, and return its row
-    as a dict."""
+    post-event bands (default ``bands``) and ``change_fraction`` of its
+    pixels changed, detect on it, and return its row as a dict."""
     model = CopulaMixtureModel(rho=rho, theta=1.0, w=w, n_train=1)
     cy = bands if post_bands is None else post_bands
     cfg = SynthConfig(m=size, n=size, cx=bands, cy=cy, model=model,
-                      change_fraction=0.1, noise_sigma=0.05, seed=data_seed)
+                      change_fraction=change_fraction, noise_sigma=0.05, seed=data_seed)
     x, y, gt = generate_pair(cfg)
     base = os.path.join(workdir, f"d{data_seed}_p{pipeline_seed}")
     os.makedirs(base, exist_ok=True)
@@ -87,13 +90,13 @@ def run_one(size, rho, w, data_seed, pipeline_seed, ns_model, ns_test, alpha,
         "rho_on_bound": rho_end, "theta_on_bound": theta_end,
         "superpixels": result["seg_test"].count,
         "box_end_pairs": sum(any(box_ends(m)) for m in model_set.models.values()),
-        "pairs": len(model_set.models),
+        "pairs": len(model_set.models), "flagged": float(result["bcm"].mean()),
         "sec": elapsed, "digest": digest.hexdigest()[:12],
     }
 
 
 HEADER = (f"{'data':>4} {'pipe':>4} {'KC':>7} {'Fm':>7} {'ACC':>7} {'gate':>4} "
-          f"{'sp':>5} {'rho':>7} {'theta':>8} {'w':>6} {'ends':>5} {'sec':>6} "
+          f"{'sp':>5} {'rho':>7} {'theta':>8} {'w':>6} {'ends':>5} {'flag':>6} {'sec':>6} "
           f"{'digest':>12}")
 
 
@@ -104,7 +107,7 @@ def format_row(row) -> str:
             f"{row['acc']:>7.3f} {row['gate']:>4} {row['superpixels']:>5} "
             f"{row['rho']:>6.4f}{rho_mark} {row['theta']:>7.3f}{theta_mark} "
             f"{row['w']:>6.3f} {row['box_end_pairs']:>3}/{row['pairs']:<1} "
-            f"{row['sec']:>6.1f} {row['digest']}")
+            f"{row['flagged']:>6.1%} {row['sec']:>6.1f} {row['digest']}")
 
 
 def summary(rows) -> str:
@@ -112,8 +115,10 @@ def summary(rows) -> str:
     fails = sum(row["gate"] == "fail" for row in rows)
     ends = sum(row["box_end_pairs"] for row in rows)
     pairs = sum(row["pairs"] for row in rows)
+    sec = statistics.median(row["sec"] for row in rows)
     return (f"KC median {statistics.median(kcs):.3f} min {min(kcs):.3f}; "
-            f"gate failures {fails}/{len(rows)}; box-end fits {ends}/{pairs}")
+            f"gate failures {fails}/{len(rows)}; box-end fits {ends}/{pairs}; "
+            f"median {sec:.2f} s")
 
 
 def main():
@@ -128,6 +133,8 @@ def main():
     parser.add_argument("--ns-model", type=int, default=400)
     parser.add_argument("--ns-test", type=int, default=800)
     parser.add_argument("--alpha", type=float, default=5.0)
+    parser.add_argument("--change-fraction", type=float, default=0.1,
+                        help="changed share of each scene, in [0, 1)")
     parser.add_argument("--data-seeds", type=int, nargs="+",
                         default=list(range(5)))
     parser.add_argument("--pipeline-seeds", type=int, nargs="+", default=[0])
@@ -141,7 +148,7 @@ def main():
                 rows.append(run_one(
                     args.size, args.rho, args.w, data_seed, pipeline_seed,
                     args.ns_model, args.ns_test, args.alpha, workdir, args.bands,
-                    args.post_bands,
+                    args.post_bands, args.change_fraction,
                 ))
                 print(format_row(rows[-1]), flush=True)
     print(summary(rows))

@@ -9,13 +9,18 @@ from scipy import ndimage
 
 from .raster import Raster
 
-SLIC_ITERS = 10
+# Assignment passes, measured on the 256 x 256 scenes of data seeds 0-54
+# (1 band, target 800): 6 give KC median 0.969 and no gate failure against
+# 0.971 and 1 failure with 10, and cut perfbench's scene256 op from 0.32 to
+# 0.23 s (2 cores); 5 also fail seeds 25 and 29. Update 5 moves the centres
+# 0.48 px on average, 5% of the grid spacing.
+SLIC_ITERS = 6
 COMPACTNESS = 10.0  # weight of the spatial term of the SLIC distance
 MIN_REGION = 10  # pixels; a smaller co-segmentation piece stays only as a label's largest
 # The most pixel entries a SLIC block's windows hold together, or m * n if
 # fewer. At 2048 x 2048 (1 band, target 51,200, 2 cores) a slic call after a
-# process's first took 5.6-7.9 s with 2 ** 18 (2 MiB of float64) and
-# 7.3-10.7 s with blocks of m * n entries. A cap above m * n slows small images.
+# process's first took 3.6-5.3 s with 2 ** 18 (2 MiB of float64) and
+# 5.6-6.2 s with blocks of m * n entries. A cap above m * n slows small images.
 SLIC_BLOCK_ENTRIES = 2 ** 18
 
 
@@ -57,9 +62,11 @@ def _connected_regions(code: np.ndarray) -> np.ndarray:
 
 
 def slic(r: Raster, target_count: int) -> SegmentationMap:
-    """Grid-initialized SLIC with fixed iteration count and connectivity cleanup.
+    """Grid-initialized SLIC: SLIC_ITERS assignment passes, then connectivity cleanup.
 
-    Deterministic: the procedure has no randomness.
+    Deterministic: the procedure has no randomness. The centres move to
+    their clusters' means between passes but not after the last one, whose
+    centres no label would read.
     Distance is d_color + (COMPACTNESS / S) * d_spatial with Euclidean norms
     over all channels, S = sqrt(pixels / target_count) the grid spacing.
     Each centre searches the pixels within +-ceil(S) rows and columns of it,
@@ -92,19 +99,19 @@ def slic(r: Raster, target_count: int) -> SegmentationMap:
     centers_pos = np.column_stack([cy.ravel(), cx.ravel()])
     seed = np.minimum(centers_pos.astype(np.int64), (m - 1, n - 1))
     centers_col = planes[2:, seed[:, 0] * n + seed[:, 1]].T
-    k = len(centers_pos)
     win = int(np.ceil(spacing))
     ratio = COMPACTNESS / spacing
     block = max(1, min(m * n, SLIC_BLOCK_ENTRIES) // (2 * win + 1) ** 2)
 
     assign = np.zeros(m * n, dtype=np.int64)
-    for _ in range(SLIC_ITERS):
+    for i in range(SLIC_ITERS):
+        if i:
+            _update_centers(assign, planes, centers_pos, centers_col)
         best = np.full(m * n, np.inf)
-        for b0 in range(0, k, block):
+        for b0 in range(0, len(centers_pos), block):
             ids = slice(b0, b0 + block)
             _assign_block(planes[2:], (m, n), centers_pos[ids], centers_col[ids], b0,
                           win, ratio, best, assign)
-        _update_centers(assign, planes, centers_pos, centers_col)
     return _enforce_connectivity(assign.reshape(m, n))
 
 

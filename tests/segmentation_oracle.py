@@ -44,7 +44,8 @@ def connected_regions(code: np.ndarray) -> np.ndarray:
 
 
 def slic(r, target_count: int):
-    """SLIC one centre at a time, each centre updated through a boolean mask.
+    """SLIC one centre at a time, each centre updated through a boolean mask
+    after every pass, the last one too, whose centres no label reads.
 
     The squared band differences are added one band at a time, in band
     order. Below 8 bands this is bit for bit the ``.sum(axis=2)`` over the

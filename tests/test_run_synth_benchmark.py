@@ -7,10 +7,13 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from copcd import cli, pipeline
-from copcd.raster import load_raster
+from copcd.copula import CopulaMixtureModel
+from copcd.raster import load_binary_map, load_raster
+from copcd.synth import SynthConfig, generate_pair
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -79,6 +82,7 @@ def test_row_reports_the_gate_and_the_fitted_pair(sweep, tmp_path):
     artifacts = b"".join((out / name).read_bytes()
                          for name in ("di.f32", "bcm.u8", "model.json", "em_trace.csv"))
     assert row["digest"] == hashlib.sha256(artifacts).hexdigest()[:12]
+    assert row["flagged"] == load_binary_map(str(out / "bcm")).mean()
 
     line = sweep.format_row(row)
     assert line.split()[:2] == ["5", "0"] and row["gate"] in line.split()
@@ -86,14 +90,31 @@ def test_row_reports_the_gate_and_the_fitted_pair(sweep, tmp_path):
     assert str(row["superpixels"]) in line.split()
     assert f"{row['box_end_pairs']}/1" in line.split()
     assert line.split()[-1] == row["digest"]
+    assert f"{row['flagged']:.1%}" in line.split()
     # A fit at theta's lower end is marked as one at its upper end is.
     low = dict(row, rho=0.5, theta=0.1, rho_on_bound=False, theta_on_bound=True)
     assert "0.100*" in sweep.format_row(low) and sweep.format_row(low).count("*") == 1
-    rows = [{"kc": 0.9, "gate": "pass", "box_end_pairs": 1, "pairs": 1},
-            {"kc": 0.5, "gate": "fail", "box_end_pairs": 7, "pairs": 9},
-            {"kc": 0.7, "gate": "fail", "box_end_pairs": 0, "pairs": 4}]
+    rows = [{"kc": 0.9, "gate": "pass", "box_end_pairs": 1, "pairs": 1, "sec": 2.0},
+            {"kc": 0.5, "gate": "fail", "box_end_pairs": 7, "pairs": 9, "sec": 0.5},
+            {"kc": 0.7, "gate": "fail", "box_end_pairs": 0, "pairs": 4, "sec": 1.25}]
     assert sweep.summary(rows) == ("KC median 0.700 min 0.500; gate failures 2/3; "
-                                   "box-end fits 8/14")
+                                   "box-end fits 8/14; median 1.25 s")
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.3])
+def test_change_fraction_reaches_the_scene(sweep, tmp_path, fraction):
+    # The row's ground truth is the generator's at that fraction; with no
+    # change at all the run still ends, with KC 0 and only false alarms flagged.
+    row = sweep.run_one(48, 0.9, 1.0, 5, 0, 40, 80, 5.0, str(tmp_path),
+                        change_fraction=fraction)
+    cfg = SynthConfig(m=48, n=48, change_fraction=fraction, noise_sigma=0.05, seed=5,
+                      model=CopulaMixtureModel(rho=0.9, theta=1.0, w=1.0, n_train=1))
+    gt = load_binary_map(str(tmp_path / "d5_p0" / "gt"))
+    assert np.array_equal(gt, generate_pair(cfg)[2])
+    assert abs(gt.mean() - fraction) < 0.01
+    if fraction == 0:
+        assert (row["kc"], row["fm"], row["gate"]) == (0.0, 0.0, "fail")
+        assert row["acc"] == pytest.approx(1 - row["flagged"])
 
 
 def test_multiband_row_counts_box_ends_over_every_pair(sweep, tmp_path):

@@ -152,6 +152,29 @@ def test_slic_matches_mask_oracle(seed, m, n, channels, target, values):
     assert np.array_equal(got.labels, want.labels)
 
 
+def test_slic_skips_the_last_centre_update(monkeypatch):
+    # No label reads the centres of an update after the last assignment
+    # pass, so slic leaves it out; the oracle runs it and gives the same labels.
+    arr = np.random.default_rng(0).normal(size=(40, 40, 2)).astype(np.float32)
+    r = Raster.from_array(arr)
+    calls = {"passes": 0, "updates": 0}
+    assign_block = segmentation._assign_block
+
+    def counted_assign(*args):
+        calls["passes"] += args[4] == 0  # a pass scores its first block first
+        assign_block(*args)
+
+    def counted_update(*args):
+        calls["updates"] += 1
+        _update_centers(*args)
+
+    monkeypatch.setattr(segmentation, "_assign_block", counted_assign)
+    monkeypatch.setattr(segmentation, "_update_centers", counted_update)
+    got = slic(r, 30)
+    assert calls == {"passes": SLIC_ITERS, "updates": SLIC_ITERS - 1}
+    assert np.array_equal(got.labels, oracle.slic(r, 30).labels)
+
+
 def test_slic_cross_block_tie_goes_to_lower_centre():
     # A constant 40 x 40 raster at target 16: S = 10, 21 x 21 windows, so
     # the centres are scored in blocks of 1600 // 441 = 3. Centres 2 and 3
@@ -236,7 +259,8 @@ def test_update_centers_is_bit_identical_to_pixel_order_sums(seed, m, n, channel
 def test_scene_centre_colours_equal_mask_means(scene5, monkeypatch):
     # On the scene rasters the float64 sum of each cluster's float32 pixels
     # is exact, so the pixel-order sums give the colours of numpy's pairwise
-    # data[mask].mean(axis=0): every SLIC iteration's every cluster is checked.
+    # data[mask].mean(axis=0): every centre update's every cluster is checked,
+    # SLIC_ITERS - 1 updates a call.
     clusters = 0
 
     def checked(assign, planes, centers_pos, centers_col):
@@ -252,7 +276,7 @@ def test_scene_centre_colours_equal_mask_means(scene5, monkeypatch):
     monkeypatch.setattr(segmentation, "_update_centers", checked)
     for raster in scene5:
         slic(raster, 800)
-    assert clusters > 2 * SLIC_ITERS * 700
+    assert clusters > 2 * (SLIC_ITERS - 1) * 700
 
 
 def _block_map(seed, m, n, n_labels, block, offset=0, stride=1):
