@@ -8,18 +8,21 @@ ACC >= 0.95, as in tests/test_acceptance.py::test_08), the test
 superpixel count, the fitted rho, theta and w of channel pair (1, 1), a `*`
 marking a value on either end of the box EM fits in (rho = 0.01 or 0.99,
 theta = 0.1 or 20), how many of all the channel pairs fit on an end of
-that box, the share of pixels the change map flags, the seconds of
-`run_detect`, and a digest: the first 12 hex digits of the sha256 of the run's
-di.f32, bcm.u8, model.json and em_trace.csv bytes, so that two sweeps with
-byte-identical artifacts and fits print the same digests. A last line
-gives the median and minimum KC, the gate failures, the box-end fits and the
-median seconds. `--change-fraction` sets the changed share of each scene
-(default 0.1); at 0 nothing changes, so KC and F-measure read 0 and the
-flagged share is the whole of the false alarms. With the defaults each scene is
-perfbench's `scene256` scene for that data seed (at --size 256);
-`--size 128 --bands 3` gives its `multiband_staged` scene. `--post-bands`
-sets the post-event band count apart from the pre-event one, as for an
-optical image of 3 bands against a SAR image of 1 (`--bands 3
+that box, the share of pixels the change map flags, the AUC of the DI over
+the test superpixels (a superpixel counts as changed when most of its pixels
+are, and ties count half; `nan` when no superpixel, or every one, is
+changed), the seconds of `run_detect`, and a digest: the first 12 hex digits
+of the sha256 of the run's di.f32, bcm.u8, model.json and em_trace.csv bytes,
+so that two sweeps with byte-identical artifacts and fits print the same
+digests. A last line gives the median and minimum KC, the gate failures, the
+box-end fits, the median AUC over the rows that have one (`nan` if none does)
+and the median seconds. `--change-fraction` sets the changed share of each
+scene (default 0.1); at 0 nothing changes, so KC and F-measure read 0, the
+AUC reads `nan` and the flagged share is the whole of the false alarms. With
+the defaults each scene is perfbench's `scene256` scene for that data seed (at
+--size 256); `--size 128 --bands 3` gives its `multiband_staged` scene.
+`--post-bands` sets the post-event band count apart from the pre-event one, as
+for an optical image of 3 bands against a SAR image of 1 (`--bands 3
 --post-bands 1`); it defaults to `--bands`.
 
 Example:
@@ -29,11 +32,15 @@ Example:
 
 import argparse
 import hashlib
+import math
 import os
 import statistics
 import sys
 import tempfile
 import time
+
+import numpy as np
+from scipy.stats import rankdata
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -48,6 +55,19 @@ KC_GATE, ACC_GATE = 0.8, 0.95
 def box_ends(model):
     """Whether a fitted pair's rho, and its theta, lie on an end of EM's box."""
     return model.rho in (RHO_MIN, RHO_MAX), model.theta in (THETA_MIN, THETA_MAX)
+
+
+def superpixel_auc(di, labels, gt) -> float:
+    """AUC of the per-superpixel DI against the superpixels' majority change:
+    the Mann-Whitney statistic on average ranks, so ties count half."""
+    flat = labels.ravel()
+    sizes = np.bincount(flat, minlength=len(di) + 1)[1:]
+    changed = np.bincount(flat, weights=gt.ravel(), minlength=len(di) + 1)[1:] > sizes / 2
+    n1 = int(changed.sum())
+    n0 = len(di) - n1
+    if n1 == 0 or n0 == 0:
+        return float("nan")
+    return float((rankdata(di)[changed].sum() - n1 * (n1 + 1) / 2) / (n1 * n0))
 
 
 def run_one(size, rho, w, data_seed, pipeline_seed, ns_model, ns_test, alpha,
@@ -91,13 +111,14 @@ def run_one(size, rho, w, data_seed, pipeline_seed, ns_model, ns_test, alpha,
         "superpixels": result["seg_test"].count,
         "box_end_pairs": sum(any(box_ends(m)) for m in model_set.models.values()),
         "pairs": len(model_set.models), "flagged": float(result["bcm"].mean()),
+        "auc": superpixel_auc(result["di"], result["seg_test"].labels, gt),
         "sec": elapsed, "digest": digest.hexdigest()[:12],
     }
 
 
 HEADER = (f"{'data':>4} {'pipe':>4} {'KC':>7} {'Fm':>7} {'ACC':>7} {'gate':>4} "
-          f"{'sp':>5} {'rho':>7} {'theta':>8} {'w':>6} {'ends':>5} {'flag':>6} {'sec':>6} "
-          f"{'digest':>12}")
+          f"{'sp':>5} {'rho':>7} {'theta':>8} {'w':>6} {'ends':>5} {'flag':>6} {'auc':>6} "
+          f"{'sec':>6} {'digest':>12}")
 
 
 def format_row(row) -> str:
@@ -107,7 +128,7 @@ def format_row(row) -> str:
             f"{row['acc']:>7.3f} {row['gate']:>4} {row['superpixels']:>5} "
             f"{row['rho']:>6.4f}{rho_mark} {row['theta']:>7.3f}{theta_mark} "
             f"{row['w']:>6.3f} {row['box_end_pairs']:>3}/{row['pairs']:<1} "
-            f"{row['flagged']:>6.1%} {row['sec']:>6.1f} {row['digest']}")
+            f"{row['flagged']:>6.1%} {row['auc']:>6.3f} {row['sec']:>6.1f} {row['digest']}")
 
 
 def summary(rows) -> str:
@@ -116,9 +137,11 @@ def summary(rows) -> str:
     ends = sum(row["box_end_pairs"] for row in rows)
     pairs = sum(row["pairs"] for row in rows)
     sec = statistics.median(row["sec"] for row in rows)
+    aucs = [row["auc"] for row in rows if not math.isnan(row["auc"])]
+    auc = statistics.median(aucs) if aucs else float("nan")
     return (f"KC median {statistics.median(kcs):.3f} min {min(kcs):.3f}; "
             f"gate failures {fails}/{len(rows)}; box-end fits {ends}/{pairs}; "
-            f"median {sec:.2f} s")
+            f"AUC median {auc:.3f}; median {sec:.2f} s")
 
 
 def main():

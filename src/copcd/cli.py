@@ -94,8 +94,7 @@ def cmd_fit(args) -> int:
             config.em_config(),
         )
     else:
-        result = pipeline.run_fit(config)
-        model_set, traces = result["model_set"], result["traces"]
+        model_set, traces = pipeline.run_fit(config)
     pipeline.write_model(model_set, traces, config.out_dir)
     for (c1, c2), model in sorted(model_set.models.items()):
         print(f"pair {c1},{c2}: rho={model.rho:.4f} theta={model.theta:.4f} "

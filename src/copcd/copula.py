@@ -146,22 +146,18 @@ class CopulaMixtureModel:
             raise ValueError(f"unknown orientation {self.orientation!r}")
 
 
-def clamp_pseudo_obs(u, n_train: int):
-    delta = 1.0 / (2.0 * n_train)
-    return np.clip(u, delta, 1.0 - delta)
-
-
 def pseudo_obs(hx, hy, ecdf_x: EmpiricalCdf, ecdf_y: EmpiricalCdf, negated: bool,
                n_train: int):
     """Copula arguments (u, v) of feature pairs, one rule for fitting and
     detection: the training ECDFs, v reflected to 1 - v for a negatively
     associated pair, both clamped into [delta, 1-delta], delta = 1/(2 n_train).
     """
+    delta = 1.0 / (2.0 * n_train)
     u = ecdf_x(hx)
     v = ecdf_y(hy)
     if negated:
         v = 1.0 - v
-    return clamp_pseudo_obs(u, n_train), clamp_pseudo_obs(v, n_train)
+    return np.clip(u, delta, 1.0 - delta), np.clip(v, delta, 1.0 - delta)
 
 
 def joint_logpdf_superpixel(hx, hy, ecdf_x: EmpiricalCdf, ecdf_y: EmpiricalCdf,
@@ -177,19 +173,6 @@ def joint_logpdf_superpixel(hx, hy, ecdf_x: EmpiricalCdf, ecdf_y: EmpiricalCdf,
                       model.n_train)
     return mixture_logpdf_at(normal_scores(u, v), tail_logs(u, v, model.tail_mode),
                              model.rho, model.theta, model.w)[0]
-
-
-def sample_gaussian_pairs(rho: float, n: int, rng: np.random.Generator):
-    z = rng.standard_normal((n, 2))
-    x1 = z[:, 0]
-    x2 = rho * z[:, 0] + np.sqrt(1 - rho * rho) * z[:, 1]
-    return ndtr(x1), ndtr(x2)
-
-
-def sample_clayton_pairs(theta: float, n: int, rng: np.random.Generator):
-    """Conditional-inversion Clayton sampler, stable for small theta."""
-    u = rng.random(n)
-    return u, _clayton_conditional_inverse(u, rng.random(n), theta)
 
 
 def _clayton_conditional_inverse(u: np.ndarray, p: np.ndarray, theta: float):
@@ -228,13 +211,18 @@ def conditional_sample(model: CopulaMixtureModel, u: np.ndarray,
 
 
 def sample_mixture(model: CopulaMixtureModel, n: int, seed: int):
-    """n i.i.d. draws from the mixture in (0,1)^2, deterministic per seed."""
+    """n i.i.d. draws from the mixture in (0,1)^2, deterministic per seed: the
+    Gaussian pairs from correlated normals, the Clayton pairs by conditional
+    inversion, stable for small theta."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     pick_gauss = rng.random(n) < model.w
-    gu, gv = sample_gaussian_pairs(model.rho, n, rng)
-    cu, cv = sample_clayton_pairs(model.theta, n, rng)
+    z = rng.standard_normal((n, 2))
+    gu = ndtr(z[:, 0])
+    gv = ndtr(model.rho * z[:, 0] + np.sqrt(1 - model.rho * model.rho) * z[:, 1])
+    cu = rng.random(n)
+    cv = _clayton_conditional_inverse(cu, rng.random(n), model.theta)
     if model.tail_mode == TAIL_CLAYTON_SURVIVAL:
         cu, cv = 1.0 - cu, 1.0 - cv
     u = np.where(pick_gauss, gu, cu)
@@ -245,13 +233,20 @@ def sample_mixture(model: CopulaMixtureModel, n: int, seed: int):
 
 @dataclass(frozen=True)
 class ChannelPairModels:
-    """Complete grid of fitted models and their training marginals."""
+    """Complete grid of fitted models and their training marginals; the grid
+    is cx x cy, the numbers of X's and of Y's ECDFs."""
 
-    cx: int
-    cy: int
     models: dict  # (c1, c2) 1-based -> CopulaMixtureModel
     ecdfs_x: tuple  # per channel of X
     ecdfs_y: tuple  # per channel of Y'
+
+    @property
+    def cx(self) -> int:
+        return len(self.ecdfs_x)
+
+    @property
+    def cy(self) -> int:
+        return len(self.ecdfs_y)
 
     def __post_init__(self):
         expect = {(c1, c2) for c1 in range(1, self.cx + 1) for c2 in range(1, self.cy + 1)}
@@ -338,7 +333,6 @@ def load_model_set(path: str) -> ChannelPairModels:
                          f"missing {sorted(keys - set(pairs))}, extra {sorted(set(pairs) - keys)}")
     try:
         models = {(c1, c2): _pair_model(pairs[f"{c1},{c2}"], lengths) for c1, c2 in grid}
-        return ChannelPairModels(cx=doc["cx"], cy=doc["cy"], models=models,
-                                 ecdfs_x=ecdfs_x, ecdfs_y=ecdfs_y)
+        return ChannelPairModels(models, ecdfs_x, ecdfs_y)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"model field 'pairs': {exc}") from None

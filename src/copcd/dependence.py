@@ -89,10 +89,6 @@ class EmpiricalCdf:
                                side="right") / self.n
 
 
-def empirical_cdf(samples) -> EmpiricalCdf:
-    return EmpiricalCdf(samples)
-
-
 def tail_dependence(u, v):
     """Empirical lower/upper tail-dependence estimates from pseudo-observations,
     clipped to [0, 1].

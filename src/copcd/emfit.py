@@ -167,11 +167,10 @@ def m_step(tf: FitTransforms, gamma1: np.ndarray, rho_cur: float,
     x1, x2, x_sq = tf.scores
     g_sq = float(np.mean(gamma1 * x_sq))
     g_cross = float(np.mean(gamma1 * x1 * x2))
-    g_mass = float(np.mean(gamma1))
 
     def rho_obj(rho):
         r2 = rho * rho
-        return -0.5 * np.log1p(-r2) * g_mass - (r2 * g_sq - 2 * rho * g_cross) / (
+        return -0.5 * np.log1p(-r2) * w_new - (r2 * g_sq - 2 * rho * g_cross) / (
             2 * (1 - r2)
         )
 
@@ -188,10 +187,11 @@ def m_step(tf: FitTransforms, gamma1: np.ndarray, rho_cur: float,
             + (-1 / theta - 2) * float(np.mean(gamma2 * log_s))
         )
 
-    # Stationary points of rho_obj: m rho^3 - C rho^2 + (S - m) rho - C = 0.
+    # Stationary points of rho_obj, with m = w_new the Gaussian mass:
+    # m rho^3 - C rho^2 + (S - m) rho - C = 0.
     # A near-double root can come back as a complex pair; its real part is
     # then one more candidate.
-    roots = np.roots([g_mass, -g_cross, g_sq - g_mass, -g_cross]).real
+    roots = np.roots([w_new, -g_cross, g_sq - w_new, -g_cross]).real
     rho_new = _best(rho_obj, [rho_cur, RHO_MIN, RHO_MAX,
                               *roots[(roots >= RHO_MIN) & (roots <= RHO_MAX)]])
     theta_new = _best(theta_obj, [theta_cur, THETA_MIN, THETA_MAX,

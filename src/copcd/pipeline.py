@@ -21,7 +21,6 @@ from .dependence import (
     TAIL_CLAYTON,
     TAIL_CLAYTON_SURVIVAL,
     EmpiricalCdf,
-    empirical_cdf,
     kendall_tau,
     tail_dependence,
 )
@@ -118,18 +117,14 @@ def fit_model_set(feat_x: np.ndarray, feat_y: np.ndarray, em_config: emfit.EmCon
 
     Returns (ChannelPairModels, {pair: EmTrace}).
     """
-    cx = feat_x.shape[1]
-    cy = feat_y.shape[1]
-    ecdfs_x = tuple(empirical_cdf(feat_x[:, c]) for c in range(cx))
-    ecdfs_y = tuple(empirical_cdf(feat_y[:, c]) for c in range(cy))
+    ecdfs_x = tuple(map(EmpiricalCdf, feat_x.T))
+    ecdfs_y = tuple(map(EmpiricalCdf, feat_y.T))
     models, traces = {}, {}
-    for c1 in range(1, cx + 1):
-        for c2 in range(1, cy + 1):
+    for c1, ecdf_x in enumerate(ecdfs_x, 1):
+        for c2, ecdf_y in enumerate(ecdfs_y, 1):
             models[c1, c2], traces[c1, c2] = fit_channel_pair(
-                feat_x[:, c1 - 1], feat_y[:, c2 - 1], ecdfs_x[c1 - 1], ecdfs_y[c2 - 1],
-                em_config)
-    return ChannelPairModels(cx=cx, cy=cy, models=models,
-                             ecdfs_x=ecdfs_x, ecdfs_y=ecdfs_y), traces
+                feat_x[:, c1 - 1], feat_y[:, c2 - 1], ecdf_x, ecdf_y, em_config)
+    return ChannelPairModels(models, ecdfs_x, ecdfs_y), traces
 
 
 def cosegment_pair(a: Raster, b: Raster, target: int):
@@ -151,11 +146,16 @@ def cosegment_pair(a: Raster, b: Raster, target: int):
 
 def _segment(a: Raster, b: Raster, config: PipelineConfig, field: str, least: int):
     """``cosegment_pair`` at the target of config field ``field``, which an
-    error names when the map has fewer than ``least`` regions."""
-    seg = _stage("segment", cosegment_pair, a, b, getattr(config, field))
+    error names when it exceeds the pixel count or the map has fewer than
+    ``least`` regions."""
+    target, pixels = getattr(config, field), math.prod(a.data.shape[:2])
+    if target > pixels:
+        raise StageError("segment", ValueError(
+            f"config field {field!r} = {target} exceeds the {pixels} pixels of this scene"))
+    seg = _stage("segment", cosegment_pair, a, b, target)
     if seg.count < least:
         raise StageError("segment", ValueError(
-            f"config field {field!r} = {getattr(config, field)} gives {seg.count} "
+            f"config field {field!r} = {target} gives {seg.count} "
             f"superpixels on this scene; at least {least} are needed"))
     return seg
 
@@ -173,21 +173,22 @@ def write_traces_csv(traces: dict, path: str) -> None:
 
 
 def _load_pair(config: PipelineConfig):
-    """Load the pre/post rasters."""
+    """Load the pre/post rasters; a band whose values are all equal is refused."""
     if config.pre is None or config.post is None:
         raise StageError("load", ValueError("--pre and --post are required"))
-    return _stage("load", load_raster, config.pre), _stage("load", load_raster, config.post)
+    pair = _stage("load", load_raster, config.pre), _stage("load", load_raster, config.post)
+    for name, r in zip(("pre", "post"), pair):
+        constant = np.flatnonzero(r.data.min(axis=(0, 1)) == r.data.max(axis=(0, 1)))
+        if constant.size:
+            raise StageError("load", ValueError(
+                f"{name} raster band {constant[0] + 1} is constant; it carries no information"))
+    return pair
 
 
-def run_fit(config: PipelineConfig) -> dict:
-    """Training half of the pipeline: translate the pre-event raster (or load
-    the supplied translation, which must match the post shape), co-segment
-    (X, Y'), then fit every channel pair.
-
-    Returns a dict: ``pre`` and ``post`` (the rasters), ``model_set`` and
-    ``traces`` (the EM trace of each channel pair).
-    """
-    x, y = _load_pair(config)
+def _fit(x: Raster, y: Raster, config: PipelineConfig):
+    """Training half on the loaded rasters: translate X (or load the supplied
+    translation, which must match Y's shape), co-segment (X, Y'), then fit
+    every channel pair. Returns (model_set, traces), the EM trace of each pair."""
     if config.translated is not None:
         y_t = _stage("translate", load_raster, config.translated)
         if y_t.data.shape != y.data.shape:
@@ -198,8 +199,13 @@ def run_fit(config: PipelineConfig) -> dict:
     seg = _segment(x, y_t, config, "ns_model", emfit.MIN_PAIRS)
     feat_x = _stage("features", segmentation.extract_features, x, seg)
     feat_y = _stage("features", segmentation.extract_features, y_t, seg)
-    model_set, traces = _stage("fit", fit_model_set, feat_x, feat_y, config.em_config())
-    return {"pre": x, "post": y, "model_set": model_set, "traces": traces}
+    return _stage("fit", fit_model_set, feat_x, feat_y, config.em_config())
+
+
+def run_fit(config: PipelineConfig) -> tuple:
+    """Training half of the pipeline: ``_fit`` on the loaded pre/post rasters.
+    Returns (model_set, traces)."""
+    return _fit(*_load_pair(config), config)
 
 
 def run_detect(config: PipelineConfig) -> dict:
@@ -210,13 +216,11 @@ def run_detect(config: PipelineConfig) -> dict:
     With ``config.model`` set, the model file replaces the training half:
     only the pre/post rasters are read, and ``traces`` is empty.
     """
+    x, y = _load_pair(config)
     if config.model is None:
-        out = run_fit(config)
-        x, y = out.pop("pre"), out.pop("post")
+        model_set, traces = _fit(x, y, config)
     else:
-        x, y = _load_pair(config)
-        out = {"model_set": _stage("load", load_model_set, config.model), "traces": {}}
-    model_set = out["model_set"]
+        model_set, traces = _stage("load", load_model_set, config.model), {}
 
     seg_test = _segment(x, y, config, "ns_test", detector.STAGE1_K)
     feat_x_test = _stage("features", segmentation.extract_features, x, seg_test)
@@ -228,7 +232,7 @@ def run_detect(config: PipelineConfig) -> dict:
                  di, config.alpha)
     bcm = _stage("detect", detector.two_stage_bcm, rep, di, seg_test, config.seed)
 
-    out.update(seg_test=seg_test, di=di, bcm=bcm)
+    out = {"model_set": model_set, "traces": traces, "seg_test": seg_test, "di": di, "bcm": bcm}
     if config.gt is not None:
         gt = _stage("score", load_binary_map, config.gt)
         out["report"] = _stage("score", metrics.score, bcm, gt)

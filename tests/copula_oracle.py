@@ -1,11 +1,15 @@
-"""Copula densities and CDFs: verification only, never called by the pipeline.
+"""Copula densities, CDFs and pair samplers: verification only, never called
+by the pipeline.
 
 The detector needs only the log densities in ``copcd.copula``, which take
 the transforms of (u1, u2); the log densities here take (u1, u2) itself, the
 densities are their exponentials, and the CDFs check them (the density is
 the CDF's mixed derivative) and pin the boundary conditions.
 ``gaussian_cdf`` integrates by adaptive quadrature, which is why this
-module, and not ``copcd``, imports ``scipy.integrate``.
+module, and not ``copcd``, imports ``scipy.integrate``. The two pair
+samplers draw what ``copcd.copula.sample_mixture`` draws for one component,
+from a caller's generator, and ``clamp_pseudo_obs`` is the clamp of
+``copcd.copula.pseudo_obs``.
 """
 
 import numpy as np
@@ -14,6 +18,7 @@ from scipy.special import ndtr, ndtri
 
 from copcd.copula import (
     CopulaMixtureModel,
+    _clayton_conditional_inverse,
     clayton_logpdf_at,
     gaussian_logpdf_at,
     mixture_logpdf_at,
@@ -51,6 +56,24 @@ def mixture_logpdf_and_gamma(u1, u2, rho: float, theta: float, w: float, tail_mo
 def mixture_density(u1, u2, model: CopulaMixtureModel):
     return np.exp(mixture_logpdf_and_gamma(u1, u2, model.rho, model.theta, model.w,
                                            model.tail_mode)[0])
+
+
+def clamp_pseudo_obs(u, n_train: int):
+    delta = 1.0 / (2.0 * n_train)
+    return np.clip(u, delta, 1.0 - delta)
+
+
+def sample_gaussian_pairs(rho: float, n: int, rng: np.random.Generator):
+    z = rng.standard_normal((n, 2))
+    x1 = z[:, 0]
+    x2 = rho * z[:, 0] + np.sqrt(1 - rho * rho) * z[:, 1]
+    return ndtr(x1), ndtr(x2)
+
+
+def sample_clayton_pairs(theta: float, n: int, rng: np.random.Generator):
+    """Conditional-inversion Clayton sampler, stable for small theta."""
+    u = rng.random(n)
+    return u, _clayton_conditional_inverse(u, rng.random(n), theta)
 
 
 def _check_closed(u1, u2):

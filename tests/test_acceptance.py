@@ -11,19 +11,17 @@ import time
 
 import numpy as np
 import pytest
-from copula_oracle import mixture_density
+from copula_oracle import mixture_density, sample_clayton_pairs, sample_gaussian_pairs
 from quadrature import unit_square_integral
 
 from copcd import cli
 from copcd.copula import (
     ChannelPairModels,
     CopulaMixtureModel,
-    sample_clayton_pairs,
-    sample_gaussian_pairs,
     sample_mixture,
 )
 from copcd.dependence import TAIL_CLAYTON, kendall_tau, tail_dependence
-from copcd.dependence import empirical_cdf
+from copcd.dependence import EmpiricalCdf
 from copcd.detector import test_statistics as compute_statistics
 from copcd.emfit import EmConfig, fit
 from copcd.metrics import score_counts
@@ -137,8 +135,8 @@ def test_07_statistic_separates_independent_pairs():
     fitted = CopulaMixtureModel(rho=rho, theta=theta, w=w,
                                 tail_mode=TAIL_CLAYTON, n_train=4000)
     models = ChannelPairModels(
-        cx=1, cy=1, models={(1, 1): fitted},
-        ecdfs_x=(empirical_cdf(train_u),), ecdfs_y=(empirical_cdf(train_v),),
+        models={(1, 1): fitted},
+        ecdfs_x=(EmpiricalCdf(train_u),), ecdfs_y=(EmpiricalCdf(train_v),),
     )
     wins = 0
     for trial in range(100):

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from copcd import cli, pipeline, translate
+from copcd import cli, pipeline, segmentation, translate
 from copcd.copula import CopulaMixtureModel, encode_column, sample_mixture
 from copcd.raster import Raster, load_binary_map, load_raster, save_binary_map, save_raster
 from copcd.segmentation import SegmentationMap
@@ -431,20 +431,64 @@ def test_too_few_test_superpixels_names_ns_test(small_scene, fitted_model, tmp_p
     assert "at least 3" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("flags, code, needle", [
-    (["--ns-model", "3000", "--ns-test", "3000"], cli.EXIT_CONTRACT,
-     "stage 'segment': target_count=3000 out of range [1, 2304]"),
-], ids=["ns-above-pixel-count"])
+@pytest.mark.parametrize("flag", ["--ns-model", "--ns-test"])
+def test_ns_above_the_pixel_count_names_the_field(small_scene, tmp_path, capsys, flag):
+    # The target is checked against the scene's 48 x 48 pixels before SLIC runs.
+    out = tmp_path / "run"
+    assert cli.main(_detect_args(small_scene, str(out)) + [flag, "100000"]) == cli.EXIT_CONTRACT
+    err = capsys.readouterr().err
+    field = flag[2:].replace("-", "_")
+    assert err.startswith(f"error: stage 'segment': config field {field!r} = 100000 "
+                          "exceeds the 2304 pixels of this scene")
+    assert "Traceback" not in err and not (out / "bcm.u8").exists()
+
+
+@pytest.mark.parametrize("command", ["detect", "fit", "detect --model"])
+@pytest.mark.parametrize("raster, needle", [
+    ("post", "post raster band 1 is constant"), ("pre", "pre raster band 2 is constant"),
+], ids=["all-zero-post", "pre-band-2-constant"])
+def test_constant_band_is_contract_error(small_scene, fitted_model, tmp_path, capsys,
+                                         command, raster, needle):
+    # An all-zero post raster, or a 3-band pre raster with one constant band:
+    # every command that loads the pair refuses it, naming raster and band.
+    data = tmp_path / "data"
+    shutil.copytree(small_scene, data)
+    pre = load_raster(str(data / "pre")).data
+    bad = (np.zeros_like(pre) if raster == "post"
+           else np.concatenate([pre, np.full_like(pre, 0.5), pre], axis=2))
+    save_raster(Raster.from_array(bad), str(data / raster))
+    args = _detect_args(str(data), str(tmp_path / "run"))
+    if command == "fit":
+        args[0] = "fit"
+    elif command == "detect --model":
+        args += ["--model", fitted_model]
+    assert cli.main(args) == cli.EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: stage 'load': {needle}; it carries no information")
+    assert "Traceback" not in err and not (tmp_path / "run").exists()
+
+
 def test_slic_failure_in_the_worker_thread_ends_cleanly(small_scene, tmp_path, capsys,
-                                                        flags, code, needle):
-    # Both rasters fail alike; the pre-event one, segmented by the worker,
-    # raises the error that is reported.
+                                                        monkeypatch):
+    # Both rasters fail, each with its own error; the pre-event one,
+    # segmented by the worker, raises the error that is reported.
+    pre = load_raster(os.path.join(small_scene, "pre")).data
+    calls = {}
+
+    def failing_slic(r, target):
+        name = "pre" if np.array_equal(r.data, pre) else "post"
+        calls[name] = threading.current_thread()
+        raise ValueError(f"SLIC failed on the {name} raster")
+
+    monkeypatch.setattr(segmentation, "slic", failing_slic)
     out = tmp_path / "run"
     threads = threading.active_count()
-    assert cli.main(_detect_args(small_scene, str(out)) + flags) == code
+    assert cli.main(_detect_args(small_scene, str(out))) == cli.EXIT_CONTRACT
     err = capsys.readouterr().err
-    assert err.startswith("error:") and needle in err
+    assert err.startswith("error: stage 'segment': SLIC failed on the pre raster")
     assert "Traceback" not in err
+    assert calls["pre"] is not threading.current_thread()
+    assert calls["post"] is threading.current_thread()
     assert not (out / "bcm.u8").exists()
     assert threading.active_count() == threads
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from copula_oracle import (
+    clamp_pseudo_obs,
     clayton_cdf,
     clayton_density,
     gaussian_cdf,
@@ -18,6 +19,8 @@ from copula_oracle import (
     mixture_density,
     sclayton_cdf,
     sclayton_density,
+    sample_clayton_pairs,
+    sample_gaussian_pairs,
 )
 from copcd.copula import (
     LOG_FLOOR,
@@ -28,7 +31,6 @@ from copcd.copula import (
     ChannelPairModels,
     CopulaMixtureModel,
     _clayton_conditional_inverse,
-    clamp_pseudo_obs,
     clayton_logpdf_at,
     conditional_sample,
     joint_logpdf_superpixel,
@@ -39,8 +41,7 @@ from copcd.copula import (
     log_expm1,
     mixture_logpdf_at,
     normal_scores,
-    sample_clayton_pairs,
-    sample_gaussian_pairs,
+    pseudo_obs,
     sample_mixture,
     tail_logs,
 )
@@ -48,7 +49,7 @@ from copcd.dependence import (
     ORIENT_NEGATED,
     TAIL_CLAYTON,
     TAIL_CLAYTON_SURVIVAL,
-    empirical_cdf,
+    EmpiricalCdf,
     kendall_tau,
 )
 
@@ -303,9 +304,9 @@ def test_model_record_round_trip(tmp_path):
                                tail_mode=TAIL_CLAYTON_SURVIVAL,
                                orientation=ORIENT_NEGATED, n_train=10)
 
-    ms = ChannelPairModels(cx=1, cy=1, models={(1, 1): model},
-                           ecdfs_x=(empirical_cdf(np.arange(10.0)),),
-                           ecdfs_y=(empirical_cdf([3.5, -1.0, 3.5, 2e-310, 0.0, -0.0,
+    ms = ChannelPairModels(models={(1, 1): model},
+                           ecdfs_x=(EmpiricalCdf(np.arange(10.0)),),
+                           ecdfs_y=(EmpiricalCdf([3.5, -1.0, 3.5, 2e-310, 0.0, -0.0,
                                                    1e308, -7.25, 3.5, 1.0]),))
     path = tmp_path / "model.json"
     path.write_text(ms.to_json())
@@ -322,9 +323,8 @@ def test_model_json_pair_record_text():
     model = CopulaMixtureModel(rho=0.7, theta=2.5, w=0.4,
                                tail_mode=TAIL_CLAYTON_SURVIVAL,
                                orientation=ORIENT_NEGATED, n_train=10)
-    ecdf = empirical_cdf(np.arange(10.0))
-    ms = ChannelPairModels(cx=1, cy=1, models={(1, 1): model}, ecdfs_x=(ecdf,),
-                           ecdfs_y=(ecdf,))
+    ecdf = EmpiricalCdf(np.arange(10.0))
+    ms = ChannelPairModels(models={(1, 1): model}, ecdfs_x=(ecdf,), ecdfs_y=(ecdf,))
     assert ms.to_json().startswith(
         '{\n  "version": 2,\n  "cx": 1,\n  "cy": 1,\n  "pairs": {\n    "1,1": {\n'
         '      "rho": 0.7,\n      "theta": 2.5,\n      "w": 0.4,\n'
@@ -352,24 +352,32 @@ def test_column_encoding_round_trips_exactly(values):
 
 def test_channel_pair_models_requires_full_grid():
     model = CopulaMixtureModel(rho=0.5, theta=1.0, w=0.5, n_train=10)
+    ecdf = EmpiricalCdf(np.arange(10.0))
     with pytest.raises(ValueError):
-        ChannelPairModels(cx=2, cy=1, models={(1, 1): model},
-                          ecdfs_x=(), ecdfs_y=())
+        ChannelPairModels(models={(1, 1): model}, ecdfs_x=(), ecdfs_y=())
+    # cx and cy are the ECDF counts, so two X channels need a 2 x 1 grid.
+    with pytest.raises(ValueError, match="2 x 1"):
+        ChannelPairModels(models={(1, 1): model}, ecdfs_x=(ecdf, ecdf), ecdfs_y=(ecdf,))
 
 
 # --- pseudo-observation handling ---
 
 
 def test_clamp_pseudo_obs():
-    u = np.array([0.0, 0.001, 0.5, 1.0])
-    out = clamp_pseudo_obs(u, 100)
-    assert out.tolist() == [0.005, 0.005, 0.5, 0.995]
+    # np.asarray stands in for the ECDFs, so the clamp alone acts; a
+    # negated pair is clamped after its reflection.
+    h = np.array([0.0, 0.001, 0.5, 1.0])
+    u, v = pseudo_obs(h, h, np.asarray, np.asarray, False, 100)
+    assert u.tolist() == v.tolist() == [0.005, 0.005, 0.5, 0.995]
+    u, v = pseudo_obs(h, h, np.asarray, np.asarray, True, 100)
+    assert u.tolist() == [0.005, 0.005, 0.5, 0.995]
+    assert v.tolist() == [0.995, 0.995, 0.5, 0.005]
 
 
 def test_joint_logpdf_clamps_out_of_range_features():
     rng = np.random.default_rng(5)
     train = rng.normal(size=100)
-    ecdf = empirical_cdf(train)
+    ecdf = EmpiricalCdf(train)
     model = CopulaMixtureModel(rho=0.8, theta=1.0, w=0.5, n_train=100)
     # a feature above every training sample hits pseudo-observation 1 - delta
     val = joint_logpdf_superpixel(train.max() + 10, train.max() + 10,
@@ -383,8 +391,8 @@ def test_joint_logpdf_matches_direct_composition():
     rng = np.random.default_rng(6)
     train_x = rng.normal(size=50)
     train_y = rng.normal(size=50)
-    ecdf_x = empirical_cdf(train_x)
-    ecdf_y = empirical_cdf(train_y)
+    ecdf_x = EmpiricalCdf(train_x)
+    ecdf_y = EmpiricalCdf(train_y)
     model = CopulaMixtureModel(rho=0.6, theta=2.0, w=0.3, n_train=50)
     h = np.array([0.1, -0.5, 1.2])
     got = joint_logpdf_superpixel(h, h, ecdf_x, ecdf_y, model)
@@ -396,7 +404,7 @@ def test_joint_logpdf_matches_direct_composition():
 def test_joint_logpdf_negated_orientation_reflects_v():
     rng = np.random.default_rng(7)
     train = rng.normal(size=40)
-    ecdf = empirical_cdf(train)
+    ecdf = EmpiricalCdf(train)
     base = CopulaMixtureModel(rho=0.6, theta=2.0, w=0.3, n_train=40)
     negated = CopulaMixtureModel(rho=0.6, theta=2.0, w=0.3,
                                  orientation=ORIENT_NEGATED, n_train=40)

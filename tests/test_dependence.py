@@ -3,16 +3,17 @@
 import numpy as np
 import pytest
 import dependence_oracle as oracle
+from copula_oracle import sample_clayton_pairs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from copcd.copula import pseudo_obs, sample_clayton_pairs
+from copcd.copula import pseudo_obs
 from copcd.dependence import (
     ORIENT_IDENTITY,
     ORIENT_NEGATED,
     TAIL_CLAYTON,
     TAIL_CLAYTON_SURVIVAL,
-    empirical_cdf,
+    EmpiricalCdf,
     kendall_tau,
     tail_dependence,
 )
@@ -113,9 +114,9 @@ def test_tau_symmetry_and_antisymmetry(seed, n):
 
 
 def test_ecdf_examples():
-    f = empirical_cdf([5.0])
+    f = EmpiricalCdf([5.0])
     assert f(5.0) == 1.0
-    g = empirical_cdf([1.0, 2.0, 3.0, 4.0])
+    g = EmpiricalCdf([1.0, 2.0, 3.0, 4.0])
     assert g(2.5) == 0.5
     assert g(0.0) == 0.0
     assert g(4.0) == 1.0
@@ -123,23 +124,23 @@ def test_ecdf_examples():
 
 def test_ecdf_inclusive_at_sample():
     # F(h) counts samples <= h, so each sample maps to at least 1/N
-    f = empirical_cdf([1.0, 2.0, 2.0, 3.0])
+    f = EmpiricalCdf([1.0, 2.0, 2.0, 3.0])
     assert f(1.0) == 0.25
     assert f(2.0) == 0.75
 
 
 def test_ecdf_validation():
     with pytest.raises(ValueError):
-        empirical_cdf([])
+        EmpiricalCdf([])
     with pytest.raises(ValueError):
-        empirical_cdf([1.0, np.inf])
+        EmpiricalCdf([1.0, np.inf])
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50),
        st.lists(st.floats(-1e7, 1e7), min_size=1, max_size=50))
 def test_ecdf_range_and_monotonicity(samples, queries):
-    f = empirical_cdf(samples)
+    f = EmpiricalCdf(samples)
     q = np.sort(np.asarray(queries))
     vals = f(q)
     vals = np.atleast_1d(vals)
@@ -156,7 +157,7 @@ def test_pseudo_obs_preserves_absolute_tau(seed, n):
     x = rng.permutation(n).astype(float)
     y = rng.permutation(n).astype(float)
     tau = kendall_tau(x, y)
-    _, v = pseudo_obs(x, y, empirical_cdf(x), empirical_cdf(y), tau < 0, n)
+    _, v = pseudo_obs(x, y, EmpiricalCdf(x), EmpiricalCdf(y), tau < 0, n)
     assert kendall_tau(x, v) == abs(tau)
 
 
@@ -205,17 +206,17 @@ def test_tail_dependence_invariant_under_monotone_transform(seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=50)
     y = rng.normal(size=50)
-    u = empirical_cdf(x)(x)
-    v = empirical_cdf(y)(y)
+    u = EmpiricalCdf(x)(x)
+    v = EmpiricalCdf(y)(y)
     xt = np.exp(3 * x)  # strictly increasing transform of the raw samples
     yt = np.arctan(y)
-    ut = empirical_cdf(xt)(xt)
-    vt = empirical_cdf(yt)(yt)
+    ut = EmpiricalCdf(xt)(xt)
+    vt = EmpiricalCdf(yt)(yt)
     assert tail_dependence(u, v) == tail_dependence(ut, vt)
 
 
 def _fit(u, v):
-    model, _ = fit_channel_pair(u, v, empirical_cdf(u), empirical_cdf(v), EmConfig())
+    model, _ = fit_channel_pair(u, v, EmpiricalCdf(u), EmpiricalCdf(v), EmConfig())
     return model
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from copcd.copula import ChannelPairModels, CopulaMixtureModel, sample_mixture
-from copcd.dependence import empirical_cdf
+from copcd.dependence import EmpiricalCdf
 from copcd.detector import (
     fuse_difference,
     kmeans,
@@ -17,8 +17,8 @@ from copcd.segmentation import SegmentationMap
 
 def _single_pair_models(model, train_x, train_y):
     return ChannelPairModels(
-        cx=1, cy=1, models={(1, 1): model},
-        ecdfs_x=(empirical_cdf(train_x),), ecdfs_y=(empirical_cdf(train_y),),
+        models={(1, 1): model},
+        ecdfs_x=(EmpiricalCdf(train_x),), ecdfs_y=(EmpiricalCdf(train_y),),
     )
 
 

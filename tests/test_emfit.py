@@ -5,7 +5,12 @@ import json
 import emfit_oracle
 import numpy as np
 import pytest
-from copula_oracle import gaussian_logpdf, mixture_logpdf_and_gamma, tail_logpdf
+from copula_oracle import (
+    gaussian_logpdf,
+    mixture_logpdf_and_gamma,
+    sample_clayton_pairs,
+    tail_logpdf,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +18,6 @@ from copcd import cli, emfit
 from copcd.copula import (
     LOG_FLOOR,
     CopulaMixtureModel,
-    sample_clayton_pairs,
     sample_mixture,
 )
 from copcd.dependence import TAIL_CLAYTON, TAIL_CLAYTON_SURVIVAL

@@ -10,7 +10,7 @@ from copula_oracle import mixture_logpdf_and_gamma
 from copcd import emfit, pipeline, segmentation
 from copcd.copula import CopulaMixtureModel, sample_mixture
 from copcd.detector import test_statistics as compute_statistics
-from copcd.dependence import ORIENT_NEGATED, TAIL_CLAYTON, empirical_cdf, kendall_tau
+from copcd.dependence import ORIENT_NEGATED, TAIL_CLAYTON, EmpiricalCdf, kendall_tau
 from copcd.pipeline import (
     PipelineConfig,
     StageError,
@@ -45,7 +45,7 @@ def test_run_detect_wraps_stage_failures(tmp_path):
 
 
 def _fit_pair(x, y, config):
-    return fit_channel_pair(x, y, empirical_cdf(x), empirical_cdf(y), config)
+    return fit_channel_pair(x, y, EmpiricalCdf(x), EmpiricalCdf(y), config)
 
 
 def test_fit_channel_pair_orients_negative_association():

@@ -1,9 +1,10 @@
 """The sweep script's per-seed row: its scene, gate, superpixel count,
-fitted parameters, box-end marks and counts, and artifact digest."""
+fitted parameters, box-end marks and counts, DI AUC, and artifact digest."""
 
 import hashlib
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -83,6 +84,8 @@ def test_row_reports_the_gate_and_the_fitted_pair(sweep, tmp_path):
                          for name in ("di.f32", "bcm.u8", "model.json", "em_trace.csv"))
     assert row["digest"] == hashlib.sha256(artifacts).hexdigest()[:12]
     assert row["flagged"] == load_binary_map(str(out / "bcm")).mean()
+    assert 0 <= row["auc"] <= 1
+    assert row["auc"] == pytest.approx(_pairwise_auc(tmp_path / "d5_p0", 80), abs=1e-12)
 
     line = sweep.format_row(row)
     assert line.split()[:2] == ["5", "0"] and row["gate"] in line.split()
@@ -91,14 +94,32 @@ def test_row_reports_the_gate_and_the_fitted_pair(sweep, tmp_path):
     assert f"{row['box_end_pairs']}/1" in line.split()
     assert line.split()[-1] == row["digest"]
     assert f"{row['flagged']:.1%}" in line.split()
+    assert f"{row['auc']:.3f}" in line.split()
     # A fit at theta's lower end is marked as one at its upper end is.
     low = dict(row, rho=0.5, theta=0.1, rho_on_bound=False, theta_on_bound=True)
     assert "0.100*" in sweep.format_row(low) and sweep.format_row(low).count("*") == 1
-    rows = [{"kc": 0.9, "gate": "pass", "box_end_pairs": 1, "pairs": 1, "sec": 2.0},
-            {"kc": 0.5, "gate": "fail", "box_end_pairs": 7, "pairs": 9, "sec": 0.5},
-            {"kc": 0.7, "gate": "fail", "box_end_pairs": 0, "pairs": 4, "sec": 1.25}]
+    rows = [{"kc": 0.9, "gate": "pass", "box_end_pairs": 1, "pairs": 1, "sec": 2.0,
+             "auc": 0.9},
+            {"kc": 0.5, "gate": "fail", "box_end_pairs": 7, "pairs": 9, "sec": 0.5,
+             "auc": float("nan")},
+            {"kc": 0.7, "gate": "fail", "box_end_pairs": 0, "pairs": 4, "sec": 1.25,
+             "auc": 0.8}]
     assert sweep.summary(rows) == ("KC median 0.700 min 0.500; gate failures 2/3; "
-                                   "box-end fits 8/14; median 1.25 s")
+                                   "box-end fits 8/14; AUC median 0.850; median 1.25 s")
+    assert "AUC median nan;" in sweep.summary(rows[1:2])
+
+
+def _pairwise_auc(base, ns_test):
+    """The DI AUC of the row's scene from every (changed, unchanged) pair of
+    test superpixels, ties counting half."""
+    result = pipeline.run_detect(pipeline.PipelineConfig(
+        pre=str(base / "pre"), post=str(base / "post"), ns_model=40, ns_test=ns_test,
+        alpha=5.0, seed=0))
+    labels, di = result["seg_test"].labels, result["di"]
+    gt = load_binary_map(str(base / "gt"))
+    changed = np.array([gt[labels == k].mean() > 0.5 for k in range(1, len(di) + 1)])
+    pos, neg = di[changed][:, None], di[~changed][None, :]
+    return float(np.mean((pos > neg) + 0.5 * (pos == neg)))
 
 
 @pytest.mark.parametrize("fraction", [0.0, 0.3])
@@ -115,6 +136,9 @@ def test_change_fraction_reaches_the_scene(sweep, tmp_path, fraction):
     if fraction == 0:
         assert (row["kc"], row["fm"], row["gate"]) == (0.0, 0.0, "fail")
         assert row["acc"] == pytest.approx(1 - row["flagged"])
+        assert math.isnan(row["auc"]) and "nan" in sweep.format_row(row).split()
+    else:
+        assert 0 <= row["auc"] <= 1
 
 
 def test_multiband_row_counts_box_ends_over_every_pair(sweep, tmp_path):
