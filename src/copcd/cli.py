@@ -1,7 +1,9 @@
 """Command-line interface.
 
-Subcommands: detect, fit, synth, score, translate. Every config-file key can
-be overridden by a flag of the same name. Exit codes: 0 ok, 2 usage or
+Subcommands: detect, fit, synth, score, translate. The flags of detect and
+fit are PipelineConfig's fields, which a --config file may also set, flags
+winning; those of synth are SynthConfig's and its generating model's. A flag
+left unset keeps its dataclass default. Exit codes: 0 ok, 2 usage or
 contract error, 3 numerical failure.
 """
 
@@ -11,34 +13,35 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import metrics, pipeline, synth, translate
 from .copula import CopulaMixtureModel
-from .dependence import TAIL_CLAYTON, TAIL_CLAYTON_SURVIVAL
 from .pipeline import PipelineConfig, StageError
 from .raster import export_graymap, load_binary_map, load_raster, save_binary_map, save_raster
 
 EXIT_OK = 0
 EXIT_CONTRACT = 2
 EXIT_NUMERICAL = 3
+_FLAG_TYPES = {"int": int, "float": float}  # a str field's flag keeps argparse's string
 
 
-def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its keys")
-    p.add_argument("--pre", help="pre-event raster (container base path)")
-    p.add_argument("--post", help="post-event raster")
-    p.add_argument("--translated", help="externally translated raster (skips baseline)")
-    p.add_argument("--gt", help="ground-truth binary map for scoring")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--model", help="model.json from fit (detect skips training)")
-    p.add_argument("--ns-model", dest="ns_model", type=int)
-    p.add_argument("--ns-test", dest="ns_test", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--seed", type=int)
+def _add_field_flags(p: argparse.ArgumentParser, cls, skip=()) -> None:
+    """One ``--field-name`` flag per field of dataclass ``cls`` not in ``skip``,
+    typed by the field's annotation, with the help of its metadata and no
+    default: unset, it reads None and the dataclass's default holds."""
+    for f in fields(cls):
+        if f.name not in skip:
+            p.add_argument("--" + f.name.replace("_", "-"), type=_FLAG_TYPES.get(f.type),
+                           help=f.metadata.get("help"))
+
+
+def _flag_values(args, cls) -> dict:
+    """The fields of dataclass ``cls`` that flags set."""
+    return {f.name: getattr(args, f.name) for f in fields(cls)
+            if getattr(args, f.name, None) is not None}
 
 
 def _config_values(args) -> dict:
@@ -50,14 +53,10 @@ def _config_values(args) -> dict:
         if not isinstance(loaded, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
         values.update(loaded)
-    known = {f.name for f in fields(PipelineConfig)}
-    unknown = set(values) - known
+    unknown = set(values) - {f.name for f in fields(PipelineConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for name in known:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            values[name] = flag
+    values.update(_flag_values(args, PipelineConfig))
     return values
 
 
@@ -88,6 +87,7 @@ def cmd_fit(args) -> int:
         pairs = load_raster(args.pairs)
         if pairs.data.shape[1:] != (2, 1):
             raise ValueError("--pairs expects an n x 2 x 1 raster of sample columns")
+        pipeline.refuse_constant("pairs", pairs.data[:, :, 0], "column")
         model_set, traces = pipeline.fit_model_set(
             pairs.data[:, 0, :].astype(np.float64),
             pairs.data[:, 1, :].astype(np.float64),
@@ -103,15 +103,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    model = CopulaMixtureModel(
-        rho=args.rho, theta=args.theta, w=args.w,
-        tail_mode=args.tail_mode, n_train=1,
-    )
-    cfg = synth.SynthConfig(
-        m=args.m, n=args.n, cx=args.cx, cy=args.cy, model=model,
-        change_fraction=args.change_fraction, change_shape=args.change_shape,
-        noise_sigma=args.noise_sigma, seed=args.seed,
-    )
+    base = synth.SynthConfig()
+    model = replace(base.model, **_flag_values(args, CopulaMixtureModel))
+    cfg = replace(base, model=model, **_flag_values(args, synth.SynthConfig))
     x, y, gt = synth.generate_pair(cfg)
     out = args.out_dir or "."
     os.makedirs(out, exist_ok=True)
@@ -148,32 +142,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Copula-mixture change detection for heterogeneous image pairs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config_flags = argparse.ArgumentParser(add_help=False)  # detect's and fit's
+    config_flags.add_argument("--config", help="JSON config file; flags override its keys")
+    _add_field_flags(config_flags, PipelineConfig)
 
-    p = sub.add_parser("detect", help="run the full detection pipeline")
-    _add_pipeline_flags(p)
+    p = sub.add_parser("detect", help="run the full detection pipeline", parents=[config_flags])
     p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("fit", help="fit copula-mixture models only")
-    _add_pipeline_flags(p)
+    p = sub.add_parser("fit", help="fit copula-mixture models only", parents=[config_flags])
     p.add_argument("--pairs", help="n x 2 x 1 raster of raw sample pairs")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("synth", help="generate a synthetic heterogeneous pair")
-    p.add_argument("--m", type=int, default=128)
-    p.add_argument("--n", type=int, default=128)
-    p.add_argument("--cx", type=int, default=1)
-    p.add_argument("--cy", type=int, default=1)
-    p.add_argument("--rho", type=float, default=0.8)
-    p.add_argument("--theta", type=float, default=1.0)
-    p.add_argument("--w", type=float, default=1.0)
-    p.add_argument("--tail-mode", dest="tail_mode", default=TAIL_CLAYTON,
-                   choices=[TAIL_CLAYTON, TAIL_CLAYTON_SURVIVAL])
-    p.add_argument("--change-fraction", dest="change_fraction", type=float, default=0.1)
-    p.add_argument("--change-shape", dest="change_shape", default="rectangle",
-                   choices=[synth.SHAPE_RECTANGLE, synth.SHAPE_BLOBS])
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", dest="out_dir", default=".")
+    _add_field_flags(p, synth.SynthConfig, skip={"model"})
+    # The generating model; orientation and n_train describe a fit.
+    _add_field_flags(p, CopulaMixtureModel, skip={"orientation", "n_train"})
+    p.add_argument("--out-dir")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("score", help="score a BCM against ground truth")

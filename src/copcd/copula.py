@@ -15,7 +15,7 @@ from __future__ import annotations
 import base64
 import json
 import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -121,7 +121,8 @@ class CopulaMixtureModel:
     rho: float
     theta: float
     w: float
-    tail_mode: str = TAIL_CLAYTON
+    tail_mode: str = field(default=TAIL_CLAYTON,
+                           metadata={"help": f"{TAIL_CLAYTON} or {TAIL_CLAYTON_SURVIVAL}"})
     orientation: str = ORIENT_IDENTITY
     n_train: int = 0
 
@@ -134,9 +135,9 @@ class CopulaMixtureModel:
             raise ValueError("rho must lie in [0, 1)")
         # Past theta ~ 1.8e16 Clayton's tau = theta/(theta+2) rounds to 1: the
         # copula is numerically comonotone, and near 1e308 the theta * log(u)
-        # terms of its density overflow.
-        if not (self.theta > 0 and self.theta / (self.theta + 2) < 1):
-            raise ValueError(f"theta must be finite and > 0 with theta/(theta+2) < 1, "
+        # terms of its density overflow, as 1/theta does below theta ~ 5.6e-309.
+        if not (self.theta > 0 and 1 / self.theta < np.inf and self.theta / (self.theta + 2) < 1):
+            raise ValueError(f"theta must be > 0 with 1/theta finite and theta/(theta+2) < 1, "
                              f"got {self.theta!r}")
         if not 0 <= self.w <= 1:
             raise ValueError("w must lie in [0, 1]")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,16 +39,18 @@ _FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    pre: str = None
-    post: str = None
-    translated: str = None
-    gt: str = None
+    pre: str = field(default=None, metadata={"help": "pre-event raster (container base path)"})
+    post: str = field(default=None, metadata={"help": "post-event raster"})
+    translated: str = field(default=None,
+                            metadata={"help": "externally translated raster (skips baseline)"})
+    gt: str = field(default=None, metadata={"help": "ground-truth binary map for scoring"})
     out_dir: str = "."
-    model: str = None  # fitted model.json: detect skips the training half
+    model: str = field(default=None,
+                       metadata={"help": "model.json from fit (detect skips training)"})
     ns_model: int = 1000
     ns_test: int = 2000
     alpha: float = 5.0
-    eps: float = 0.01
+    eps: float = emfit.EmConfig.eps
     seed: int = 0
 
     def __post_init__(self):
@@ -172,16 +174,23 @@ def write_traces_csv(traces: dict, path: str) -> None:
                 writer.writerow([c1, c2, *row, trace.status])
 
 
+def refuse_constant(name: str, samples: np.ndarray, unit: str = "band") -> None:
+    """Refuse input raster ``name`` if a ``unit`` of it, a slice of ``samples``
+    on the last axis, holds one value; the error gives the unit's 1-based index."""
+    axes = tuple(range(samples.ndim - 1))
+    constant = np.flatnonzero(samples.min(axis=axes) == samples.max(axis=axes))
+    if constant.size:
+        raise ValueError(f"{name} raster {unit} {constant[0] + 1} is constant; "
+                         "it carries no information")
+
+
 def _load_pair(config: PipelineConfig):
     """Load the pre/post rasters; a band whose values are all equal is refused."""
     if config.pre is None or config.post is None:
         raise StageError("load", ValueError("--pre and --post are required"))
     pair = _stage("load", load_raster, config.pre), _stage("load", load_raster, config.post)
     for name, r in zip(("pre", "post"), pair):
-        constant = np.flatnonzero(r.data.min(axis=(0, 1)) == r.data.max(axis=(0, 1)))
-        if constant.size:
-            raise StageError("load", ValueError(
-                f"{name} raster band {constant[0] + 1} is constant; it carries no information"))
+        _stage("load", refuse_constant, name, r.data)
     return pair
 
 
@@ -194,6 +203,7 @@ def _fit(x: Raster, y: Raster, config: PipelineConfig):
         if y_t.data.shape != y.data.shape:
             raise StageError("translate",
                              ValueError("translated raster shape mismatch"))
+        _stage("translate", refuse_constant, "translated", y_t.data)
     else:
         y_t = _stage("translate", translate.translate_baseline, x, y)
     seg = _segment(x, y_t, config, "ns_model", emfit.MIN_PAIRS)

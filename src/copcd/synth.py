@@ -14,7 +14,6 @@ survives.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +29,8 @@ _BOX = 5
 _BASE_SCALE = 9
 _CHANGE_DARKEN = 0.1
 _BG_FLOOR = 0.4
+# 255 * noise_sigma times a normal draw then stays far inside float32's range.
+_NOISE_SIGMA_MAX = 1e30
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,8 @@ class SynthConfig:
     model: CopulaMixtureModel = field(
         default_factory=lambda: CopulaMixtureModel(rho=0.8, theta=1.0, w=1.0, n_train=1))
     change_fraction: float = 0.1
-    change_shape: str = SHAPE_RECTANGLE
+    change_shape: str = field(default=SHAPE_RECTANGLE,
+                              metadata={"help": f"{SHAPE_RECTANGLE} or {SHAPE_BLOBS}"})
     noise_sigma: float = 0.0
     seed: int = 0
 
@@ -53,8 +55,9 @@ class SynthConfig:
             raise ValueError("change_fraction must lie in [0, 1)")
         if self.change_shape not in (SHAPE_RECTANGLE, SHAPE_BLOBS):
             raise ValueError(f"unknown change_shape {self.change_shape!r}")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
+        if not 0 <= self.noise_sigma <= _NOISE_SIGMA_MAX:
+            raise ValueError(f"noise_sigma must be in [0, {_NOISE_SIGMA_MAX:g}], "
+                             f"got {self.noise_sigma!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 

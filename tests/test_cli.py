@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from copcd import cli, pipeline, segmentation, translate
+from copcd import cli, pipeline, segmentation, synth, translate
 from copcd.copula import CopulaMixtureModel, encode_column, sample_mixture
 from copcd.raster import Raster, load_binary_map, load_raster, save_binary_map, save_raster
 from copcd.segmentation import SegmentationMap
@@ -46,6 +47,8 @@ def test_synth_zero_change_gt_all_zero(tmp_path):
 @pytest.mark.parametrize("flag, value", [
     ("--theta", "nan"), ("--theta", "inf"), ("--noise-sigma", "nan"), ("--noise-sigma", "inf"),
     ("--seed", "-1"), ("--m", "0"),
+    # -1/theta overflows in the Clayton sampler; 255 * noise_sigma overflows float32.
+    ("--theta", "5e-324"), ("--noise-sigma", "1e308"),
 ])
 def test_synth_non_finite_parameter_is_contract_error(tmp_path, capsys, flag, value):
     with warnings.catch_warnings(record=True) as caught:
@@ -58,6 +61,31 @@ def test_synth_non_finite_parameter_is_contract_error(tmp_path, capsys, flag, va
     assert "Traceback" not in err
     assert [w for w in caught if w.category is RuntimeWarning] == []
     assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--tail-mode", "bogus"), ("--change-shape", "stripes")])
+def test_synth_unknown_choice_is_contract_error(tmp_path, capsys, flag, value):
+    code = cli.main(["synth", "--m", "16", "--n", "16", flag, value,
+                     "--out-dir", str(tmp_path / "data")])
+    assert code == cli.EXIT_CONTRACT
+    assert capsys.readouterr().err == f"error: unknown {flag[2:].replace('-', '_')} {value!r}\n"
+    assert not (tmp_path / "data").exists()
+
+
+def test_synth_defaults_are_synth_config_defaults(tmp_path):
+    """With no flag but --out-dir, synth writes the bytes of
+    generate_pair(SynthConfig()): every default is the dataclasses'."""
+    out, ref = tmp_path / "cli", tmp_path / "ref"
+    assert cli.main(["synth", "--out-dir", str(out)]) == cli.EXIT_OK
+    x, y, gt = synth.generate_pair(synth.SynthConfig())
+    ref.mkdir()
+    save_raster(x, str(ref / "pre"))
+    save_raster(y, str(ref / "post"))
+    save_binary_map(gt, str(ref / "gt"))
+    names = sorted(p.name for p in ref.iterdir())
+    assert len(names) == 6
+    for name in names:
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
 
 def test_detect_missing_inputs_is_contract_error(capsys):
@@ -229,10 +257,19 @@ def test_removed_translation_flags_are_contract_errors(capsys, args):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command, extra", [("detect", set()), ("fit", {"pairs"})])
+@pytest.mark.parametrize("command, extra", [
+    ("detect", {"config"}), ("fit", {"config", "pairs"}), ("synth", {"out_dir"}),
+])
 def test_pipeline_flags_match_config_fields(command, extra):
-    dests = set(vars(cli.build_parser().parse_args([command]))) - {"command", "func"}
-    assert dests == {f.name for f in fields(pipeline.PipelineConfig)} | {"config"} | extra
+    """detect's and fit's flags are PipelineConfig's fields, synth's are
+    SynthConfig's but its model and the generating model's rho, theta, w and
+    tail_mode; every flag left unset reads None."""
+    config_fields = ({f.name for f in fields(synth.SynthConfig)} - {"model"}
+                     | {"rho", "theta", "w", "tail_mode"} if command == "synth"
+                     else {f.name for f in fields(pipeline.PipelineConfig)})
+    args = vars(cli.build_parser().parse_args([command]))
+    assert set(args) - {"command", "func"} == config_fields | extra
+    assert {args[name] for name in config_fields | extra} == {None}
 
 
 @pytest.mark.parametrize("values, key", [
@@ -443,28 +480,41 @@ def test_ns_above_the_pixel_count_names_the_field(small_scene, tmp_path, capsys,
     assert "Traceback" not in err and not (out / "bcm.u8").exists()
 
 
-@pytest.mark.parametrize("command", ["detect", "fit", "detect --model"])
-@pytest.mark.parametrize("raster, needle", [
-    ("post", "post raster band 1 is constant"), ("pre", "pre raster band 2 is constant"),
-], ids=["all-zero-post", "pre-band-2-constant"])
+@pytest.mark.parametrize("command, raster, needle", [
+    pytest.param(command, raster, needle, id=f"{name}-{command}")
+    for name, raster, needle, commands in (
+        ("all-zero-post", "post", "stage 'load': post raster band 1",
+         ("detect", "fit", "detect --model")),
+        ("pre-band-2-constant", "pre", "stage 'load': pre raster band 2",
+         ("detect", "fit", "detect --model")),
+        ("all-zero-translated", "translated", "stage 'translate': translated raster band 1",
+         ("detect", "fit")),
+        ("pairs-column-2-zero", "pairs", "pairs raster column 2", ("fit --pairs",)),
+    ) for command in commands])
 def test_constant_band_is_contract_error(small_scene, fitted_model, tmp_path, capsys,
                                          command, raster, needle):
-    # An all-zero post raster, or a 3-band pre raster with one constant band:
-    # every command that loads the pair refuses it, naming raster and band.
+    # An all-zero post or translated raster, a 3-band pre raster with one
+    # constant band, or a pairs raster whose second column is all zero: every
+    # command that reads the raster refuses it, naming it and the band or column.
     data = tmp_path / "data"
     shutil.copytree(small_scene, data)
     pre = load_raster(str(data / "pre")).data
-    bad = (np.zeros_like(pre) if raster == "post"
-           else np.concatenate([pre, np.full_like(pre, 0.5), pre], axis=2))
+    bad = {"post": np.zeros_like(pre), "translated": np.zeros_like(pre),
+           "pre": np.concatenate([pre, np.full_like(pre, 0.5), pre], axis=2),
+           "pairs": np.stack([pre.ravel(), np.zeros(pre.size)], axis=1)[:, :, None]}[raster]
     save_raster(Raster.from_array(bad), str(data / raster))
     args = _detect_args(str(data), str(tmp_path / "run"))
     if command == "fit":
         args[0] = "fit"
     elif command == "detect --model":
         args += ["--model", fitted_model]
+    elif command == "fit --pairs":
+        args = ["fit", "--pairs", str(data / "pairs"), "--out-dir", str(tmp_path / "run")]
+    if raster == "translated":
+        args += ["--translated", str(data / "translated")]
     assert cli.main(args) == cli.EXIT_CONTRACT
     err = capsys.readouterr().err
-    assert err.startswith(f"error: stage 'load': {needle}; it carries no information")
+    assert err.startswith(f"error: {needle} is constant; it carries no information")
     assert "Traceback" not in err and not (tmp_path / "run").exists()
 
 
@@ -669,17 +719,60 @@ _EXTREME_FLOATS = st.one_of(
                      1.7976931348623157e308]),
     st.floats(allow_nan=False, allow_infinity=False),
 )
+_EXTREME_INTS = st.one_of(
+    st.sampled_from([2**31, 2**63 - 1, 2**63, 2**64, 2**100]),
+    st.integers(),
+)
 
 
 @settings(max_examples=25, deadline=None)
 @given(config=st.fixed_dictionaries({}, optional={
-    key: _EXTREME_FLOATS for key in ("alpha", "eps")}))
+    **{key: _EXTREME_FLOATS for key in ("alpha", "eps")},
+    **{key: _EXTREME_INTS for key in ("ns_model", "ns_test", "seed")}}))
 def test_extreme_finite_config_values_keep_the_exit_contract(small_scene, config):
-    """Any finite alpha and eps ends in exit 0, 2 or 3, with no
-    traceback and no numpy RuntimeWarning."""
+    """Any finite alpha and eps, and any int ns_model, ns_test and seed,
+    ends in exit 0, 2 or 3, with no traceback and no numpy RuntimeWarning."""
     with tempfile.TemporaryDirectory() as tmp:
         code, err, runtime = _detect_with_config(small_scene, os.path.join(tmp, "run"),
                                                  config)
     assert code in (cli.EXIT_OK, cli.EXIT_CONTRACT, cli.EXIT_NUMERICAL)
     assert "Traceback" not in err and "RuntimeWarning" not in err
     assert runtime == [], [str(w.message) for w in runtime]
+
+
+_SYNTH_CHOICES = {"--tail-mode": ["clayton", "clayton_survival"],
+                  "--change-shape": ["rectangle", "blobs"]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(flags=st.fixed_dictionaries(
+    {"--m": st.integers(-1, 16), "--n": st.integers(-1, 16)},
+    optional={"--cx": st.integers(-1, 3), "--cy": st.integers(-1, 3),
+              "--seed": _EXTREME_INTS,
+              **{flag: _EXTREME_FLOATS for flag in ("--rho", "--theta", "--w",
+                                                    "--change-fraction", "--noise-sigma")},
+              **{flag: st.one_of(st.sampled_from(values), st.text(max_size=8))
+                 for flag, values in _SYNTH_CHOICES.items()}}))
+@example(flags={"--m": 16, "--n": 16, "--theta": 5e-324})
+@example(flags={"--m": 16, "--n": 16, "--theta": 5e-324, "--w": 0.0})
+@example(flags={"--m": 16, "--n": 16, "--noise-sigma": 1e308})
+@example(flags={"--m": 16, "--n": 16, "--tail-mode": "bogus"})
+def test_synth_flags_keep_the_exit_contract(flags):
+    """Any value of every synth flag, on sides up to 16, ends in exit 0, 2
+    or 3, with no traceback and no numpy RuntimeWarning; a non-zero exit
+    names the field at fault."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["synth", *(f"{flag}={value}" for flag, value in flags.items()),
+                "--out-dir", os.path.join(tmp, "data")]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+    err = err.getvalue()
+    assert code in (cli.EXIT_OK, cli.EXIT_CONTRACT, cli.EXIT_NUMERICAL), err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert [w for w in caught if w.category is RuntimeWarning] == []
+    if code != cli.EXIT_OK:
+        named = [flag for flag in flags if re.search(rf"\b{flag[2:].replace('-', '_')}\b", err)]
+        assert named, err
