@@ -91,7 +91,6 @@ def kmeans(points: np.ndarray, k: int, seed: int):
         centroids[j] = points[idx]
         d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
 
-    assign = np.zeros(n, dtype=np.int64)
     for _ in range(KMEANS_MAX_ITERS):
         dists = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         assign = np.argmin(dists, axis=1)

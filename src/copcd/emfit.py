@@ -16,6 +16,9 @@ and every M-step and E-step reads them. The E-step is
 log-likelihood and the next responsibilities come from one evaluation of each
 component density.
 
+A fit stops once the log-likelihood changes by less than ``EmConfig.eps``, or
+after ``MAX_ITERS`` iterations, a constant: the benchmark's fits take 2 to 7.
+
 rho stays in [0.01, 0.99] and theta in [0.1, 20] (``copula``'s box), the
 intervals of the grids this search replaced: on the 256 x 256 acceptance scene
 with seed 1 an unconstrained rho fits 0.9973, and KC falls from 0.94 to 0.65.
@@ -35,6 +38,7 @@ STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters"
 
 MIN_PAIRS = 10  # the fewest data pairs EM fits
+MAX_ITERS = 200  # EM iterations before a fit stops unconverged
 THETA_XTOL = 1e-6  # absolute part of the search tolerance, times THETA_MAX
 RHO_START, THETA_START, W_START = 0.5, 0.5, 0.5
 _GOLDEN = (3.0 - 5.0 ** 0.5) / 2.0
@@ -44,11 +48,10 @@ _SQRT_EPS = float(np.finfo(np.float64).eps) ** 0.5
 @dataclass(frozen=True)
 class EmConfig:
     eps: float = 0.01
-    max_iters: int = 200
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be > 0")
+        if not (np.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"config field 'eps' must be finite and > 0, got {self.eps!r}")
 
 
 @dataclass
@@ -201,7 +204,7 @@ def m_step(tf: FitTransforms, gamma1: np.ndarray, rho_cur: float,
 
 
 def fit(u, v, tail_mode: str, config: EmConfig | None = None):
-    """Iterate E/M until the log-likelihood change drops below eps.
+    """Iterate E/M until the log-likelihood change drops below eps, at most MAX_ITERS times.
 
     Returns ((rho, theta, w), EmTrace). Deterministic given data and config.
     Overflow in the densities shows as a non-finite log-likelihood, which
@@ -224,7 +227,7 @@ def fit(u, v, tail_mode: str, config: EmConfig | None = None):
     with np.errstate(all="ignore"):
         l_prev, gamma1 = evaluate(rho, theta, w)
         trace.rows.append((0, l_prev, rho, theta, w, float(np.mean(gamma1))))
-        for q in range(1, config.max_iters + 1):
+        for q in range(1, MAX_ITERS + 1):
             w, rho, theta = m_step(tf, gamma1, rho, theta)
             l_new, gamma1 = evaluate(rho, theta, w)
             trace.rows.append((q, l_new, rho, theta, w, float(np.mean(gamma1))))

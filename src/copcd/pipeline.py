@@ -62,13 +62,14 @@ class PipelineConfig:
                 raise ValueError(f"config field {f.name!r} must be {f.type}, got {value!r}")
         if self.ns_model < 10 or self.ns_test < 10:
             raise ValueError("ns_model and ns_test must be >= 10")
-        for name in ("alpha", "eps"):
-            value, positive = getattr(self, name), name != "alpha"
-            if not math.isfinite(value) or value < 0 or (positive and value == 0):
-                raise ValueError(f"config field {name!r} must be finite and "
-                                 f"{'> 0' if positive else '>= 0'}, got {value!r}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError(
+                f"config field 'alpha' must be finite and >= 0, got {self.alpha!r}")
+        self.em_config()  # EmConfig checks eps
         if self.seed < 0:
             raise ValueError(f"config field 'seed' must be >= 0, got {self.seed!r}")
+        if self.model is not None and self.translated is not None:
+            raise ValueError("config fields 'model' and 'translated' exclude each other")
 
     def em_config(self) -> emfit.EmConfig:
         return emfit.EmConfig(eps=self.eps)

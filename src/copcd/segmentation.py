@@ -112,7 +112,8 @@ def slic(r: Raster, target_count: int) -> SegmentationMap:
             ids = slice(b0, b0 + block)
             _assign_block(planes[2:], (m, n), centers_pos[ids], centers_col[ids], b0,
                           win, ratio, best, assign)
-    return _enforce_connectivity(assign.reshape(m, n))
+    labels = assign.reshape(m, n)
+    return _merge_pieces(labels, (labels,), np.inf)
 
 
 def _assign_block(bands, shape, pos, col, first, win, ratio, best, assign) -> None:
@@ -124,10 +125,7 @@ def _assign_block(bands, shape, pos, col, first, win, ratio, best, assign) -> No
     Every distance is bit-identical to the one-centre loop of
     ``tests/segmentation_oracle.py``: the same float64 expressions in the
     same order. The squared band differences are added one band at a time,
-    in band order, each band gathered from its own plane; one band's colour
-    distance is ``|x - c|``, which equals ``sqrt((x - c) ** 2)`` because the
-    square of a difference of finite float32 values and their means neither
-    overflows nor underflows.
+    in band order, each band gathered from its own plane.
     Window indices are clipped to the image. A centre lies in the image, so
     a clipped index names an edge pixel its window already holds, at the
     same distance from the same centre: the duplicate entries change no
@@ -147,14 +145,11 @@ def _assign_block(bands, shape, pos, col, first, win, ratio, best, assign) -> No
     for plane, c in zip(bands, col.T):
         diff = np.take(plane[band], pix).reshape(len(pos), width, width)
         diff -= c[:, None, None]
-        if len(bands) == 1:
-            d_color = np.abs(diff, out=diff)
-        elif d_color is None:
+        if d_color is None:
             d_color = np.square(diff, out=diff)
         else:
             d_color += np.square(diff, out=diff)
-    if len(bands) > 1:
-        np.sqrt(d_color, out=d_color)
+    np.sqrt(d_color, out=d_color)
     dy2 = (rows - pos[:, 0, None]) ** 2
     dx2 = (cols - pos[:, 1, None]) ** 2
     d = dy2[:, :, None] + dx2[:, None, :]
@@ -194,14 +189,17 @@ def _region_sums(flat, planes, k):
     return counts, sums
 
 
-def _enforce_connectivity(assign: np.ndarray) -> SegmentationMap:
-    """Keep each cluster's largest component (ties: lowest component id) and
-    grow the kept ones into the others; ``tests/segmentation_oracle.py``
-    keeps the whole-image form of this rule."""
-    comp = _connected_regions(assign).ravel()
+def _merge_pieces(code: np.ndarray, label_maps, min_size: float) -> SegmentationMap:
+    """Split ``code`` into pieces, its 4-connected groups of one value; keep the
+    largest piece of each label of each of ``label_maps`` (ties: lowest piece
+    id) and any piece of at least ``min_size`` pixels, and grow the kept pieces
+    into the others. ``tests/segmentation_oracle.py`` keeps the whole-image form."""
+    comp = _connected_regions(code).ravel()
     sizes = np.bincount(comp)
-    keep = _largest_per_label(comp, assign, sizes)
-    return _relabel_contiguous(_grow_kept(comp, keep, sizes, assign.shape))
+    keep = sizes >= min_size
+    for labels in label_maps:
+        keep |= _largest_per_label(comp, labels, sizes)
+    return _relabel_contiguous(_grow_kept(comp, keep, sizes, code.shape))
 
 
 def _largest_per_label(comp: np.ndarray, labels: np.ndarray,
@@ -259,12 +257,7 @@ def cosegment(a: SegmentationMap, b: SegmentationMap) -> SegmentationMap:
     if a.labels.shape != b.labels.shape:
         raise ValueError("segmentation dimensions differ")
     code = a.labels.astype(np.int64) * (b.count + 1) + b.labels
-    comp = _connected_regions(code).ravel()
-    sizes = np.bincount(comp)
-    keep = ((sizes >= MIN_REGION)
-            | _largest_per_label(comp, a.labels, sizes)
-            | _largest_per_label(comp, b.labels, sizes))
-    return _relabel_contiguous(_grow_kept(comp, keep, sizes, code.shape))
+    return _merge_pieces(code, (a.labels, b.labels), MIN_REGION)
 
 
 def extract_features(r: Raster, seg: SegmentationMap) -> np.ndarray:

@@ -34,7 +34,8 @@ def _match_channel(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     # but a segment's first value to that value; so each run's segment starts
     # at a 0.0 put before the run. reduceat rejects a final edge equal to the
     # length; a last segment runs to the end.
-    boundaries = np.flatnonzero(np.diff(sorted_src) != 0) + 1
+    # Neighbours are compared, not subtracted: float32 differences can overflow.
+    boundaries = np.flatnonzero(sorted_src[1:] != sorted_src[:-1]) + 1
     starts = np.concatenate([[0], boundaries])
     lengths = np.diff(np.concatenate([starts, [len(flat)]]))
     tied = lengths > 1

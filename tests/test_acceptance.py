@@ -111,7 +111,7 @@ def test_06_em_parameter_recovery():
     truth = CopulaMixtureModel(rho=0.8, theta=1.0, w=0.3, n_train=1)
     # default eps=0.01 halts before the components separate; recovery is an
     # estimator property, so run the same EM to tight convergence
-    config = EmConfig(eps=1e-6, max_iters=500)
+    config = EmConfig(eps=1e-6)
     hits = 0
     for seed in range(10):
         u, v = sample_mixture(truth, 5000, seed=seed)
@@ -131,7 +131,7 @@ def test_07_statistic_separates_independent_pairs():
                                tail_mode=TAIL_CLAYTON, n_train=1)
     train_u, train_v = sample_mixture(truth, 4000, seed=12345)
     (rho, theta, w), _ = fit(train_u, train_v, TAIL_CLAYTON,
-                             EmConfig(eps=1e-4, max_iters=500))
+                             EmConfig(eps=1e-4))
     fitted = CopulaMixtureModel(rho=rho, theta=theta, w=w,
                                 tail_mode=TAIL_CLAYTON, n_train=4000)
     models = ChannelPairModels(

@@ -204,30 +204,29 @@ def test_fit_pairs_reads_eps_and_out_dir(tmp_path, pairs_raster):
 
 
 def test_cli_import_leaves_out_verification_maths(tmp_path, pairs_raster):
-    """Neither importing the CLI nor an EM fit loads scipy.integrate or
-    scipy.optimize (the latter costs about as much as a pairs20k op)."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    """Neither importing the CLI, nor a ``fit --pairs``, nor a 64 x 64
+    ``detect`` loads scipy.integrate, scipy.optimize, scipy.sparse or
+    scipy.stats. The first two hold maths used only to verify, and
+    scipy.optimize costs about as much as a pairs20k op; scipy.sparse added
+    about a tenth to the import time, and scipy.stats alone takes longer to
+    import than the whole CLI."""
+    data = str(tmp_path / "data")
+    assert cli.main(["synth", "--m", "64", "--n", "64", "--seed", "5",
+                     "--out-dir", data]) == cli.EXIT_OK
     fit = ["fit", "--pairs", pairs_raster, "--out-dir", str(tmp_path / "fit")]
-    code = ("import sys, copcd.cli; "
-            "loaded = lambda: sorted({'scipy.integrate', 'scipy.optimize'} & "
-            "set(sys.modules)); print(loaded()); "
-            f"assert copcd.cli.main({fit!r}) == 0; print(loaded())")
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout
-    assert out.splitlines()[0] == "[]" and out.splitlines()[-1] == "[]"
-
-
-def test_cli_import_leaves_out_scipy_sparse():
-    """Segmentation labels components with scipy.ndimage, so a fresh import
-    of the CLI does not load scipy.sparse, which added about a tenth to the
-    import time."""
+    detect = ["detect", "--pre", os.path.join(data, "pre"), "--post",
+              os.path.join(data, "post"), "--ns-model", "100", "--ns-test", "200",
+              "--out-dir", str(tmp_path / "run")]
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = "import sys, copcd.cli; print('scipy.sparse' in sys.modules)"
+    code = ("import sys, copcd.cli; "
+            "slow = {'scipy.integrate', 'scipy.optimize', 'scipy.sparse', 'scipy.stats'}; "
+            "loaded = lambda: print('loaded', sorted(slow & set(sys.modules))); loaded(); "
+            f"assert copcd.cli.main({fit!r}) == 0; loaded(); "
+            f"assert copcd.cli.main({detect!r}) == 0; loaded()")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    assert out.split() == ["False"]
+    assert [line for line in out.splitlines() if line.startswith("loaded")] == ["loaded []"] * 3
 
 
 def test_unknown_config_key_is_contract_error(tmp_path, capsys):
@@ -438,6 +437,19 @@ def test_detect_with_model_runs_only_the_test_half(small_scene, fitted_model, tm
     assert segmented == [80]  # the test co-segmentation only, at --ns-test
     assert (out / "model.json").read_bytes() == Path(fitted_model).read_bytes()
     assert (out / "em_trace.csv").read_text().count("\n") == 1  # header only
+
+
+def test_detect_model_refuses_translated(small_scene, fitted_model, tmp_path, capsys):
+    # detect --model skips the training half, the only reader of 'translated';
+    # it is refused before any stage runs, as fit refuses 'model'.
+    out = tmp_path / "run"
+    args = _detect_args(small_scene, str(out)) + [
+        "--model", fitted_model, "--translated", str(tmp_path / "does_not_exist")]
+    assert cli.main(args) == cli.EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert err.startswith("error: config fields 'model' and 'translated' exclude each other")
+    assert "stage" not in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_too_few_training_superpixels_names_ns_model(tmp_path, capsys):
@@ -693,15 +705,20 @@ def test_mutated_raster_header_keeps_the_exit_contract(small_scene, mutation):
         assert f"header key {key!r}" in err or f"holds {size}" in err, err
 
 
+def _run_cli(argv):
+    """Exit code, stderr and the RuntimeWarnings of one in-process CLI run."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    return code, err.getvalue(), [w for w in caught if w.category is RuntimeWarning]
+
+
 def _detect_with_config(data_dir, out_dir, config):
     """Exit code, stderr and the RuntimeWarnings of one in-process detect."""
     cfg = Path(out_dir + ".json")
     cfg.write_text(json.dumps(config))
-    err = io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
-        warnings.simplefilter("always")
-        code = cli.main(_detect_args(data_dir, out_dir) + ["--config", str(cfg)])
-    return code, err.getvalue(), [w for w in caught if w.category is RuntimeWarning]
+    return _run_cli(_detect_args(data_dir, out_dir) + ["--config", str(cfg)])
 
 
 @pytest.mark.parametrize("config, code, needle", [
@@ -738,6 +755,56 @@ def test_extreme_finite_config_values_keep_the_exit_contract(small_scene, config
     assert code in (cli.EXIT_OK, cli.EXIT_CONTRACT, cli.EXIT_NUMERICAL)
     assert "Traceback" not in err and "RuntimeWarning" not in err
     assert runtime == [], [str(w.message) for w in runtime]
+
+
+_SCENE_SHAPES = st.one_of(st.tuples(st.just(1), st.integers(1, 40)),
+                         st.tuples(st.integers(1, 40), st.just(1)),
+                         st.tuples(st.integers(1, 8), st.integers(1, 40)))
+_RASTER_VALUES = [0.0, 1.0, -1.0, 3.4e38, -3.4e38, 1e-45, 1e-40, 1e30]
+# The values cycled over a raster's entries, the scale of its noise, the
+# noise seed and the band count.
+_RASTER_SPECS = st.tuples(st.lists(st.sampled_from(_RASTER_VALUES), min_size=1, max_size=3),
+                          st.sampled_from([1e-40, 1.0, 1e38]),
+                          st.integers(0, 2 ** 32 - 1), st.integers(1, 2))
+
+
+def _raster(m, n, spec):
+    """An m x n raster: a cycle of ``values`` over its entries plus seeded
+    Gaussian noise times ``scale``, clipped to float32's range."""
+    values, scale, seed, c = spec
+    noise = np.random.default_rng(seed).standard_normal((m, n, c))
+    data = np.resize(values, (m, n, c)) + scale * noise
+    return Raster.from_array(np.clip(data, -3.4e38, 3.4e38))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=_SCENE_SHAPES, pre=_RASTER_SPECS, post=_RASTER_SPECS)
+# A pre band that spans +-3.4e38: its sorted differences overflow float32.
+@example(shape=(8, 40), pre=([3.4e38, -3.4e38], 1.0, 0, 1), post=([1.0], 1.0, 0, 1))
+def test_raster_contents_keep_the_exit_contract(shape, pre, post):
+    """Pre and post rasters of 1 x N, N x 1 or up to 8 x 40 pixels, holding
+    zeros, +-1, values near float32's limits or subnormal ones, and noise
+    from 1e-40 to 1e38, end in exit 0, 2 or 3 through detect, and through
+    fit then detect --model, with no traceback and no numpy RuntimeWarning;
+    a non-zero exit names a stage or a config field."""
+    with tempfile.TemporaryDirectory() as tmp:
+        save_raster(_raster(*shape, pre), os.path.join(tmp, "pre"))
+        save_raster(_raster(*shape, post), os.path.join(tmp, "post"))
+        args = ["--pre", os.path.join(tmp, "pre"), "--post", os.path.join(tmp, "post"),
+                "--ns-model", "10", "--ns-test", "20"]
+        model = ["--model", os.path.join(tmp, "fit", "model.json")]
+        runs = [["detect", *args, "--out-dir", os.path.join(tmp, "run")],
+                ["fit", *args, "--out-dir", os.path.join(tmp, "fit")],
+                ["detect", *args, *model, "--out-dir", os.path.join(tmp, "staged")]]
+        for argv in runs:
+            code, err, runtime = _run_cli(argv)
+            assert code in (cli.EXIT_OK, cli.EXIT_CONTRACT, cli.EXIT_NUMERICAL), err
+            assert "Traceback" not in err and "RuntimeWarning" not in err
+            assert runtime == [], [str(w.message) for w in runtime]
+            if code != cli.EXIT_OK:
+                assert re.match(r"error: (stage '\w+'|config field '\w+')", err), err
+                if argv[0] == "fit":
+                    break  # no model for detect --model to read
 
 
 _SYNTH_CHOICES = {"--tail-mode": ["clayton", "clayton_survival"],

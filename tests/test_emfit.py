@@ -25,6 +25,7 @@ from copcd.emfit import (
     RHO_MAX,
     RHO_MIN,
     STATUS_CONVERGED,
+    STATUS_MAX_ITERS,
     THETA_MAX,
     THETA_MIN,
     EmConfig,
@@ -44,8 +45,9 @@ def assert_monotone(trace, slack=1e-9):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        EmConfig(eps=0.0)
+    for eps in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="'eps' must be finite and > 0"):
+            EmConfig(eps=eps)
 
 
 def test_log_likelihood_single_point_hand_value():
@@ -172,10 +174,23 @@ def test_fit_huge_eps_stops_after_one_update():
     assert len(trace.rows) == 2  # initialization plus exactly one iteration
 
 
+def test_fit_stops_after_max_iters(tmp_path, monkeypatch):
+    monkeypatch.setattr(emfit, "MAX_ITERS", 2)
+    rng = np.random.default_rng(5)
+    u, v = rng.uniform(0.05, 0.95, (2, 100))
+    _, trace = fit(u, v, TAIL_CLAYTON, EmConfig(eps=1e-12))
+    assert trace.status == STATUS_MAX_ITERS
+    assert [row[0] for row in trace.rows] == [0, 1, 2]
+    path = tmp_path / "em_trace.csv"
+    write_traces_csv({(1, 1): trace}, str(path))
+    rows = path.read_text().splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == [STATUS_MAX_ITERS] * 3
+
+
 def test_fit_pure_gaussian_data_weights_gaussian_component():
     # the default eps=0.01 stops before the weight separates; parameter
     # recovery checks run the same EM to tighter convergence
-    config = EmConfig(eps=1e-4, max_iters=500)
+    config = EmConfig(eps=1e-4)
     wins = 0
     for seed in range(10):
         model = CopulaMixtureModel(rho=0.8, theta=1.0, w=1.0, n_train=1)

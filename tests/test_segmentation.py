@@ -15,8 +15,8 @@ from copcd.segmentation import (
     SLIC_ITERS,
     SegmentationMap,
     _connected_regions,
-    _enforce_connectivity,
     _grow_kept,
+    _merge_pieces,
     _relabel_contiguous,
     _update_centers,
     cosegment,
@@ -298,7 +298,7 @@ def test_enforce_connectivity_matches_oracle(seed, m, n, strip, n_labels, block)
     if strip:
         m = 1
     assign = _block_map(seed, m, n, n_labels, block)
-    got = _enforce_connectivity(assign)
+    got = _merge_pieces(assign, (assign,), np.inf)
     want = oracle.enforce_connectivity(assign, n_labels)
     assert got.count == want.count
     assert np.array_equal(got.labels, want.labels)
@@ -310,7 +310,7 @@ def test_enforce_connectivity_deep_orphan():
     assign = np.ones((12, 12), dtype=np.int64)
     assign[:, :3] = 0
     assign[5:10, 5:10] = 0
-    got = _enforce_connectivity(assign)
+    got = _merge_pieces(assign, (assign,), np.inf)
     assert got.count == 2
     assert np.array_equal(got.labels, oracle.enforce_connectivity(assign, 2).labels)
     assert (got.labels[:, 3:] == got.labels[0, 3]).all()
