@@ -229,6 +229,18 @@ def test_cli_import_leaves_out_verification_maths(tmp_path, pairs_raster):
     assert [line for line in out.splitlines() if line.startswith("loaded")] == ["loaded []"] * 3
 
 
+def test_cli_import_leaves_out_scipy_sparse():
+    """Segmentation labels components with scipy.ndimage, so a fresh import
+    of the CLI does not load scipy.sparse, which added about a tenth to the
+    import time."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, copcd.cli; print('scipy.sparse' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.split() == ["False"]
+
+
 def test_unknown_config_key_is_contract_error(tmp_path, capsys):
     # translate_method was a field; histogram matching is now the only
     # built-in translation. pca was a field; there is no band reduction.
