@@ -94,7 +94,7 @@ def run_one(size, rho, w, data_seed, pipeline_seed, ns_model, ns_test, alpha,
     start = time.monotonic()
     result = run_detect(pipeline)
     elapsed = time.monotonic() - start
-    write_artifacts(result, pipeline)
+    write_artifacts(result, pipeline.out_dir)
     digest = hashlib.sha256()
     for name in ("di.f32", "bcm.u8", "model.json", "em_trace.csv"):
         with open(os.path.join(base, name), "rb") as fh:

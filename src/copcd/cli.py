@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: detect, fit, synth, score, translate. The flags of detect and
+Subcommands: detect, fit, synth, score. The flags of detect and
 fit are PipelineConfig's fields, which a --config file may also set, flags
 winning; those of synth are SynthConfig's and its generating model's. A flag
 left unset keeps its dataclass default. Exit codes: 0 ok, 2 usage or
@@ -17,7 +17,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from . import metrics, pipeline, synth, translate
+from . import metrics, pipeline, synth
 from .copula import CopulaMixtureModel
 from .pipeline import PipelineConfig, StageError
 from .raster import export_graymap, load_binary_map, load_raster, save_binary_map, save_raster
@@ -63,7 +63,7 @@ def _config_values(args) -> dict:
 def cmd_detect(args) -> int:
     config = PipelineConfig(**_config_values(args))
     result = pipeline.run_detect(config)
-    pipeline.write_artifacts(result, config)
+    pipeline.write_artifacts(result, config.out_dir)
     if "report" in result:
         rep = result["report"]
         print(f"kc={rep.kc:.4f} fm={rep.fm:.4f} acc={rep.acc:.4f}")
@@ -93,10 +93,11 @@ def cmd_fit(args) -> int:
             pairs.data[:, 1, :].astype(np.float64),
             config.em_config(),
         )
+        result = {"model_set": model_set, "traces": traces}
     else:
-        model_set, traces = pipeline.run_fit(config)
-    pipeline.write_model(model_set, traces, config.out_dir)
-    for (c1, c2), model in sorted(model_set.models.items()):
+        result = pipeline.run_fit(config)
+    pipeline.write_artifacts(result, config.out_dir)
+    for (c1, c2), model in sorted(result["model_set"].models.items()):
         print(f"pair {c1},{c2}: rho={model.rho:.4f} theta={model.theta:.4f} "
               f"w={model.w:.4f} tail={model.tail_mode}")
     return EXIT_OK
@@ -124,15 +125,6 @@ def cmd_score(args) -> int:
     if args.out:
         report.write(args.out)
     print(f"kc={report.kc:.4f} fm={report.fm:.4f} acc={report.acc:.4f}")
-    return EXIT_OK
-
-
-def cmd_translate(args) -> int:
-    x = load_raster(args.pre)
-    y = load_raster(args.post)
-    y_t = translate.translate_baseline(x, y)
-    save_raster(y_t, args.out)
-    print(f"wrote translated raster to {args.out}")
     return EXIT_OK
 
 
@@ -165,12 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True)
     p.add_argument("--out", help="write metrics JSON here")
     p.set_defaults(func=cmd_score)
-
-    p = sub.add_parser("translate", help="baseline translation of pre into post modality")
-    p.add_argument("--pre", required=True)
-    p.add_argument("--post", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_translate)
     return parser
 
 

@@ -186,10 +186,15 @@ def refuse_constant(name: str, samples: np.ndarray, unit: str = "band") -> None:
 
 
 def _load_pair(config: PipelineConfig):
-    """Load the pre/post rasters; a band whose values are all equal is refused."""
+    """Load the pre/post rasters; a pair of different pixel sizes, or a band
+    whose values are all equal, is refused. The band counts may differ."""
     if config.pre is None or config.post is None:
         raise StageError("load", ValueError("--pre and --post are required"))
     pair = _stage("load", load_raster, config.pre), _stage("load", load_raster, config.post)
+    (m, n), (pm, pn) = (r.data.shape[:2] for r in pair)
+    if (m, n) != (pm, pn):
+        raise StageError("load", ValueError(
+            f"post raster is {pm}x{pn} pixels, pre raster {m}x{n}"))
     for name, r in zip(("pre", "post"), pair):
         _stage("load", refuse_constant, name, r.data)
     return pair
@@ -198,7 +203,7 @@ def _load_pair(config: PipelineConfig):
 def _fit(x: Raster, y: Raster, config: PipelineConfig):
     """Training half on the loaded rasters: translate X (or load the supplied
     translation, which must match Y's shape), co-segment (X, Y'), then fit
-    every channel pair. Returns (model_set, traces), the EM trace of each pair."""
+    every channel pair. Returns {"model_set", "traces"}, the EM trace of each pair."""
     if config.translated is not None:
         y_t = _stage("translate", load_raster, config.translated)
         if y_t.data.shape != y.data.shape:
@@ -210,67 +215,70 @@ def _fit(x: Raster, y: Raster, config: PipelineConfig):
     seg = _segment(x, y_t, config, "ns_model", emfit.MIN_PAIRS)
     feat_x = _stage("features", segmentation.extract_features, x, seg)
     feat_y = _stage("features", segmentation.extract_features, y_t, seg)
-    return _stage("fit", fit_model_set, feat_x, feat_y, config.em_config())
+    model_set, traces = _stage("fit", fit_model_set, feat_x, feat_y, config.em_config())
+    return {"model_set": model_set, "traces": traces}
 
 
-def run_fit(config: PipelineConfig) -> tuple:
+def run_fit(config: PipelineConfig) -> dict:
     """Training half of the pipeline: ``_fit`` on the loaded pre/post rasters.
-    Returns (model_set, traces)."""
+    Returns the dict {"model_set", "traces"}."""
     return _fit(*_load_pair(config), config)
 
 
 def run_detect(config: PipelineConfig) -> dict:
-    """Full detection pipeline. Returns a dict: ``model_set``, ``traces``,
-    ``seg_test`` (the test segmentation), ``di`` (the DI per superpixel),
-    ``bcm`` (the per-pixel change map) and, with ``config.gt``, ``report``.
+    """Full detection pipeline. Extends ``run_fit``'s dict with ``seg_test``
+    (the test segmentation), ``di`` (the DI per superpixel), ``bcm`` (the
+    per-pixel change map) and, with ``config.gt``, ``report``.
 
     With ``config.model`` set, the model file replaces the training half:
-    only the pre/post rasters are read, and ``traces`` is empty.
+    only the pre/post rasters are read, and the dict has no ``traces``.
     """
     x, y = _load_pair(config)
     if config.model is None:
-        model_set, traces = _fit(x, y, config)
+        out = _fit(x, y, config)
     else:
-        model_set, traces = _stage("load", load_model_set, config.model), {}
+        out = {"model_set": _stage("load", load_model_set, config.model)}
 
     seg_test = _segment(x, y, config, "ns_test", detector.STAGE1_K)
     feat_x_test = _stage("features", segmentation.extract_features, x, seg_test)
     feat_y_test = _stage("features", segmentation.extract_features, y, seg_test)
 
-    t = _stage("detect", detector.test_statistics, feat_x_test, feat_y_test, model_set)
+    t = _stage("detect", detector.test_statistics, feat_x_test, feat_y_test, out["model_set"])
     di = _stage("detect", detector.fuse_difference, t)
     rep = _stage("detect", detector.representative_vectors, feat_x_test, feat_y_test,
                  di, config.alpha)
     bcm = _stage("detect", detector.two_stage_bcm, rep, di, seg_test, config.seed)
 
-    out = {"model_set": model_set, "traces": traces, "seg_test": seg_test, "di": di, "bcm": bcm}
+    out.update(seg_test=seg_test, di=di, bcm=bcm)
     if config.gt is not None:
         gt = _stage("score", load_binary_map, config.gt)
         out["report"] = _stage("score", metrics.score, bcm, gt)
     return out
 
 
-def write_model(model_set: ChannelPairModels, traces: dict, out_dir: str) -> None:
-    """Write ``model.json`` and ``em_trace.csv`` into out_dir."""
+def write_artifacts(result: dict, out_dir: str) -> None:
+    """Write into out_dir what ``result`` holds: ``model.json`` and
+    ``em_trace.csv`` when the run fitted a model (``traces``), the DI and the
+    change map with their PGM views when it detected, and ``metrics.json``
+    when it scored."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "model.json"), "w") as fh:
-        fh.write(model_set.to_json())
-        fh.write("\n")
-    write_traces_csv(traces, os.path.join(out_dir, "em_trace.csv"))
+    join = lambda name: os.path.join(out_dir, name)
 
+    if "traces" in result:
+        with open(join("model.json"), "w") as fh:
+            fh.write(result["model_set"].to_json())
+            fh.write("\n")
+        write_traces_csv(result["traces"], join("em_trace.csv"))
 
-def write_artifacts(result: dict, config: PipelineConfig) -> None:
-    write_model(result["model_set"], result["traces"], config.out_dir)
-    join = lambda name: os.path.join(config.out_dir, name)
+    if "bcm" in result:
+        seg_test = result["seg_test"]
+        di_pixels = result["di"][seg_test.labels - 1]
+        save_raster(Raster.from_array(di_pixels), join("di"))
+        export_graymap(di_pixels, join("di.pgm"))
 
-    seg_test = result["seg_test"]
-    di_pixels = result["di"][seg_test.labels - 1]
-    save_raster(Raster.from_array(di_pixels), join("di"))
-    export_graymap(di_pixels, join("di.pgm"))
-
-    bcm = result["bcm"]
-    save_binary_map(bcm, join("bcm"))
-    export_graymap(bcm.astype(np.float64) * 255.0, join("bcm.pgm"))
+        bcm = result["bcm"]
+        save_binary_map(bcm, join("bcm"))
+        export_graymap(bcm.astype(np.float64) * 255.0, join("bcm.pgm"))
 
     if "report" in result:
         result["report"].write(join("metrics.json"))

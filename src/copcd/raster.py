@@ -71,8 +71,6 @@ def _read_container(base: str, dtype_name: str):
     another size, is a ValueError naming the key or the byte counts."""
     base = _strip_suffix(base)
     hdr_path = base + ".hdr.json"
-    if not os.path.exists(hdr_path):
-        raise FileNotFoundError(hdr_path)
     with open(hdr_path) as fh:
         header = json.load(fh)
     if not isinstance(header, dict):
@@ -90,8 +88,6 @@ def _read_container(base: str, dtype_name: str):
         raise ValueError(f"header key 'dtype' must be {dtype_name!r}, "
                          f"got {header.get('dtype')!r} in {hdr_path}")
     payload_path = base + "." + ext
-    if not os.path.exists(payload_path):
-        raise FileNotFoundError(payload_path)
     m, n, c = header["m"], header["n"], header["c"]
     expected = m * n * c * dtype.itemsize
     size = os.path.getsize(payload_path)

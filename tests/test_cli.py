@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -88,10 +89,25 @@ def test_synth_defaults_are_synth_config_defaults(tmp_path):
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
 
-def test_detect_missing_inputs_is_contract_error(capsys):
-    code = cli.main(["detect", "--out-dir", "/tmp/unused"])
+def test_detect_missing_inputs_is_contract_error(tmp_path, capsys):
+    code = cli.main(["detect", "--out-dir", str(tmp_path / "run")])
     assert code == cli.EXIT_CONTRACT
     assert "load" in capsys.readouterr().err
+    # A missing header, or a header whose payload is missing, is named with
+    # the OS's reason.
+    nope = str(tmp_path / "nope")
+    assert cli.main(["detect", "--pre", nope, "--post", nope]) == cli.EXIT_CONTRACT
+    assert capsys.readouterr().err == (
+        f"error: stage 'load': [Errno 2] No such file or directory: '{nope}.hdr.json'\n")
+    assert cli.main(["score", "--bcm", nope, "--gt", nope]) == cli.EXIT_CONTRACT
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: '{nope}.hdr.json'\n")
+    (tmp_path / "nope.hdr.json").write_text(json.dumps(
+        {"m": 2, "n": 2, "c": 1, "dtype": "f32le", "layout": "row-major-bip"}))
+    assert cli.main(["detect", "--pre", nope, "--post", nope]) == cli.EXIT_CONTRACT
+    assert capsys.readouterr().err == (
+        f"error: stage 'load': [Errno 2] No such file or directory: '{nope}.f32'\n")
+    assert not (tmp_path / "run").exists()
 
 
 def test_score_identical_maps(tmp_path, capsys):
@@ -104,21 +120,6 @@ def test_score_identical_maps(tmp_path, capsys):
     assert code == cli.EXIT_OK
     assert "kc=1.0000" in capsys.readouterr().out
     assert json.load(open(out))["kc"] == 1.0
-
-
-def test_translate_command(tmp_path):
-    rng = np.random.default_rng(0)
-    save_raster(Raster.from_array(rng.normal(size=(8, 8, 1)).astype(np.float32)),
-                str(tmp_path / "x"))
-    save_raster(Raster.from_array(rng.gamma(2.0, size=(8, 8, 1)).astype(np.float32)),
-                str(tmp_path / "y"))
-    code = cli.main(["translate", "--pre", str(tmp_path / "x"),
-                     "--post", str(tmp_path / "y"),
-                     "--out", str(tmp_path / "yt")])
-    assert code == cli.EXIT_OK
-    yt = load_raster(str(tmp_path / "yt"))
-    assert np.allclose(np.sort(yt.data.ravel()),
-                       np.sort(load_raster(str(tmp_path / "y")).data.ravel()))
 
 
 def test_fit_pairs_recovers_clayton_theta(tmp_path, capsys):
@@ -254,7 +255,6 @@ def test_unknown_config_key_is_contract_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("args", [
     ["detect", "--translate-method", "histogram_match"],
-    ["translate", "--pre", "x", "--post", "y", "--out", "z", "--method", "linear_regress"],
     ["detect", "--compactness", "3"],  # SLIC compactness is segmentation.COMPACTNESS
     # theta's range is the box copula.THETA_MIN to copula.THETA_MAX
     ["detect", "--theta-max", "3"],
@@ -359,6 +359,22 @@ def test_bad_subcommand_usage(capsys):
     capsys.readouterr()
 
 
+def test_readme_cli_commands_parse():
+    """Every `copcd ...` command of README's CLI block parses, so the docs
+    name no removed subcommand or flag."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI\n+```sh\n(.*?)^```", readme, re.S | re.M).group(1)
+    commands = [line for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("copcd ")]
+    assert commands
+    parser = cli.build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
+
+
 @pytest.fixture(scope="module")
 def small_scene(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("scene")
@@ -393,22 +409,23 @@ def test_detect_writes_artifacts(small_scene, tmp_path, capsys):
 
 
 def test_fit_then_detect_with_model_reproduces_direct_run(small_scene, tmp_path):
-    direct = str(tmp_path / "direct")
-    assert cli.main(_detect_args(small_scene, direct)) == cli.EXIT_OK
+    # README's stage-wise example: fit, then detect --model, into one out dir.
+    direct = tmp_path / "direct"
+    assert cli.main(_detect_args(small_scene, str(direct))) == cli.EXIT_OK
 
-    fit_out = str(tmp_path / "fitted")
-    fit_args = ["fit"] + _detect_args(small_scene, fit_out)[1:]
-    assert cli.main(fit_args) == cli.EXIT_OK
+    out = tmp_path / "out"
+    assert cli.main(["fit"] + _detect_args(small_scene, str(out))[1:]) == cli.EXIT_OK
+    fitted = {name: (out / name).read_bytes() for name in ("model.json", "em_trace.csv")}
+    assert fitted["em_trace.csv"].count(b"\n") > 1
 
-    staged = str(tmp_path / "staged")
-    staged_args = _detect_args(small_scene, staged)
-    staged_args += ["--model", os.path.join(fit_out, "model.json")]
+    staged_args = _detect_args(small_scene, str(out)) + ["--model", str(out / "model.json")]
     assert cli.main(staged_args) == cli.EXIT_OK
 
+    for name, data in fitted.items():
+        assert (out / name).read_bytes() == data, f"detect --model rewrote {name}"
     for name in ("bcm.u8", "di.f32"):
-        a = open(os.path.join(direct, name), "rb").read()
-        b = open(os.path.join(staged, name), "rb").read()
-        assert a == b, f"{name} differs between direct and staged runs"
+        assert (out / name).read_bytes() == (direct / name).read_bytes(), \
+            f"{name} differs between direct and staged runs"
 
 
 def test_fit_rejects_translated_raster_of_wrong_shape(small_scene, tmp_path, capsys):
@@ -447,8 +464,34 @@ def test_detect_with_model_runs_only_the_test_half(small_scene, fitted_model, tm
     args = _detect_args(small_scene, str(out)) + ["--model", fitted_model]
     assert cli.main(args) == cli.EXIT_OK
     assert segmented == [80]  # the test co-segmentation only, at --ns-test
-    assert (out / "model.json").read_bytes() == Path(fitted_model).read_bytes()
-    assert (out / "em_trace.csv").read_text().count("\n") == 1  # header only
+    # No model was fitted, so no model.json or em_trace.csv is written.
+    assert (out / "bcm.u8").exists()
+    assert not (out / "model.json").exists() and not (out / "em_trace.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["detect", "fit", "detect --model"])
+def test_pre_and_post_of_different_sizes_are_refused_at_load(
+        small_scene, fitted_model, tmp_path, capsys, monkeypatch, command):
+    # Band counts may differ between the sides, pixel sizes may not; the
+    # pair is refused before any stage computes.
+    data = tmp_path / "data"
+    shutil.copytree(small_scene, data)
+    post = load_raster(str(data / "post")).data
+    save_raster(Raster.from_array(post[:40]), str(data / "post"))
+
+    def no_slic(*args):
+        raise RuntimeError("a pair of different sizes must not reach SLIC")
+
+    monkeypatch.setattr(segmentation, "slic", no_slic)
+    args = _detect_args(str(data), str(tmp_path / "run"))
+    if command == "fit":
+        args[0] = "fit"
+    elif command == "detect --model":
+        args += ["--model", fitted_model]
+    assert cli.main(args) == cli.EXIT_CONTRACT
+    assert capsys.readouterr().err == (
+        "error: stage 'load': post raster is 40x48 pixels, pre raster 48x48\n")
+    assert not (tmp_path / "run").exists()
 
 
 def test_detect_model_refuses_translated(small_scene, fitted_model, tmp_path, capsys):

@@ -249,7 +249,7 @@ def test_trace_csv_export(tmp_path):
     assert len(lines) == len(trace.rows) + 1
     assert all(line.startswith("1,1,") and line.endswith("," + trace.status)
                for line in lines[1:])
-    write_traces_csv({}, str(path))  # detect --model: no EM, header only
+    write_traces_csv({}, str(path))  # no channel pair: the header alone
     assert path.read_text().strip() == header
     # em_trace.csv byte for byte: the header, the float text and csv.writer's
     # \r\n row ending.

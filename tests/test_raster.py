@@ -80,8 +80,7 @@ def test_payload_bytes_must_match_the_header(tmp_path, capsys, extra):
         fh.write(bytes(32 * 32 * 4 + extra))
     with pytest.raises(ValueError, match=f"= 4096 bytes, payload .* holds {4096 + extra}"):
         load_raster(base)
-    assert cli.main(["translate", "--pre", base, "--post", base,
-                     "--out", str(tmp_path / "t")]) == cli.EXIT_CONTRACT
+    assert cli.main(["detect", "--pre", base, "--post", base]) == cli.EXIT_CONTRACT
     err = capsys.readouterr().err
     assert err.startswith("error:") and "4096 bytes" in err and "Traceback" not in err
 
@@ -114,8 +113,7 @@ def test_header_layout_must_be_known(tmp_path, capsys, dtype, value):
         load, args = load_binary_map, ["score", "--bcm", base, "--gt", base]
     else:
         np.zeros(4, dtype="<f4").tofile(base + ".f32")
-        load, args = load_raster, ["translate", "--pre", base, "--post", base,
-                                   "--out", str(tmp_path / "t")]
+        load, args = load_raster, ["detect", "--pre", base, "--post", base]
     with pytest.raises(ValueError, match="header key 'layout'"):
         load(base)
     assert cli.main(args) == cli.EXIT_CONTRACT
