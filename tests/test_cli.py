@@ -255,6 +255,7 @@ def test_unknown_config_key_is_contract_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("args", [
     ["detect", "--translate-method", "histogram_match"],
+    ["fit", "--pairs", "pairs", "--translate-method", "histogram_match"],
     ["detect", "--compactness", "3"],  # SLIC compactness is segmentation.COMPACTNESS
     # theta's range is the box copula.THETA_MIN to copula.THETA_MAX
     ["detect", "--theta-max", "3"],
@@ -357,6 +358,9 @@ def test_flags_override_config_file(tmp_path):
 def test_bad_subcommand_usage(capsys):
     assert cli.main(["frobnicate"]) == cli.EXIT_CONTRACT
     capsys.readouterr()
+    # `translate` is no subcommand; histogram matching runs inside detect and fit.
+    assert cli.main(["translate", "--pre", "x", "--post", "y", "--out", "z"]) == cli.EXIT_CONTRACT
+    assert "invalid choice: 'translate'" in capsys.readouterr().err
 
 
 def test_readme_cli_commands_parse():
