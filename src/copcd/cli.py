@@ -1,23 +1,22 @@
 """Command-line interface.
 
-Subcommands: detect, fit, synth, score. The flags of detect and
-fit are PipelineConfig's fields, which a --config file may also set, flags
-winning; those of synth are SynthConfig's and its generating model's. A flag
-left unset keeps its dataclass default. Exit codes: 0 ok, 2 usage or
-contract error, 3 numerical failure.
+Subcommands: detect, fit, synth, score. Flags are the only way to set a
+run. The flags of detect are PipelineConfig's fields, and fit's are the same
+but model, plus --pairs; those of synth are SynthConfig's and its generating
+model's. A flag left unset keeps its dataclass default. Exit codes: 0 ok, 2
+usage or contract error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import fields, replace
 
 import numpy as np
 
-from . import metrics, pipeline, synth
+from . import emfit, metrics, pipeline, synth
 from .copula import CopulaMixtureModel
 from .pipeline import PipelineConfig, StageError
 from .raster import export_graymap, load_binary_map, load_raster, save_binary_map, save_raster
@@ -44,24 +43,8 @@ def _flag_values(args, cls) -> dict:
             if getattr(args, f.name, None) is not None}
 
 
-def _config_values(args) -> dict:
-    """The config fields given by --config and by flags, flags winning."""
-    values = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise ValueError(f"config file {args.config} must hold a JSON object")
-        values.update(loaded)
-    unknown = set(values) - {f.name for f in fields(PipelineConfig)}
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    values.update(_flag_values(args, PipelineConfig))
-    return values
-
-
 def cmd_detect(args) -> int:
-    config = PipelineConfig(**_config_values(args))
+    config = PipelineConfig(**_flag_values(args, PipelineConfig))
     result = pipeline.run_detect(config)
     pipeline.write_artifacts(result, config.out_dir)
     if "report" in result:
@@ -74,19 +57,16 @@ def cmd_detect(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    values = _config_values(args)
-    if args.pairs is not None:
-        unread = set(values) - {"eps", "out_dir"}
-    else:
-        unread = set(values) & {"model"}  # fit always runs EM; a model goes to detect
+    values = _flag_values(args, PipelineConfig)
+    unread = set(values) - {"eps", "out_dir"} if args.pairs is not None else set()
     if unread:
-        raise ValueError(f"config fields {sorted(unread)} are not read by "
-                         f"fit{' --pairs' if args.pairs is not None else ''}")
+        raise ValueError(f"config fields {sorted(unread)} are not read by fit --pairs")
     config = PipelineConfig(**values)
     if args.pairs is not None:
         pairs = load_raster(args.pairs)
-        if pairs.data.shape[1:] != (2, 1):
-            raise ValueError("--pairs expects an n x 2 x 1 raster of sample columns")
+        if pairs.data.shape[1:] != (2, 1) or len(pairs.data) < emfit.MIN_PAIRS:
+            raise ValueError("pairs raster {} is {}x{}x{}; fit needs n x 2 x 1 sample columns "
+                             "with n >= {}".format(args.pairs, *pairs.data.shape, emfit.MIN_PAIRS))
         pipeline.refuse_constant("pairs", pairs.data[:, :, 0], "column")
         model_set, traces = pipeline.fit_model_set(
             pairs.data[:, 0, :].astype(np.float64),
@@ -134,14 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Copula-mixture change detection for heterogeneous image pairs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    config_flags = argparse.ArgumentParser(add_help=False)  # detect's and fit's
-    config_flags.add_argument("--config", help="JSON config file; flags override its keys")
-    _add_field_flags(config_flags, PipelineConfig)
-
-    p = sub.add_parser("detect", help="run the full detection pipeline", parents=[config_flags])
+    p = sub.add_parser("detect", help="run the full detection pipeline")
+    _add_field_flags(p, PipelineConfig)
     p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("fit", help="fit copula-mixture models only", parents=[config_flags])
+    # fit always runs EM; a model goes to detect.
+    p = sub.add_parser("fit", help="fit copula-mixture models only")
+    _add_field_flags(p, PipelineConfig, skip={"model"})
     p.add_argument("--pairs", help="n x 2 x 1 raster of raw sample pairs")
     p.set_defaults(func=cmd_fit)
 

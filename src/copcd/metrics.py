@@ -55,7 +55,8 @@ def score(bcm: np.ndarray, gt: np.ndarray) -> MetricsReport:
     bcm = np.asarray(bcm)
     gt = np.asarray(gt)
     if bcm.shape != gt.shape:
-        raise ValueError("map dimensions differ")
+        raise ValueError(f"map dimensions differ: predicted map {bcm.shape}, "
+                         f"ground truth {gt.shape}")
     if not np.isin(gt, (0, 1)).all():
         raise ValueError("ground truth must be binary")
     if not np.isin(bcm, (0, 1)).all():

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,10 +33,6 @@ from .raster import (
     save_raster,
 )
 
-# Accepted Python types per annotation; bool is rejected separately.
-_FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     pre: str = field(default=None, metadata={"help": "pre-event raster (container base path)"})
@@ -54,14 +50,9 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None and f.default is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
-                raise ValueError(f"config field {f.name!r} must be {f.type}, got {value!r}")
-        if self.ns_model < 10 or self.ns_test < 10:
-            raise ValueError("ns_model and ns_test must be >= 10")
+        for name in ("ns_model", "ns_test"):
+            if getattr(self, name) < 10:
+                raise ValueError(f"config field {name!r} must be >= 10, got {getattr(self, name)}")
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise ValueError(
                 f"config field 'alpha' must be finite and >= 0, got {self.alpha!r}")
@@ -234,6 +225,11 @@ def run_detect(config: PipelineConfig) -> dict:
     only the pre/post rasters are read, and the dict has no ``traces``.
     """
     x, y = _load_pair(config)
+    if config.gt is not None:
+        gt = _stage("load", load_binary_map, config.gt)
+        if gt.shape != x.data.shape[:2]:
+            raise StageError("load", ValueError(
+                "gt map is {}x{} pixels, pre raster {}x{}".format(*gt.shape, *x.data.shape[:2])))
     if config.model is None:
         out = _fit(x, y, config)
     else:
@@ -251,7 +247,6 @@ def run_detect(config: PipelineConfig) -> dict:
 
     out.update(seg_test=seg_test, di=di, bcm=bcm)
     if config.gt is not None:
-        gt = _stage("score", load_binary_map, config.gt)
         out["report"] = _stage("score", metrics.score, bcm, gt)
     return out
 

@@ -47,16 +47,8 @@ class Raster:
         return cls(arr[:, :, None] if arr.ndim == 2 else arr)
 
 
-def _strip_suffix(path: str) -> str:
-    for suf in (".hdr.json", ".f32", ".u8"):
-        if path.endswith(suf):
-            return path[: -len(suf)]
-    return path
-
-
 def _write_container(base: str, arr: np.ndarray, dtype_name: str) -> None:
     dtype, ext, layout = _DTYPES[dtype_name]
-    base = _strip_suffix(base)
     m, n, c = arr.shape
     header = {"m": int(m), "n": int(n), "c": int(c), "dtype": dtype_name, "layout": layout}
     with open(base + ".hdr.json", "w") as fh:
@@ -69,7 +61,6 @@ def _read_container(base: str, dtype_name: str):
     """Header and m x n x c payload of a container whose header names
     ``dtype_name`` and its layout; a header that does not, or a payload of
     another size, is a ValueError naming the key or the byte counts."""
-    base = _strip_suffix(base)
     hdr_path = base + ".hdr.json"
     with open(hdr_path) as fh:
         header = json.load(fh)

@@ -136,25 +136,6 @@ def test_fit_pairs_recovers_clayton_theta(tmp_path, capsys):
     assert "pair 1,1" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("via_config", [False, True])
-def test_fit_refuses_model(tmp_path, capsys, via_config):
-    # fit always runs EM; a model given to it must be refused before any
-    # stage runs (no --pre/--post here, so a stage would fail at 'load').
-    model = str(tmp_path / "model.json")
-    args = ["fit", "--out-dir", str(tmp_path / "fit")]
-    if via_config:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"model": model}))
-        args += ["--config", str(cfg)]
-    else:
-        args += ["--model", model]
-    assert cli.main(args) == cli.EXIT_CONTRACT
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "'model'" in err
-    assert "stage" not in err and "Traceback" not in err
-    assert not os.path.exists(tmp_path / "fit")
-
-
 @pytest.fixture()
 def pairs_raster(tmp_path):
     model = CopulaMixtureModel(rho=0.5, theta=2.0, w=0.5, n_train=1)
@@ -165,6 +146,12 @@ def pairs_raster(tmp_path):
     return path
 
 
+def _equals_flags(values: dict) -> list:
+    """``--name=value`` per field: in that spelling argparse reads a negative
+    value, such as ``--eps=-1e-3``, as the flag's value and not as a flag."""
+    return [f"--{name.replace('_', '-')}={value}" for name, value in values.items()]
+
+
 @pytest.mark.parametrize("flags, config, key", [
     (["--pre", "nope"], {}, "pre"),
     (["--post", "nope"], {}, "post"),
@@ -173,18 +160,15 @@ def pairs_raster(tmp_path):
     (["--ns-model", "50000"], {}, "ns_model"),
     (["--alpha", "3"], {}, "alpha"),
     (["--seed", "1"], {}, "seed"),
-    (["--model", "model.json"], {}, "model"),
+    (["--ns-test", "50"], {}, "ns_test"),
+    # The same refusal for a field given in the --name=value spelling.
     ([], {"pre": "nope"}, "pre"),
     ([], {"ns_test": 50}, "ns_test"),
 ])
 def test_fit_pairs_refuses_fields_it_does_not_read(tmp_path, capsys, pairs_raster,
                                                    flags, config, key):
     args = ["fit", "--pairs", pairs_raster, "--eps", "1e-4",
-            "--out-dir", str(tmp_path / "fit"), *flags]
-    if config:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        args += ["--config", str(cfg)]
+            "--out-dir", str(tmp_path / "fit"), *flags, *_equals_flags(config)]
     assert cli.main(args) == cli.EXIT_CONTRACT
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(key) in err
@@ -193,15 +177,27 @@ def test_fit_pairs_refuses_fields_it_does_not_read(tmp_path, capsys, pairs_raste
 
 
 def test_fit_pairs_reads_eps_and_out_dir(tmp_path, pairs_raster):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"eps": 10.0, "out_dir": str(tmp_path / "cfg_out")}))
     out = tmp_path / "fit"
-    args = ["fit", "--pairs", pairs_raster, "--config", str(cfg), "--out-dir", str(out)]
+    args = ["fit", "--pairs", pairs_raster, "--eps", "10", "--out-dir", str(out)]
     assert cli.main(args) == cli.EXIT_OK
     assert list(json.loads((out / "model.json").read_text())["pairs"]) == ["1,1"]
     # eps = 10 stops EM after one update: a header, the start and one row.
     assert (out / "em_trace.csv").read_text().count("\n") == 3
-    assert not (tmp_path / "cfg_out").exists()
+
+
+@pytest.mark.parametrize("n", [2, 3, 9])
+def test_fit_pairs_refuses_too_few_rows(tmp_path, capsys, n):
+    # Below emfit.MIN_PAIRS rows one message names the raster and the
+    # minimum; tail dependence (4 rows) and EM (10) would each fail otherwise.
+    path = str(tmp_path / "pairs")
+    rows = np.random.default_rng(n).random((n, 2, 1)).astype(np.float32)
+    save_raster(Raster.from_array(rows), path)
+    out = tmp_path / "fit"
+    assert cli.main(["fit", "--pairs", path, "--out-dir", str(out)]) == cli.EXIT_CONTRACT
+    assert capsys.readouterr().err == (
+        f"error: pairs raster {path} is {n}x2x1; fit needs n x 2 x 1 sample columns "
+        "with n >= 10\n")
+    assert not out.exists()
 
 
 def test_cli_import_leaves_out_verification_maths(tmp_path, pairs_raster):
@@ -242,17 +238,6 @@ def test_cli_import_leaves_out_scipy_sparse():
     assert out.split() == ["False"]
 
 
-def test_unknown_config_key_is_contract_error(tmp_path, capsys):
-    # translate_method was a field; histogram matching is now the only
-    # built-in translation. pca was a field; there is no band reduction.
-    cfg = tmp_path / "cfg.json"
-    for key in ("bogus_key", "translate_method", "pca"):
-        cfg.write_text(json.dumps({key: "histogram_match"}))
-        code = cli.main(["detect", "--config", str(cfg)])
-        assert code == cli.EXIT_CONTRACT
-        assert key in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("args", [
     ["detect", "--translate-method", "histogram_match"],
     ["fit", "--pairs", "pairs", "--translate-method", "histogram_match"],
@@ -261,6 +246,7 @@ def test_unknown_config_key_is_contract_error(tmp_path, capsys):
     ["detect", "--theta-max", "3"],
     ["fit", "--pairs", "pairs", "--theta-max", "3"],
     ["detect", "--pca", "2"],  # there is no band reduction
+    ["fit", "--model", "m.json"],  # fit always runs EM; a model goes to detect
 ])
 def test_removed_translation_flags_are_contract_errors(capsys, args):
     assert cli.main(args) == cli.EXIT_CONTRACT
@@ -270,89 +256,56 @@ def test_removed_translation_flags_are_contract_errors(capsys, args):
 
 
 @pytest.mark.parametrize("command, extra", [
-    ("detect", {"config"}), ("fit", {"config", "pairs"}), ("synth", {"out_dir"}),
+    ("detect", set()), ("fit", {"pairs"}), ("synth", {"out_dir"}),
 ])
 def test_pipeline_flags_match_config_fields(command, extra):
-    """detect's and fit's flags are PipelineConfig's fields, synth's are
-    SynthConfig's but its model and the generating model's rho, theta, w and
-    tail_mode; every flag left unset reads None."""
+    """detect's flags are PipelineConfig's fields, fit's the same but model;
+    synth's are SynthConfig's but its model and the generating model's rho,
+    theta, w and tail_mode; every flag left unset reads None."""
     config_fields = ({f.name for f in fields(synth.SynthConfig)} - {"model"}
                      | {"rho", "theta", "w", "tail_mode"} if command == "synth"
-                     else {f.name for f in fields(pipeline.PipelineConfig)})
+                     else {f.name for f in fields(pipeline.PipelineConfig)}
+                     - ({"model"} if command == "fit" else set()))
     args = vars(cli.build_parser().parse_args([command]))
     assert set(args) - {"command", "func"} == config_fields | extra
     assert {args[name] for name in config_fields | extra} == {None}
 
 
 @pytest.mark.parametrize("values, key", [
-    ({"ns_model": "400"}, "ns_model"),
-    ({"ns_test": True}, "ns_test"),
-    ({"alpha": "5"}, "alpha"),
-    ({"seed": 1.5}, "seed"),
+    (["--ns-model", "4e2"], "ns_model"),
+    (["--ns-test", "true"], "ns_test"),
+    (["--alpha", "five"], "alpha"),
+    (["--seed", "1.5"], "seed"),
 ])
-def test_mistyped_config_value_is_contract_error(tmp_path, capsys, values, key):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(values))
-    code = cli.main(["detect", "--config", str(cfg)])
-    assert code == cli.EXIT_CONTRACT
+def test_mistyped_config_value_is_contract_error(capsys, values, key):
+    # Each flag is typed by its field's annotation; argparse refuses the rest.
+    assert cli.main(["detect", *values]) == cli.EXIT_CONTRACT
     err = capsys.readouterr().err
-    assert err.startswith("error:") and key in err
-    assert "Traceback" not in err
+    assert f"argument --{key.replace('_', '-')}: invalid" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("key, value", [
     *[(key, value) for key in ("alpha", "eps", "theta_max")
       for value in (float("nan"), float("inf"), float("-inf"))],
     ("alpha", -1.0), ("eps", 0.0), ("eps", -1e-3), ("theta_max", 0.0),
-    ("theta_max", -2.0), ("theta_max", 20.0), ("seed", -1),
+    ("theta_max", -2.0), ("theta_max", 20.0), ("seed", -1), ("ns_model", 9), ("ns_test", 5),
     # SLIC compactness and theta's range are constants, and there is no band
-    # reduction, so these keys are refused whatever their value.
+    # reduction, so these flags are refused whatever their value.
     *[("compactness", value)
       for value in (float("nan"), float("inf"), float("-inf"), 0.0, -10.0)],
     ("pca", 0), ("pca", -1),
 ])
-def test_out_of_range_config_value_is_contract_error(tmp_path, capsys, key, value):
-    # JSON carries NaN and Infinity as bare literals; each must be refused
-    # before any stage runs, naming the field.
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: value}))
-    code = cli.main(["detect", "--config", str(cfg)])
-    assert code == cli.EXIT_CONTRACT
+def test_out_of_range_config_value_is_contract_error(capsys, key, value):
+    # Each value is refused before any stage runs, naming the field.
+    flags = _equals_flags({key: value})
+    assert cli.main(["detect", *flags]) == cli.EXIT_CONTRACT
     err = capsys.readouterr().err
-    assert err.startswith("error:") and repr(key) in err
+    if key in ("theta_max", "compactness", "pca"):
+        assert f"unrecognized arguments: {flags[0]}" in err
+    else:
+        assert err.startswith(f"error: config field {key!r} must be ") and "usage:" not in err
+        assert err.endswith(f", got {value!r}\n")
     assert "stage" not in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize("text", ["[1, 2]", "null", "3"])
-def test_config_that_is_not_an_object_is_contract_error(tmp_path, capsys, text):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(text)
-    assert cli.main(["detect", "--config", str(cfg)]) == cli.EXIT_CONTRACT
-    assert "JSON object" in capsys.readouterr().err
-
-
-def test_float_config_fields_accept_ints(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"alpha": 2, "eps": 1}))
-
-    class Args:
-        config = str(cfg)
-
-    built = pipeline.PipelineConfig(**cli._config_values(Args()))
-    assert (built.alpha, built.eps) == (2, 1)
-
-
-def test_flags_override_config_file(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"alpha": 2.0, "seed": 7}))
-
-    class Args:
-        config = str(cfg)
-        alpha = 9.0
-
-    built = pipeline.PipelineConfig(**cli._config_values(Args()))
-    assert built.alpha == 9.0  # flag wins
-    assert built.seed == 7  # config file still applies
 
 
 def test_bad_subcommand_usage(capsys):
@@ -495,6 +448,32 @@ def test_pre_and_post_of_different_sizes_are_refused_at_load(
     assert cli.main(args) == cli.EXIT_CONTRACT
     assert capsys.readouterr().err == (
         "error: stage 'load': post raster is 40x48 pixels, pre raster 48x48\n")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("gt, needle", [
+    ("40x48", "stage 'load': gt map is 40x48 pixels, pre raster 48x48\n"),
+    ("f32", "stage 'load': header key 'layout' must be 'row-major' for u8, "
+            "got 'row-major-bip' in "),
+], ids=["size", "f32"])
+def test_gt_is_checked_at_load(small_scene, tmp_path, capsys, monkeypatch, gt, needle):
+    # A gt map of another pixel size, or a float raster given as the gt map,
+    # is refused before any stage computes.
+    data = tmp_path / "data"
+    shutil.copytree(small_scene, data)
+    truth = load_binary_map(str(data / "gt"))
+    if gt == "f32":
+        save_raster(Raster.from_array(truth), str(data / "gt"))
+    else:
+        save_binary_map(truth[:40], str(data / "gt"))
+
+    def no_slic(*args):
+        raise RuntimeError("a bad gt map must not reach SLIC")
+
+    monkeypatch.setattr(segmentation, "slic", no_slic)
+    assert cli.main(_detect_args(str(data), str(tmp_path / "run"))) == cli.EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + needle), err
     assert not (tmp_path / "run").exists()
 
 
@@ -774,10 +753,12 @@ def _run_cli(argv):
 
 
 def _detect_with_config(data_dir, out_dir, config):
-    """Exit code, stderr and the RuntimeWarnings of one in-process detect."""
-    cfg = Path(out_dir + ".json")
-    cfg.write_text(json.dumps(config))
-    return _run_cli(_detect_args(data_dir, out_dir) + ["--config", str(cfg)])
+    """Exit code, stderr and the RuntimeWarnings of one in-process detect
+    whose config fields ``config`` override those of ``_detect_args``. No
+    value may end in argparse's usage error: each reaches PipelineConfig."""
+    code, err, runtime = _run_cli(_detect_args(data_dir, out_dir) + _equals_flags(config))
+    assert "usage:" not in err, err
+    return code, err, runtime
 
 
 @pytest.mark.parametrize("config, code, needle", [

@@ -44,7 +44,7 @@ def test_degenerate_single_class():
 
 
 def test_validation_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"predicted map \(2, 2\), ground truth \(2, 3\)"):
         score(np.zeros((2, 2)), np.zeros((2, 3)))
     with pytest.raises(ValueError):
         score(np.zeros((2, 2)), np.full((2, 2), 2))
