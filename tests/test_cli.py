@@ -136,6 +136,19 @@ def test_fit_pairs_recovers_clayton_theta(tmp_path, capsys):
     assert "pair 1,1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("equals_spelling", [False, True])
+def test_fit_refuses_model(tmp_path, capsys, equals_spelling):
+    # fit always runs EM and has no --model flag; a model goes to detect.
+    # argparse refuses it in either spelling before any stage runs.
+    model = str(tmp_path / "model.json")
+    flag = [f"--model={model}"] if equals_spelling else ["--model", model]
+    assert cli.main(["fit", "--out-dir", str(tmp_path / "fit"), *flag]) == cli.EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: " + " ".join(flag) in err
+    assert "stage" not in err and "Traceback" not in err
+    assert not os.path.exists(tmp_path / "fit")
+
+
 @pytest.fixture()
 def pairs_raster(tmp_path):
     model = CopulaMixtureModel(rho=0.5, theta=2.0, w=0.5, n_train=1)
@@ -160,10 +173,11 @@ def _equals_flags(values: dict) -> list:
     (["--ns-model", "50000"], {}, "ns_model"),
     (["--alpha", "3"], {}, "alpha"),
     (["--seed", "1"], {}, "seed"),
-    (["--ns-test", "50"], {}, "ns_test"),
+    (["--model", "model.json"], {}, "model"),
     # The same refusal for a field given in the --name=value spelling.
     ([], {"pre": "nope"}, "pre"),
     ([], {"ns_test": 50}, "ns_test"),
+    (["--ns-test", "50"], {}, "ns_test"),
 ])
 def test_fit_pairs_refuses_fields_it_does_not_read(tmp_path, capsys, pairs_raster,
                                                    flags, config, key):
@@ -171,7 +185,10 @@ def test_fit_pairs_refuses_fields_it_does_not_read(tmp_path, capsys, pairs_raste
             "--out-dir", str(tmp_path / "fit"), *flags, *_equals_flags(config)]
     assert cli.main(args) == cli.EXIT_CONTRACT
     err = capsys.readouterr().err
-    assert err.startswith("error:") and repr(key) in err
+    if key == "model":  # fit has no --model flag, so argparse refuses it
+        assert "unrecognized arguments: --model model.json" in err
+    else:
+        assert err.startswith("error:") and repr(key) in err
     assert "stage" not in err and "Traceback" not in err
     assert not os.path.exists(tmp_path / "fit")
 
@@ -246,7 +263,6 @@ def test_cli_import_leaves_out_scipy_sparse():
     ["detect", "--theta-max", "3"],
     ["fit", "--pairs", "pairs", "--theta-max", "3"],
     ["detect", "--pca", "2"],  # there is no band reduction
-    ["fit", "--model", "m.json"],  # fit always runs EM; a model goes to detect
 ])
 def test_removed_translation_flags_are_contract_errors(capsys, args):
     assert cli.main(args) == cli.EXIT_CONTRACT
