@@ -2,9 +2,10 @@
 
 Subcommands: detect, fit, synth, score. Flags are the only way to set a
 run. The flags of detect are PipelineConfig's fields, and fit's are the same
-but model, plus --pairs; those of synth are SynthConfig's and its generating
-model's. A flag left unset keeps its dataclass default. Exit codes: 0 ok, 2
-usage or contract error, 3 numerical failure.
+but model, gt and alpha, which only detection reads, plus --pairs; those of
+synth are SynthConfig's and its generating model's. A flag left unset keeps
+its dataclass default. Exit codes: 0 ok, 2 usage or contract error, 3
+numerical failure.
 """
 
 from __future__ import annotations
@@ -118,9 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_flags(p, PipelineConfig)
     p.set_defaults(func=cmd_detect)
 
-    # fit always runs EM; a model goes to detect.
+    # fit always runs EM; a model, a gt map and alpha go to detect.
     p = sub.add_parser("fit", help="fit copula-mixture models only")
-    _add_field_flags(p, PipelineConfig, skip={"model"})
+    _add_field_flags(p, PipelineConfig, skip={"model", "gt", "alpha"})
     p.add_argument("--pairs", help="n x 2 x 1 raster of raw sample pairs")
     p.set_defaults(func=cmd_fit)
 

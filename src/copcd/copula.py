@@ -152,6 +152,8 @@ def pseudo_obs(hx, hy, ecdf_x: EmpiricalCdf, ecdf_y: EmpiricalCdf, negated: bool
     """Copula arguments (u, v) of feature pairs, one rule for fitting and
     detection: the training ECDFs, v reflected to 1 - v for a negatively
     associated pair, both clamped into [delta, 1-delta], delta = 1/(2 n_train).
+    Fitting passes the training samples' dense ranks with each ECDF as a
+    lookup by rank, which gives the same values.
     """
     delta = 1.0 / (2.0 * n_train)
     u = ecdf_x(hx)

@@ -185,8 +185,8 @@ def test_fit_pairs_refuses_fields_it_does_not_read(tmp_path, capsys, pairs_raste
             "--out-dir", str(tmp_path / "fit"), *flags, *_equals_flags(config)]
     assert cli.main(args) == cli.EXIT_CONTRACT
     err = capsys.readouterr().err
-    if key == "model":  # fit has no --model flag, so argparse refuses it
-        assert "unrecognized arguments: --model model.json" in err
+    if key in ("model", "gt", "alpha"):  # fit has no such flag; argparse refuses it
+        assert "unrecognized arguments: " + " ".join(flags) in err
     else:
         assert err.startswith("error:") and repr(key) in err
     assert "stage" not in err and "Traceback" not in err
@@ -263,6 +263,9 @@ def test_cli_import_leaves_out_scipy_sparse():
     ["detect", "--theta-max", "3"],
     ["fit", "--pairs", "pairs", "--theta-max", "3"],
     ["detect", "--pca", "2"],  # there is no band reduction
+    # only detection reads a gt map and alpha
+    ["fit", "--gt", "gt"],
+    ["fit", "--alpha", "5"],
 ])
 def test_removed_translation_flags_are_contract_errors(capsys, args):
     assert cli.main(args) == cli.EXIT_CONTRACT
@@ -275,13 +278,14 @@ def test_removed_translation_flags_are_contract_errors(capsys, args):
     ("detect", set()), ("fit", {"pairs"}), ("synth", {"out_dir"}),
 ])
 def test_pipeline_flags_match_config_fields(command, extra):
-    """detect's flags are PipelineConfig's fields, fit's the same but model;
+    """detect's flags are PipelineConfig's fields, fit's the same but model,
+    gt and alpha;
     synth's are SynthConfig's but its model and the generating model's rho,
     theta, w and tail_mode; every flag left unset reads None."""
     config_fields = ({f.name for f in fields(synth.SynthConfig)} - {"model"}
                      | {"rho", "theta", "w", "tail_mode"} if command == "synth"
                      else {f.name for f in fields(pipeline.PipelineConfig)}
-                     - ({"model"} if command == "fit" else set()))
+                     - ({"model", "gt", "alpha"} if command == "fit" else set()))
     args = vars(cli.build_parser().parse_args([command]))
     assert set(args) - {"command", "func"} == config_fields | extra
     assert {args[name] for name in config_fields | extra} == {None}
@@ -359,15 +363,19 @@ def small_scene(tmp_path_factory):
     return out
 
 
-def _detect_args(data_dir, out_dir):
+def _fit_args(data_dir, out_dir):
     return [
-        "detect",
+        "fit",
         "--pre", os.path.join(data_dir, "pre"),
         "--post", os.path.join(data_dir, "post"),
-        "--gt", os.path.join(data_dir, "gt"),
         "--out-dir", out_dir,
         "--ns-model", "40", "--ns-test", "80", "--seed", "0",
     ]
+
+
+def _detect_args(data_dir, out_dir):
+    """``_fit_args`` for ``detect``, scored against the scene's gt map."""
+    return ["detect", *_fit_args(data_dir, out_dir)[1:], "--gt", os.path.join(data_dir, "gt")]
 
 
 def test_detect_writes_artifacts(small_scene, tmp_path, capsys):
@@ -387,7 +395,7 @@ def test_fit_then_detect_with_model_reproduces_direct_run(small_scene, tmp_path)
     assert cli.main(_detect_args(small_scene, str(direct))) == cli.EXIT_OK
 
     out = tmp_path / "out"
-    assert cli.main(["fit"] + _detect_args(small_scene, str(out))[1:]) == cli.EXIT_OK
+    assert cli.main(_fit_args(small_scene, str(out))) == cli.EXIT_OK
     fitted = {name: (out / name).read_bytes() for name in ("model.json", "em_trace.csv")}
     assert fitted["em_trace.csv"].count(b"\n") > 1
 
@@ -405,7 +413,7 @@ def test_fit_rejects_translated_raster_of_wrong_shape(small_scene, tmp_path, cap
     # small_scene is 48 x 48 with one band per side; this translation has two.
     bad = np.zeros((48, 48, 2), dtype=np.float32)
     save_raster(Raster.from_array(bad), str(tmp_path / "translated"))
-    args = ["fit"] + _detect_args(small_scene, str(tmp_path / "fit"))[1:]
+    args = _fit_args(small_scene, str(tmp_path / "fit"))
     args += ["--translated", str(tmp_path / "translated")]
     assert cli.main(args) == cli.EXIT_CONTRACT
     assert "stage 'translate': translated raster shape mismatch" in capsys.readouterr().err
@@ -415,7 +423,7 @@ def test_fit_rejects_translated_raster_of_wrong_shape(small_scene, tmp_path, cap
 @pytest.fixture(scope="module")
 def fitted_model(small_scene, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("fitted"))
-    assert cli.main(["fit"] + _detect_args(small_scene, out)[1:]) == cli.EXIT_OK
+    assert cli.main(_fit_args(small_scene, out)) == cli.EXIT_OK
     return os.path.join(out, "model.json")
 
 
@@ -458,7 +466,7 @@ def test_pre_and_post_of_different_sizes_are_refused_at_load(
     monkeypatch.setattr(segmentation, "slic", no_slic)
     args = _detect_args(str(data), str(tmp_path / "run"))
     if command == "fit":
-        args[0] = "fit"
+        args = _fit_args(str(data), str(tmp_path / "run"))
     elif command == "detect --model":
         args += ["--model", fitted_model]
     assert cli.main(args) == cli.EXIT_CONTRACT
@@ -571,7 +579,7 @@ def test_constant_band_is_contract_error(small_scene, fitted_model, tmp_path, ca
     save_raster(Raster.from_array(bad), str(data / raster))
     args = _detect_args(str(data), str(tmp_path / "run"))
     if command == "fit":
-        args[0] = "fit"
+        args = _fit_args(str(data), str(tmp_path / "run"))
     elif command == "detect --model":
         args += ["--model", fitted_model]
     elif command == "fit --pairs":

@@ -14,6 +14,7 @@ from copcd.dependence import (
     TAIL_CLAYTON,
     TAIL_CLAYTON_SURVIVAL,
     EmpiricalCdf,
+    _strict_inversions,
     kendall_tau,
     tail_dependence,
 )
@@ -86,6 +87,46 @@ def test_tau_matches_oracle_exactly(seed, n, kind, reverse):
         x, y = x[::-1], y[::-1]
     assert kendall_tau(x, y) == oracle.kendall_tau(x, y)
     assert kendall_tau(y, x) == oracle.kendall_tau(y, x)
+
+
+def _ranks_of_kind(rng, n, kind):
+    if kind == "distinct":
+        return rng.permutation(n)
+    if kind == "ties":
+        return rng.integers(0, max(1, n // 50), n)
+    return np.arange(n)[::-1].copy()  # reversed: every pair an inversion
+
+
+@pytest.mark.parametrize("n", [2 ** 15, 2 ** 15 + 1, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1,
+                               131_073])
+@pytest.mark.parametrize("kind", ["distinct", "ties", "reversed"])
+def test_strict_inversions_match_the_merge_oracle_at_large_n(n, kind):
+    # Sizes around a power of two leave a partial last block at every level;
+    # the keys are int32 up to n = 2**15 and int64 above.
+    r = _ranks_of_kind(np.random.default_rng(n), n, kind)
+    assert _strict_inversions(r) == oracle.strict_inversions(r)
+    if kind == "reversed":
+        assert _strict_inversions(r) == n * (n - 1) // 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 2000),
+       st.sampled_from(["distinct", "ties", "reversed"]))
+def test_strict_inversions_match_the_merge_oracle(seed, n, kind):
+    r = _ranks_of_kind(np.random.default_rng(seed), n, kind)
+    assert _strict_inversions(r) == oracle.strict_inversions(r)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(2, 300))
+def test_tau_of_dense_ranks_is_tau_of_the_values(seed, n):
+    # Integer ranks in [0, n) are counted, not sorted, and give the same tau.
+    rng = np.random.default_rng(seed)
+    x = rng.choice([-0.0, 0.0, 1.0, 2e-310, 3.5], n)
+    y = 0.5 * rng.normal(size=n).round(1) - x
+    rx = np.unique(x, return_inverse=True)[1]
+    ry = np.unique(y, return_inverse=True)[1]
+    assert kendall_tau(rx, ry) == kendall_tau(x, y) == oracle.kendall_tau(x, y)
 
 
 def test_tau_tiny_values_are_not_lost_to_underflow():
@@ -216,7 +257,8 @@ def test_tail_dependence_invariant_under_monotone_transform(seed):
 
 
 def _fit(u, v):
-    model, _ = fit_channel_pair(u, v, EmpiricalCdf(u), EmpiricalCdf(v), EmConfig())
+    ranks = tuple(np.unique(a, return_inverse=True)[1] for a in (u, v))
+    model, _ = fit_channel_pair(u, v, EmpiricalCdf(u), EmpiricalCdf(v), EmConfig(), ranks)
     return model
 
 

@@ -8,9 +8,17 @@ import pytest
 from copula_oracle import mixture_logpdf_and_gamma
 
 from copcd import emfit, pipeline, segmentation
-from copcd.copula import CopulaMixtureModel, sample_mixture
+from copcd.copula import CopulaMixtureModel, pseudo_obs, sample_mixture
 from copcd.detector import test_statistics as compute_statistics
-from copcd.dependence import ORIENT_NEGATED, TAIL_CLAYTON, EmpiricalCdf, kendall_tau
+from copcd.dependence import (
+    ORIENT_IDENTITY,
+    ORIENT_NEGATED,
+    TAIL_CLAYTON,
+    TAIL_CLAYTON_SURVIVAL,
+    EmpiricalCdf,
+    kendall_tau,
+    tail_dependence,
+)
 from copcd.pipeline import (
     PipelineConfig,
     StageError,
@@ -44,8 +52,13 @@ def test_run_detect_wraps_stage_failures(tmp_path):
     assert "load" in str(err.value)
 
 
+def _dense_ranks(samples):
+    return np.unique(samples, return_inverse=True)[1]
+
+
 def _fit_pair(x, y, config):
-    return fit_channel_pair(x, y, EmpiricalCdf(x), EmpiricalCdf(y), config)
+    return fit_channel_pair(x, y, EmpiricalCdf(x), EmpiricalCdf(y), config,
+                            (_dense_ranks(x), _dense_ranks(y)))
 
 
 def test_fit_channel_pair_orients_negative_association():
@@ -125,9 +138,9 @@ def test_fit_model_set_fits_each_pair_on_the_stored_ecdfs(monkeypatch):
     # One ECDF per channel: EM sees the very objects detection scores with.
     seen = []
 
-    def recording_fit_channel_pair(x, y, ecdf_x, ecdf_y, config):
+    def recording_fit_channel_pair(x, y, ecdf_x, ecdf_y, config, ranks):
         seen.append((x, y, ecdf_x, ecdf_y))
-        return fit_channel_pair(x, y, ecdf_x, ecdf_y, config)
+        return fit_channel_pair(x, y, ecdf_x, ecdf_y, config, ranks)
 
     monkeypatch.setattr(pipeline, "fit_channel_pair", recording_fit_channel_pair)
     rng = np.random.default_rng(5)
@@ -139,6 +152,43 @@ def test_fit_model_set_fits_each_pair_on_the_stored_ecdfs(monkeypatch):
         assert any(ecdf_y is e for e in model_set.ecdfs_y)
         assert np.array_equal(ecdf_x.sorted, np.sort(x))
         assert np.array_equal(ecdf_y.sorted, np.sort(y))
+
+
+def test_fit_model_set_matches_pair_fits_on_searched_ecdfs():
+    # fit_model_set ranks each column once and reads its ECDF by rank. That
+    # must give, bit for bit, the models and traces of a fit whose tau comes
+    # from the raw values and whose pseudo-observations search the stored
+    # ECDFs. The columns hold ties, both signed zeros and a subnormal, and
+    # (2, 2) is negatively associated. The stored column is np.sort's, byte
+    # for byte, signed zeros included.
+    rng = np.random.default_rng(8)
+    n = 400
+    base = rng.normal(size=n)
+    tied = base.round(1)
+    tied[:40] = np.tile([-0.0, 0.0], 20)
+    tied[40] = 5e-324
+    feat_x = np.stack([base, tied, np.exp(base) + rng.normal(size=n)], axis=1)
+    feat_y = np.stack([base + rng.normal(size=n), -tied + 0.5 * rng.normal(size=n).round(1),
+                       rng.normal(size=n)], axis=1)
+    config = emfit.EmConfig()
+    model_set, traces = fit_model_set(feat_x, feat_y, config)
+    orientations = set()
+    for (c1, c2), model in model_set.models.items():
+        x, y = feat_x[:, c1 - 1], feat_y[:, c2 - 1]
+        tau = kendall_tau(x, y)
+        u, v = pseudo_obs(x, y, model_set.ecdfs_x[c1 - 1], model_set.ecdfs_y[c2 - 1],
+                          tau < 0, n)
+        lower, upper = tail_dependence(u, v)
+        tail_mode = TAIL_CLAYTON if lower > upper else TAIL_CLAYTON_SURVIVAL
+        (rho, theta, w), trace = emfit.fit(u, v, tail_mode, config)
+        orientation = ORIENT_NEGATED if tau < 0 else ORIENT_IDENTITY
+        assert model == CopulaMixtureModel(rho=rho, theta=theta, w=w, tail_mode=tail_mode,
+                                           orientation=orientation, n_train=n)
+        assert traces[c1, c2] == trace
+        orientations.add(orientation)
+    assert model_set.models[2, 2].orientation == ORIENT_NEGATED
+    assert orientations == {ORIENT_NEGATED, ORIENT_IDENTITY}
+    assert model_set.ecdfs_x[1].sorted.tobytes() == np.sort(tied).tobytes()
 
 
 def test_fit_model_set_single_pair_from_sample_columns():
