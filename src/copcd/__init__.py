@@ -11,7 +11,7 @@ from .dependence import kendall_tau
 from .metrics import MetricsReport, score
 from .pipeline import PipelineConfig, run_detect
 from .raster import Raster, load_raster, save_raster
-from .segmentation import SegmentationMap, cosegment, extract_features, slic
+from .segmentation import SegmentationMap, extract_features, slic
 from .synth import SynthConfig, generate_pair
 from .translate import translate_baseline
 
@@ -26,7 +26,6 @@ __all__ = [
     "load_raster",
     "save_raster",
     "SegmentationMap",
-    "cosegment",
     "extract_features",
     "slic",
     "SynthConfig",

@@ -4,8 +4,8 @@ Subcommands: detect, fit, synth, score. Flags are the only way to set a
 run. The flags of detect are PipelineConfig's fields, and fit's are the same
 but model, gt and alpha, which only detection reads, plus --pairs; those of
 synth are SynthConfig's and its generating model's. A flag left unset keeps
-its dataclass default. Exit codes: 0 ok, 2 usage or contract error, 3
-numerical failure.
+its dataclass default. Exit codes: 0 ok, 2 usage or contract error (an
+input too large for memory included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -158,6 +158,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONTRACT
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
 
 

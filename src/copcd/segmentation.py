@@ -1,4 +1,9 @@
-"""SLIC superpixels, co-segmentation of two rasters, and mean-feature extraction."""
+"""SLIC superpixels and mean-feature extraction.
+
+SLIC clusters any per-pixel feature vector, so a pair of rasters is
+segmented by one ``slic`` call on their stacked bands (``pipeline._segment``):
+each superpixel is shared by both rasters.
+"""
 
 from __future__ import annotations
 
@@ -16,7 +21,6 @@ from .raster import Raster
 # 0.48 px on average, 5% of the grid spacing.
 SLIC_ITERS = 6
 COMPACTNESS = 10.0  # weight of the spatial term of the SLIC distance
-MIN_REGION = 10  # pixels; a smaller co-segmentation piece stays only as a label's largest
 # The most pixel entries a SLIC block's windows hold together, or m * n if
 # fewer. At 2048 x 2048 (1 band, target 51,200, 2 cores) a slic call after a
 # process's first took 3.6-5.3 s with 2 ** 18 (2 MiB of float64) and
@@ -113,7 +117,7 @@ def slic(r: Raster, target_count: int) -> SegmentationMap:
             _assign_block(planes[2:], (m, n), centers_pos[ids], centers_col[ids], b0,
                           win, ratio, best, assign)
     labels = assign.reshape(m, n)
-    return _merge_pieces(labels, (labels,), np.inf)
+    return _merge_pieces(labels)
 
 
 def _assign_block(bands, shape, pos, col, first, win, ratio, best, assign) -> None:
@@ -189,17 +193,15 @@ def _region_sums(flat, planes, k):
     return counts, sums
 
 
-def _merge_pieces(code: np.ndarray, label_maps, min_size: float) -> SegmentationMap:
-    """Split ``code`` into pieces, its 4-connected groups of one value; keep the
-    largest piece of each label of each of ``label_maps`` (ties: lowest piece
-    id) and any piece of at least ``min_size`` pixels, and grow the kept pieces
-    into the others. ``tests/segmentation_oracle.py`` keeps the whole-image form."""
-    comp = _connected_regions(code).ravel()
+def _merge_pieces(labels: np.ndarray) -> SegmentationMap:
+    """SLIC's connectivity cleanup: split ``labels`` into pieces, its
+    4-connected groups of one value; keep the largest piece of each label
+    (ties: lowest piece id) and grow the kept pieces into the others.
+    ``tests/segmentation_oracle.py`` keeps the whole-image form."""
+    comp = _connected_regions(labels).ravel()
     sizes = np.bincount(comp)
-    keep = sizes >= min_size
-    for labels in label_maps:
-        keep |= _largest_per_label(comp, labels, sizes)
-    return _relabel_contiguous(_grow_kept(comp, keep, sizes, code.shape))
+    keep = _largest_per_label(comp, labels, sizes)
+    return _relabel_contiguous(_grow_kept(comp, keep, sizes, labels.shape))
 
 
 def _largest_per_label(comp: np.ndarray, labels: np.ndarray,
@@ -241,23 +243,6 @@ def _grow_kept(comp: np.ndarray, keep: np.ndarray, sizes: np.ndarray,
         nb = flat[px[:, None] + steps]
         flat[px] = nb[np.arange(len(px)), np.argmax(size_of[nb], axis=1)]
     return padded[1:-1, 1:-1]
-
-
-def cosegment(a: SegmentationMap, b: SegmentationMap) -> SegmentationMap:
-    """Intersect two partitions; merge the slivers by SLIC's connectivity rule.
-
-    A piece is a 4-connected group of one (a, b) label pair. A piece stays a
-    region if it has at least MIN_REGION pixels or is the largest piece of
-    its a label or of its b label (ties: lowest piece id). The pixels of the
-    other pieces join the adjacent kept piece with the most pixels, as SLIC's
-    orphans do (:func:`_grow_kept`); every a label keeps a piece, so they all
-    find one. A region under MIN_REGION pixels is the largest piece of a label.
-    ``tests/segmentation_oracle.py`` states this rule directly.
-    """
-    if a.labels.shape != b.labels.shape:
-        raise ValueError("segmentation dimensions differ")
-    code = a.labels.astype(np.int64) * (b.count + 1) + b.labels
-    return _merge_pieces(code, (a.labels, b.labels), MIN_REGION)
 
 
 def extract_features(r: Raster, seg: SegmentationMap) -> np.ndarray:

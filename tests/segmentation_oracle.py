@@ -3,9 +3,9 @@
 ``slic`` scores one centre's window per step and updates each centre
 through a full-image ``assign == ci`` mask (``update_centers``), whose mean
 is a running sum from 0.0 over the masked pixels in row-major order (pixel
-order) divided by their count; ``enforce_connectivity`` and ``cosegment``
-pick each label's kept piece with one mask per label and grow the other
-pieces over whole-image shifted copies (``grow_kept``);
+order) divided by their count; ``enforce_connectivity`` picks each
+cluster's kept piece with one mask per cluster and grows the other pieces
+over whole-image shifted copies (``grow_kept``);
 ``connected_regions`` labels components with a sparse pixel graph and
 ``relabel_contiguous`` renumbers labels by an ``np.unique`` sort. They are
 slow (O(k x pixels) per iteration and O(labels x pieces)) but state the
@@ -17,7 +17,7 @@ import numpy as np
 from scipy import ndimage, sparse
 from scipy.sparse.csgraph import connected_components
 
-from copcd.segmentation import COMPACTNESS, MIN_REGION, SLIC_ITERS, SegmentationMap
+from copcd.segmentation import COMPACTNESS, SLIC_ITERS, SegmentationMap
 
 
 def relabel_contiguous(labels: np.ndarray) -> SegmentationMap:
@@ -109,19 +109,6 @@ def update_centers(assign, yy, xx, data, centers_pos, centers_col) -> None:
             centers_col[ci] = mean[2:]
 
 
-def largest_per_label(comp: np.ndarray, labels: np.ndarray, sizes: np.ndarray):
-    """Mask of the pieces of ``comp`` that are the largest piece of their
-    value of ``labels``; ``np.argmax`` over the ascending piece ids of one
-    label takes the lowest id of a tie."""
-    piece_label = np.full(len(sizes), -1, dtype=np.int64)
-    piece_label[comp.ravel()] = labels.ravel()
-    keep = np.zeros(len(sizes), dtype=bool)
-    for lab in np.unique(labels):
-        members = np.flatnonzero(piece_label == lab)
-        keep[members[np.argmax(sizes[members])]] = True
-    return keep
-
-
 def enforce_connectivity(assign: np.ndarray, k: int):
     """Keep each cluster's largest component; merge orphan components into
     the adjacent kept region with the most pixels."""
@@ -135,18 +122,6 @@ def enforce_connectivity(assign: np.ndarray, k: int):
         if len(members):
             keep[members[np.argmax(comp_sizes[members])]] = True
     return relabel_contiguous(grow_kept(comp, keep, comp_sizes))
-
-
-def cosegment(a: SegmentationMap, b: SegmentationMap):
-    """Keep each (a, b) piece of at least MIN_REGION pixels and the largest
-    piece of each a label and of each b label; merge the other pieces into
-    the adjacent kept piece with the most pixels."""
-    code = a.labels * (b.count + 1) + b.labels
-    comp = connected_regions(code)
-    sizes = np.bincount(comp.ravel())
-    keep = ((sizes >= MIN_REGION) | largest_per_label(comp, a.labels, sizes)
-            | largest_per_label(comp, b.labels, sizes))
-    return relabel_contiguous(grow_kept(comp, keep, sizes))
 
 
 def grow_kept(comp: np.ndarray, keep: np.ndarray, comp_sizes: np.ndarray):

@@ -159,6 +159,28 @@ def pairs_raster(tmp_path):
     return path
 
 
+@pytest.mark.parametrize("command", ["synth", "fit --pairs", "write_artifacts"])
+def test_memory_error_outside_a_stage_is_contract_error(tmp_path, capsys, monkeypatch,
+                                                        pairs_raster, command):
+    # An input too large for memory, such as `synth --m 100000 --n 100000`,
+    # exits 2 with one error line, as a MemoryError inside a stage does. The
+    # allocation is simulated: a real one could take the whole machine.
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    out = str(tmp_path / "out")
+    if command == "synth":
+        monkeypatch.setattr(synth, "generate_pair", out_of_memory)
+        args = ["synth", "--m", "16", "--n", "16", "--out-dir", out]
+    else:
+        target = "fit_model_set" if command == "fit --pairs" else "write_artifacts"
+        monkeypatch.setattr(pipeline, target, out_of_memory)
+        args = ["fit", "--pairs", pairs_raster, "--out-dir", out]
+    assert cli.main(args) == cli.EXIT_CONTRACT
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 74.5 GiB\n"
+    assert not os.path.exists(os.path.join(out, "model.json"))
+
+
 def _equals_flags(values: dict) -> list:
     """``--name=value`` per field: in that spelling argparse reads a negative
     value, such as ``--eps=-1e-3``, as the flag's value and not as a flag."""
@@ -430,21 +452,23 @@ def fitted_model(small_scene, tmp_path_factory):
 def test_detect_with_model_runs_only_the_test_half(small_scene, fitted_model, tmp_path,
                                                    monkeypatch):
     segmented = []
-    cosegment_pair = pipeline.cosegment_pair
+    slic = segmentation.slic
 
-    def counting_cosegment_pair(*args):
-        segmented.append(args[2])
-        return cosegment_pair(*args)
+    def counting_slic(r, target):
+        segmented.append((r.data.shape, target))
+        return slic(r, target)
 
     def no_translation(*args):
         raise RuntimeError("detect --model must not translate")
 
-    monkeypatch.setattr(pipeline, "cosegment_pair", counting_cosegment_pair)
+    monkeypatch.setattr(segmentation, "slic", counting_slic)
     monkeypatch.setattr(translate, "translate_baseline", no_translation)
     out = tmp_path / "staged"
     args = _detect_args(small_scene, str(out)) + ["--model", fitted_model]
     assert cli.main(args) == cli.EXIT_OK
-    assert segmented == [80]  # the test co-segmentation only, at --ns-test
+    # One SLIC on the stacked pre and post bands, at --ns-test 80: twice 80
+    # is above the floor of one superpixel per 20 pixels, 48 * 48 // 20.
+    assert segmented == [((48, 48, 2), 115)]
     # No model was fitted, so no model.json or em_trace.csv is written.
     assert (out / "bcm.u8").exists()
     assert not (out / "model.json").exists() and not (out / "em_trace.csv").exists()
@@ -515,7 +539,8 @@ def test_detect_model_refuses_translated(small_scene, fitted_model, tmp_path, ca
 
 
 def test_too_few_training_superpixels_names_ns_model(tmp_path, capsys):
-    # This 10 x 10 scene co-segments into 9 regions at target 10; EM fits 10.
+    # On this 10 x 10 scene the floor of one superpixel per 20 pixels caps
+    # SLIC's target at 5, below twice --ns-model; EM fits 10 superpixels.
     data = str(tmp_path / "data")
     assert cli.main(["synth", "--m", "10", "--n", "10", "--rho", "0.9",
                      "--noise-sigma", "0.05", "--seed", "5", "--out-dir", data]) == 0
@@ -524,8 +549,9 @@ def test_too_few_training_superpixels_names_ns_model(tmp_path, capsys):
             "--out-dir", str(tmp_path / "run")]
     assert cli.main(args) == cli.EXIT_CONTRACT
     err = capsys.readouterr().err
-    assert "config field 'ns_model' = 10 gives 9 superpixels" in err
-    assert "at least 10" in err and "Traceback" not in err
+    assert re.match(r"error: stage 'segment': config field 'ns_model' = 10 gives [1-5] "
+                    r"superpixels on this scene, capped at 5 by the floor of 20 pixels "
+                    r"a superpixel; at least 10 are needed\n\Z", err), err
 
 
 def test_too_few_test_superpixels_names_ns_test(small_scene, fitted_model, tmp_path,
@@ -533,13 +559,16 @@ def test_too_few_test_superpixels_names_ns_test(small_scene, fitted_model, tmp_p
     # Two test regions cannot make the three clusters of the first k-means.
     halves = np.ones((48, 48), dtype=np.int64)
     halves[:, 24:] = 2
-    monkeypatch.setattr(pipeline, "cosegment_pair",
-                        lambda *args: SegmentationMap(2, halves))
+    # The floor is named only when it capped SLIC's target: 48 * 48 // 20 =
+    # 115 is below twice 80 but not below twice 40.
+    monkeypatch.setattr(segmentation, "slic", lambda *args: SegmentationMap(2, halves))
     args = _detect_args(small_scene, str(tmp_path / "run")) + ["--model", fitted_model]
-    assert cli.main(args) == cli.EXIT_CONTRACT
-    err = capsys.readouterr().err
-    assert "config field 'ns_test' = 80 gives 2 superpixels" in err
-    assert "at least 3" in err and "Traceback" not in err
+    for ns, capped in (("80", ", capped at 115 by the floor of 20 pixels a superpixel"),
+                       ("40", "")):
+        assert cli.main(args + ["--ns-test", ns]) == cli.EXIT_CONTRACT
+        assert capsys.readouterr().err == (
+            f"error: stage 'segment': config field 'ns_test' = {ns} gives 2 superpixels "
+            f"on this scene{capped}; at least 3 are needed\n")
 
 
 @pytest.mark.parametrize("flag", ["--ns-model", "--ns-test"])
@@ -594,25 +623,25 @@ def test_constant_band_is_contract_error(small_scene, fitted_model, tmp_path, ca
 
 def test_slic_failure_in_the_worker_thread_ends_cleanly(small_scene, tmp_path, capsys,
                                                         monkeypatch):
-    # Both rasters fail, each with its own error; the pre-event one,
-    # segmented by the worker, raises the error that is reported.
-    pre = load_raster(os.path.join(small_scene, "pre")).data
+    # Both halves fail, each in its own SLIC call: the training half, run by
+    # the worker on (X, Y'), raises the error that is reported, as it would
+    # in serial order, and the test segmentation runs in this thread.
+    post = load_raster(os.path.join(small_scene, "post")).data
     calls = {}
 
     def failing_slic(r, target):
-        name = "pre" if np.array_equal(r.data, pre) else "post"
+        name = "test" if np.array_equal(r.data[:, :, 1:], post) else "training"
         calls[name] = threading.current_thread()
-        raise ValueError(f"SLIC failed on the {name} raster")
+        raise ValueError(f"SLIC failed on the {name} pair")
 
     monkeypatch.setattr(segmentation, "slic", failing_slic)
     out = tmp_path / "run"
     threads = threading.active_count()
     assert cli.main(_detect_args(small_scene, str(out))) == cli.EXIT_CONTRACT
     err = capsys.readouterr().err
-    assert err.startswith("error: stage 'segment': SLIC failed on the pre raster")
-    assert "Traceback" not in err
-    assert calls["pre"] is not threading.current_thread()
-    assert calls["post"] is threading.current_thread()
+    assert err == "error: stage 'segment': SLIC failed on the training pair\n"
+    assert calls["training"] is not threading.current_thread()
+    assert calls["test"] is threading.current_thread()
     assert not (out / "bcm.u8").exists()
     assert threading.active_count() == threads
 

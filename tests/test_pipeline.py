@@ -1,5 +1,5 @@
-"""Pipeline orchestration: per-pair fitting, threaded co-segmentation, stage
-errors."""
+"""Pipeline orchestration: per-pair fitting, one SLIC per segmentation, the
+training half beside the test segmentation, stage errors."""
 
 import threading
 
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from copula_oracle import mixture_logpdf_and_gamma
 
-from copcd import emfit, pipeline, segmentation
+from copcd import detector, emfit, pipeline, segmentation
 from copcd.copula import CopulaMixtureModel, pseudo_obs, sample_mixture
 from copcd.detector import test_statistics as compute_statistics
 from copcd.dependence import (
@@ -22,12 +22,12 @@ from copcd.dependence import (
 from copcd.pipeline import (
     PipelineConfig,
     StageError,
-    cosegment_pair,
     fit_channel_pair,
     fit_model_set,
     run_detect,
 )
-from copcd.raster import Raster
+from copcd.raster import Raster, save_raster
+from copcd.synth import SynthConfig, generate_pair
 
 
 def test_pipeline_config_validation():
@@ -203,31 +203,47 @@ def test_fit_model_set_single_pair_from_sample_columns():
 
 
 @pytest.mark.parametrize("size, bands", [(64, 1), (48, 3)])
-def test_threaded_cosegment_pair_matches_serial_segmentation(size, bands):
-    rng = np.random.default_rng(size)
-    a = Raster.from_array(rng.normal(size=(size, size, bands)))
-    b = Raster.from_array(rng.normal(size=(size, size, bands)) + a.data)
+def test_threaded_run_detect_matches_serial_fit_then_segment(tmp_path, size, bands):
+    # run_detect fits in a worker thread while it segments the test pair;
+    # the model, the EM traces and the test superpixels are those of _fit
+    # and then _segment run one after the other, and the worker is gone.
+    x, y, _ = generate_pair(SynthConfig(m=size, n=size, cx=bands, cy=bands,
+                                        noise_sigma=0.05, seed=size))
+    save_raster(x, str(tmp_path / "pre"))
+    save_raster(y, str(tmp_path / "post"))
+    config = PipelineConfig(pre=str(tmp_path / "pre"), post=str(tmp_path / "post"),
+                            ns_model=40, ns_test=80)
     threads = threading.active_count()
-    got = cosegment_pair(a, b, 60)
+    got = run_detect(config)
     assert threading.active_count() == threads
-    want = segmentation.cosegment(segmentation.slic(a, 60), segmentation.slic(b, 60))
-    assert got.count == want.count
-    assert got.labels.tobytes() == want.labels.tobytes()
+    want = pipeline._fit(x, y, config)
+    seg = pipeline._segment(x, y, config, "ns_test", detector.STAGE1_K)
+    assert got["model_set"].to_json() == want["model_set"].to_json()
+    assert got["traces"] == want["traces"]
+    assert got["seg_test"].count == seg.count
+    assert got["seg_test"].labels.tobytes() == seg.labels.tobytes()
 
 
-def test_cosegment_pair_runs_both_slic_calls_in_this_process(monkeypatch):
-    # Both calls reach a patched segmentation.slic, so a tracer sees them.
+@pytest.mark.parametrize("ns, target", [(100, 200), (500, 204)], ids=["twice-ns", "floor"])
+def test_segment_runs_one_slic_on_the_stacked_bands(monkeypatch, ns, target):
+    # 3 pre bands and 1 post band: one slic call on the 4-band stack, pre
+    # bands first, at twice the target or at one superpixel per MIN_AREA
+    # pixels (64 x 64 // 20 = 204), whichever is fewer.
     rng = np.random.default_rng(7)
-    a = Raster.from_array(rng.normal(size=(32, 32)))
-    b = Raster.from_array(rng.normal(size=(32, 32)))
+    a = Raster.from_array(rng.normal(size=(64, 64, 3)))
+    b = Raster.from_array(rng.normal(size=(64, 64, 1)))
     calls = []
     slic = segmentation.slic
 
-    def recording_slic(r, target):
-        calls.append(r)
-        return slic(r, target)
+    def recording_slic(r, count):
+        calls.append((r, count))
+        return slic(r, count)
 
     monkeypatch.setattr(segmentation, "slic", recording_slic)
-    cosegment_pair(a, b, 20)
-    assert len(calls) == 2
-    assert {id(r) for r in calls} == {id(a), id(b)}
+    seg = pipeline._segment(a, b, PipelineConfig(ns_test=ns), "ns_test", 1)
+    [(stack, count)] = calls
+    assert pipeline.MIN_AREA == 20 and count == target
+    assert stack.data.tobytes() == np.concatenate([a.data, b.data], axis=2).tobytes()
+    want = slic(stack, target)
+    assert seg.count == want.count
+    assert seg.labels.tobytes() == want.labels.tobytes()

@@ -56,7 +56,7 @@ def _check_scene_and_counts(row, tmp_path, size, bands, post_bands=None):
     assert cli.main(["detect", "--pre", str(base / "pre"), "--post", str(base / "post"),
                      "--gt", str(base / "gt"), "--ns-model", "40", "--ns-test", "80",
                      "--alpha", "5", "--seed", "0", "--out-dir", str(out)]) == cli.EXIT_OK
-    seg = pipeline.cosegment_pair(pre, post, 80)
+    seg = pipeline._segment(pre, post, pipeline.PipelineConfig(ns_test=80), "ns_test", 1)
     assert row["superpixels"] == seg.count
     fits = json.loads((out / "model.json").read_text())["pairs"]
     assert row["pairs"] == len(fits) == bands * post_bands

@@ -1,4 +1,4 @@
-"""SLIC superpixels, co-segmentation refinement, and mean-feature extraction."""
+"""SLIC superpixels, its connectivity cleanup, and mean-feature extraction."""
 
 import tracemalloc
 
@@ -19,7 +19,6 @@ from copcd.segmentation import (
     _merge_pieces,
     _relabel_contiguous,
     _update_centers,
-    cosegment,
     extract_features,
     slic,
 )
@@ -298,7 +297,7 @@ def test_enforce_connectivity_matches_oracle(seed, m, n, strip, n_labels, block)
     if strip:
         m = 1
     assign = _block_map(seed, m, n, n_labels, block)
-    got = _merge_pieces(assign, (assign,), np.inf)
+    got = _merge_pieces(assign)
     want = oracle.enforce_connectivity(assign, n_labels)
     assert got.count == want.count
     assert np.array_equal(got.labels, want.labels)
@@ -310,7 +309,7 @@ def test_enforce_connectivity_deep_orphan():
     assign = np.ones((12, 12), dtype=np.int64)
     assign[:, :3] = 0
     assign[5:10, 5:10] = 0
-    got = _merge_pieces(assign, (assign,), np.inf)
+    got = _merge_pieces(assign)
     assert got.count == 2
     assert np.array_equal(got.labels, oracle.enforce_connectivity(assign, 2).labels)
     assert (got.labels[:, 3:] == got.labels[0, 3]).all()
@@ -339,112 +338,6 @@ def _grid_map(m, n, rows, cols):
     return SegmentationMap(rows * cols, np.ascontiguousarray(labels))
 
 
-def test_cosegment_self_is_relabeling():
-    rng = np.random.default_rng(7)
-    r = Raster.from_array(rng.normal(size=(16, 16)).astype(np.float32))
-    a = slic(r, 4)
-    out = cosegment(a, a)  # each piece is its label's only piece: none dissolves
-    assert out.count == a.count
-    # same partition: output label is a bijection of the input label
-    pairs = {(x, y) for x, y in zip(a.labels.ravel(), out.labels.ravel())}
-    assert len(pairs) == a.count
-
-
-def test_cosegment_halves_make_quadrants():
-    a = _grid_map(8, 8, 1, 2)  # left/right halves
-    b = _grid_map(8, 8, 2, 1)  # top/bottom halves
-    out = cosegment(a, b)
-    assert out.count == 4
-    assert sorted(_region_sizes(out).tolist()) == [16, 16, 16, 16]
-
-
-def test_cosegment_refines_both_inputs():
-    # Offset grids: every (a, b) piece has at least MIN_REGION pixels
-    # (the smallest is 4 x 4), so the intersection is the whole answer.
-    a = _grid_map(24, 24, 2, 3)
-    b = _grid_map(24, 24, 3, 2)
-    out = cosegment(a, b)
-    assert _region_sizes(out).min() >= segmentation.MIN_REGION
-    assert out.count == len({*zip(a.labels.ravel(), b.labels.ravel())})
-    for lab in range(1, out.count + 1):
-        mask = out.labels == lab
-        assert len(np.unique(a.labels[mask])) == 1
-        assert len(np.unique(b.labels[mask])) == 1
-
-
-def _halves_and(b_labels):
-    """Left/right halves of an 8 x 8 image, and the map ``b_labels``."""
-    return _grid_map(8, 8, 1, 2), SegmentationMap(int(b_labels.max()), b_labels.copy())
-
-
-def test_cosegment_absorbs_small_regions():
-    b = np.ones((8, 8), dtype=np.int64)
-    # A 2-pixel sliver that is its b label's only piece stays: the soft floor.
-    b[0, :2] = 2
-    out = cosegment(*_halves_and(b))
-    assert sorted(_region_sizes(out).tolist()) == [2, 30, 32]
-    assert np.array_equal(out.labels, oracle.cosegment(*_halves_and(b)).labels)
-
-    # b label 2 splits into two 2-pixel pieces across the halves: the tie
-    # keeps the first in scan order, at (0, 2); the one at (0, 4) is not the
-    # largest of a label 2 either, so its pixels join the right half below
-    # them (30 pixels) and not the 2-pixel piece on their left.
-    b[0, :2] = 1
-    b[0, 2:6] = 2
-    out = cosegment(*_halves_and(b))
-    want = np.where(_grid_map(8, 8, 1, 2).labels == 1, 1, 3)
-    want[0, 2:4] = 2
-    assert np.array_equal(out.labels, want)
-    assert np.array_equal(out.labels, oracle.cosegment(*_halves_and(b)).labels)
-
-    # Pieces of MIN_REGION pixels stay although none is its b label's largest
-    # on the left (12 and 20 pixels) or its a label's largest at the top.
-    b = np.ones((8, 8), dtype=np.int64)
-    b[:3] = 2
-    out = cosegment(*_halves_and(b))
-    assert sorted(_region_sizes(out).tolist()) == [12, 12, 20, 20]
-
-    # A dissolved pixel takes the neighbour whose kept piece is strictly
-    # largest, not the first one read: (3, 3), b label 3's smaller piece,
-    # reads the 9-pixel b label 2 block above it first, then the rest of
-    # the image (52 pixels) below it, and joins the rest.
-    a = SegmentationMap(1, np.ones((8, 8), dtype=np.int64))
-    b = np.ones((8, 8), dtype=np.int64)
-    b[:3, 2:5] = 2
-    b[3, 3] = b[7, 6] = b[7, 7] = 3
-    b = SegmentationMap(3, b)
-    out = cosegment(a, b)
-    want = np.ones((8, 8), dtype=np.int64)
-    want[:3, 2:5] = 2
-    want[7, 6:] = 3
-    assert np.array_equal(out.labels, want)
-    assert np.array_equal(out.labels, oracle.cosegment(a, b).labels)
-
-
-def _segmentation_from(labels, count):
-    return SegmentationMap(count, labels + 1)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 30), st.integers(1, 30),
-       st.booleans(), st.integers(1, 12), st.integers(1, 12), st.integers(1, 4),
-       st.integers(1, 4))
-@example(seed=0, m=1, n=1, strip=False, la=1, lb=1, block_a=1, block_b=1)
-@example(seed=1, m=1, n=30, strip=True, la=4, lb=3, block_a=3, block_b=2)
-def test_cosegment_matches_oracle(seed, m, n, strip, la, lb, block_a, block_b):
-    # Block-upsampled random maps split each label into pieces of tied
-    # sizes, both under and over MIN_REGION, and labels need not be
-    # connected; strips are 1 x N.
-    if strip:
-        m = 1
-    a = _segmentation_from(_block_map(seed, m, n, la, block_a), la)
-    b = _segmentation_from(_block_map(seed + 1, m, n, lb, block_b), lb)
-    got = cosegment(a, b)
-    want = oracle.cosegment(a, b)
-    assert got.count == want.count
-    assert np.array_equal(got.labels, want.labels)
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 30), st.integers(1, 30),
        st.integers(1, 8), st.integers(1, 4), st.integers(0, 50), st.integers(1, 7))
@@ -462,13 +355,6 @@ def test_connected_regions_and_relabel_match_oracle(seed, m, n, n_labels, block,
     want = oracle.relabel_contiguous(code)
     assert got.count == want.count
     assert np.array_equal(got.labels, want.labels)
-
-
-def test_cosegment_dimension_mismatch():
-    a = _grid_map(4, 4, 2, 2)
-    b = _grid_map(4, 5, 2, 2)
-    with pytest.raises(ValueError):
-        cosegment(a, b)
 
 
 def test_extract_features_constant_channel():
