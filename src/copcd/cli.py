@@ -70,10 +70,7 @@ def cmd_fit(args) -> int:
                              "with n >= {}".format(args.pairs, *pairs.data.shape, emfit.MIN_PAIRS))
         pipeline.refuse_constant("pairs", pairs.data[:, :, 0], "column")
         model_set, traces = pipeline.fit_model_set(
-            pairs.data[:, 0, :].astype(np.float64),
-            pairs.data[:, 1, :].astype(np.float64),
-            config.em_config(),
-        )
+            pairs.data[:, 0, :], pairs.data[:, 1, :], config.em_config())
         result = {"model_set": model_set, "traces": traces}
     else:
         result = pipeline.run_fit(config)

@@ -147,17 +147,13 @@ class CopulaMixtureModel:
             raise ValueError(f"unknown orientation {self.orientation!r}")
 
 
-def pseudo_obs(hx, hy, ecdf_x: EmpiricalCdf, ecdf_y: EmpiricalCdf, negated: bool,
-               n_train: int):
-    """Copula arguments (u, v) of feature pairs, one rule for fitting and
-    detection: the training ECDFs, v reflected to 1 - v for a negatively
-    associated pair, both clamped into [delta, 1-delta], delta = 1/(2 n_train).
-    Fitting passes the training samples' dense ranks with each ECDF as a
-    lookup by rank, which gives the same values.
+def pseudo_obs(u, v, negated: bool, n_train: int):
+    """Copula arguments of feature pairs from their values u and v under the
+    training ECDFs, one rule for fitting and detection: v reflected to 1 - v
+    for a negatively associated pair, both clamped into [delta, 1-delta],
+    delta = 1/(2 n_train).
     """
     delta = 1.0 / (2.0 * n_train)
-    u = ecdf_x(hx)
-    v = ecdf_y(hy)
     if negated:
         v = 1.0 - v
     return np.clip(u, delta, 1.0 - delta), np.clip(v, delta, 1.0 - delta)
@@ -172,7 +168,7 @@ def joint_logpdf_superpixel(hx, hy, ecdf_x: EmpiricalCdf, ecdf_y: EmpiricalCdf,
     """
     if model.n_train < 1:
         raise ValueError("model has no training-set size")
-    u, v = pseudo_obs(hx, hy, ecdf_x, ecdf_y, model.orientation == ORIENT_NEGATED,
+    u, v = pseudo_obs(ecdf_x(hx), ecdf_y(hy), model.orientation == ORIENT_NEGATED,
                       model.n_train)
     return mixture_logpdf_at(normal_scores(u, v), tail_logs(u, v, model.tail_mode),
                              model.rho, model.theta, model.w)[0]

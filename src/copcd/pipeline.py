@@ -95,34 +95,20 @@ def _stage(name, fn, *args, **kwargs):
         raise StageError(name, exc) from exc
 
 
-def _ecdf_by_rank(ecdf: EmpiricalCdf) -> np.ndarray:
-    """ECDF of the training column by dense rank: entry r is F at the r-th
-    distinct value x, #{samples <= x} / n, the end of x's run in the sorted
-    column. So with ``ranks`` the dense ranks of the samples x
-    (``np.unique(x, return_inverse=True)[1]``, where -0.0 == 0.0),
-    ``_ecdf_by_rank(EmpiricalCdf(x))[ranks]`` equals ``EmpiricalCdf(x)(x)``
-    without a search per sample."""
-    s = ecdf.sorted
-    return np.append(np.flatnonzero(s[1:] != s[:-1]) + 1, ecdf.n) / ecdf.n
+def fit_channel_pair(table_x, table_y, em_config: emfit.EmConfig):
+    """EM fit of one channel pair; returns (model, trace).
 
-
-def fit_channel_pair(x_samples, y_samples, ecdf_x: EmpiricalCdf, ecdf_y: EmpiricalCdf,
-                     em_config: emfit.EmConfig, ranks):
-    """EM fit of one channel pair's feature samples; returns (model, trace).
-
-    ecdf_x and ecdf_y are the ECDFs of x_samples and y_samples, which the
-    model set stores for detection, and ``ranks`` the samples' dense ranks
-    (rx, ry), which ``fit_model_set`` computes once per column. Kendall's
-    tau reads the ranks. The pseudo-observations follow ``pseudo_obs``
-    under the ECDFs, looked up by rank: v is reflected when tau is
+    table_x and table_y are the two columns' tables from ``fit_model_set``:
+    (ranks, ecdf), each sample's dense rank and the training ECDF at each
+    rank. Kendall's tau reads the ranks, and ``pseudo_obs`` turns the ECDF
+    values by rank into the copula arguments, v reflected when tau is
     negative. The Clayton branch goes to the tail with the larger empirical
     dependence.
     """
-    n = len(x_samples)
-    rx, ry = ranks
+    (rx, ecdf_x), (ry, ecdf_y) = table_x, table_y
+    n = len(rx)
     tau = kendall_tau(rx, ry)
-    u, v = pseudo_obs(rx, ry, _ecdf_by_rank(ecdf_x).take, _ecdf_by_rank(ecdf_y).take,
-                      tau < 0, n)
+    u, v = pseudo_obs(ecdf_x[rx], ecdf_y[ry], tau < 0, n)
     lower, upper = tail_dependence(u, v)
     tail_mode = TAIL_CLAYTON if lower > upper else TAIL_CLAYTON_SURVIVAL
     (rho, theta, w), trace = emfit.fit(u, v, tail_mode, em_config)
@@ -133,22 +119,29 @@ def fit_channel_pair(x_samples, y_samples, ecdf_x: EmpiricalCdf, ecdf_y: Empiric
     return model, trace
 
 
+def _rank_table(col: np.ndarray):
+    """(ranks, ecdf) of a sample column: each sample's dense rank (-0.0 ==
+    0.0) and, at rank r, #{samples <= r-th distinct value} / n, the value
+    of the column's EmpiricalCdf at every sample of that rank."""
+    _, ranks, counts = np.unique(col, return_inverse=True, return_counts=True)
+    return ranks, np.cumsum(counts) / len(col)
+
+
 def fit_model_set(feat_x: np.ndarray, feat_y: np.ndarray, em_config: emfit.EmConfig):
     """Fit a model for every channel pair, one after another in (c1, c2) order.
-    Each column is sorted once for its ECDF and ranked once for all its pairs.
+    Each column is sorted once for the EmpiricalCdf that detection reads and
+    ranked once, by ``_rank_table``, for all its pairs.
 
     Returns (ChannelPairModels, {pair: EmTrace}).
     """
     ecdfs_x = tuple(map(EmpiricalCdf, feat_x.T))
     ecdfs_y = tuple(map(EmpiricalCdf, feat_y.T))
-    ranks_x = [np.unique(col, return_inverse=True)[1] for col in feat_x.T]
-    ranks_y = [np.unique(col, return_inverse=True)[1] for col in feat_y.T]
+    tables_x = [_rank_table(col) for col in feat_x.T]
+    tables_y = [_rank_table(col) for col in feat_y.T]
     models, traces = {}, {}
-    for c1, ecdf_x in enumerate(ecdfs_x, 1):
-        for c2, ecdf_y in enumerate(ecdfs_y, 1):
-            models[c1, c2], traces[c1, c2] = fit_channel_pair(
-                feat_x[:, c1 - 1], feat_y[:, c2 - 1], ecdf_x, ecdf_y, em_config,
-                (ranks_x[c1 - 1], ranks_y[c2 - 1]))
+    for c1, table_x in enumerate(tables_x, 1):
+        for c2, table_y in enumerate(tables_y, 1):
+            models[c1, c2], traces[c1, c2] = fit_channel_pair(table_x, table_y, em_config)
     return ChannelPairModels(models, ecdfs_x, ecdfs_y), traces
 
 

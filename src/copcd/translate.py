@@ -22,22 +22,19 @@ def _match_channel(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     tgt_sorted = np.sort(tgt.ravel())
     if flat.min() == flat.max():
         return np.full_like(flat, np.median(tgt_sorted)).reshape(src.shape)
-    # The order within a run of ties never shows, as the run shares one mean,
-    # so the sort need not be stable (on finite values, which rasters hold).
-    order = np.argsort(flat)
-    assigned = tgt_sorted.astype(np.float64)
-    sorted_src = flat[order]
-    # Average target values over runs of tied source values. A run of one
-    # keeps its value, so only the longer runs are summed, by one reduceat
-    # whose every other result is a run's sum. ``ndarray.mean`` adds the
-    # pairwise sum of a run to 0.0, but reduceat adds the pairwise sum of all
-    # but a segment's first value to that value; so each run's segment starts
-    # at a 0.0 put before the run. reduceat rejects a final edge equal to the
+    # Each source value's dense rank and the length of each rank's run of
+    # ties; -0.0 and 0.0 are one run. A rank's value is the mean of the
+    # target slice its run covers in sorted order. A run of one keeps its
+    # value, so only the longer runs are summed, by one reduceat whose every
+    # other result is a run's sum. ``ndarray.mean`` adds the pairwise sum of
+    # a run to 0.0, but reduceat adds the pairwise sum of all but a
+    # segment's first value to that value; so each run's segment starts at a
+    # 0.0 put before the run. reduceat rejects a final edge equal to the
     # length; a last segment runs to the end.
-    # Neighbours are compared, not subtracted: float32 differences can overflow.
-    boundaries = np.flatnonzero(sorted_src[1:] != sorted_src[:-1]) + 1
-    starts = np.concatenate([[0], boundaries])
-    lengths = np.diff(np.concatenate([starts, [len(flat)]]))
+    _, rank, lengths = np.unique(flat, return_inverse=True, return_counts=True)
+    assigned = tgt_sorted.astype(np.float64)
+    starts = np.cumsum(lengths) - lengths
+    value = assigned[starts]
     tied = lengths > 1
     if tied.any():
         first, run = starts[tied], lengths[tied]
@@ -46,11 +43,8 @@ def _match_channel(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
         edges = np.column_stack([zero, zero + 1 + run]).ravel()
         if edges[-1] == padded.size:
             edges = edges[:-1]
-        means = np.add.reduceat(padded, edges)[::2] / run
-        assigned[np.repeat(tied, lengths)] = np.repeat(means, run)
-    out = np.empty(len(flat), dtype=np.float64)
-    out[order] = assigned
-    return out.reshape(src.shape)
+        value[tied] = np.add.reduceat(padded, edges)[::2] / run
+    return value[rank].reshape(src.shape)
 
 
 def translate_baseline(x: Raster, y: Raster) -> Raster:

@@ -8,8 +8,8 @@ the CDF's mixed derivative) and pin the boundary conditions.
 ``gaussian_cdf`` integrates by adaptive quadrature, which is why this
 module, and not ``copcd``, imports ``scipy.integrate``. The two pair
 samplers draw what ``copcd.copula.sample_mixture`` draws for one component,
-from a caller's generator, and ``clamp_pseudo_obs`` is the clamp of
-``copcd.copula.pseudo_obs``.
+from a caller's generator, and ``clamp_pseudo_obs`` is the clamp that
+``copcd.copula.pseudo_obs`` applies to ECDF values, after any reflection.
 """
 
 import numpy as np

@@ -364,12 +364,11 @@ def test_channel_pair_models_requires_full_grid():
 
 
 def test_clamp_pseudo_obs():
-    # np.asarray stands in for the ECDFs, so the clamp alone acts; a
-    # negated pair is clamped after its reflection.
+    # A negated pair is clamped after its reflection.
     h = np.array([0.0, 0.001, 0.5, 1.0])
-    u, v = pseudo_obs(h, h, np.asarray, np.asarray, False, 100)
+    u, v = pseudo_obs(h, h, False, 100)
     assert u.tolist() == v.tolist() == [0.005, 0.005, 0.5, 0.995]
-    u, v = pseudo_obs(h, h, np.asarray, np.asarray, True, 100)
+    u, v = pseudo_obs(h, h, True, 100)
     assert u.tolist() == [0.005, 0.005, 0.5, 0.995]
     assert v.tolist() == [0.995, 0.995, 0.5, 0.005]
 

@@ -19,7 +19,7 @@ from copcd.dependence import (
     tail_dependence,
 )
 from copcd.emfit import EmConfig
-from copcd.pipeline import fit_channel_pair
+from copcd.pipeline import fit_model_set
 
 
 def test_tau_concordant():
@@ -198,7 +198,7 @@ def test_pseudo_obs_preserves_absolute_tau(seed, n):
     x = rng.permutation(n).astype(float)
     y = rng.permutation(n).astype(float)
     tau = kendall_tau(x, y)
-    _, v = pseudo_obs(x, y, EmpiricalCdf(x), EmpiricalCdf(y), tau < 0, n)
+    _, v = pseudo_obs(EmpiricalCdf(x)(x), EmpiricalCdf(y)(y), tau < 0, n)
     assert kendall_tau(x, v) == abs(tau)
 
 
@@ -257,9 +257,7 @@ def test_tail_dependence_invariant_under_monotone_transform(seed):
 
 
 def _fit(u, v):
-    ranks = tuple(np.unique(a, return_inverse=True)[1] for a in (u, v))
-    model, _ = fit_channel_pair(u, v, EmpiricalCdf(u), EmpiricalCdf(v), EmConfig(), ranks)
-    return model
+    return fit_model_set(u[:, None], v[:, None], EmConfig())[0].models[1, 1]
 
 
 def _clayton_pairs():

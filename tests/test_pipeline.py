@@ -15,7 +15,6 @@ from copcd.dependence import (
     ORIENT_NEGATED,
     TAIL_CLAYTON,
     TAIL_CLAYTON_SURVIVAL,
-    EmpiricalCdf,
     kendall_tau,
     tail_dependence,
 )
@@ -52,13 +51,9 @@ def test_run_detect_wraps_stage_failures(tmp_path):
     assert "load" in str(err.value)
 
 
-def _dense_ranks(samples):
-    return np.unique(samples, return_inverse=True)[1]
-
-
 def _fit_pair(x, y, config):
-    return fit_channel_pair(x, y, EmpiricalCdf(x), EmpiricalCdf(y), config,
-                            (_dense_ranks(x), _dense_ranks(y)))
+    model_set, traces = fit_model_set(x[:, None], y[:, None], config)
+    return model_set.models[1, 1], traces[1, 1]
 
 
 def test_fit_channel_pair_orients_negative_association():
@@ -134,33 +129,9 @@ def test_fit_model_set_matches_direct_pair_fits():
         assert model == direct
 
 
-def test_fit_model_set_fits_each_pair_on_the_stored_ecdfs(monkeypatch):
-    # One ECDF per channel: EM sees the very objects detection scores with.
-    seen = []
-
-    def recording_fit_channel_pair(x, y, ecdf_x, ecdf_y, config, ranks):
-        seen.append((x, y, ecdf_x, ecdf_y))
-        return fit_channel_pair(x, y, ecdf_x, ecdf_y, config, ranks)
-
-    monkeypatch.setattr(pipeline, "fit_channel_pair", recording_fit_channel_pair)
-    rng = np.random.default_rng(5)
-    model_set, _ = fit_model_set(rng.normal(size=(100, 2)), rng.normal(size=(100, 3)),
-                                 emfit.EmConfig())
-    assert len(seen) == 6
-    for x, y, ecdf_x, ecdf_y in seen:
-        assert any(ecdf_x is e for e in model_set.ecdfs_x)
-        assert any(ecdf_y is e for e in model_set.ecdfs_y)
-        assert np.array_equal(ecdf_x.sorted, np.sort(x))
-        assert np.array_equal(ecdf_y.sorted, np.sort(y))
-
-
-def test_fit_model_set_matches_pair_fits_on_searched_ecdfs():
-    # fit_model_set ranks each column once and reads its ECDF by rank. That
-    # must give, bit for bit, the models and traces of a fit whose tau comes
-    # from the raw values and whose pseudo-observations search the stored
-    # ECDFs. The columns hold ties, both signed zeros and a subnormal, and
-    # (2, 2) is negatively associated. The stored column is np.sort's, byte
-    # for byte, signed zeros included.
+def _searched_columns():
+    """Feature columns with ties, both signed zeros and a subnormal; their
+    pair (2, 2) is negatively associated."""
     rng = np.random.default_rng(8)
     n = 400
     base = rng.normal(size=n)
@@ -170,13 +141,45 @@ def test_fit_model_set_matches_pair_fits_on_searched_ecdfs():
     feat_x = np.stack([base, tied, np.exp(base) + rng.normal(size=n)], axis=1)
     feat_y = np.stack([base + rng.normal(size=n), -tied + 0.5 * rng.normal(size=n).round(1),
                        rng.normal(size=n)], axis=1)
+    return feat_x, feat_y
+
+
+def test_fit_model_set_fits_each_pair_on_the_stored_ecdfs(monkeypatch):
+    # Each column's table, its ECDF read by its ranks, is byte for byte the
+    # stored EmpiricalCdf that detection scores with, at that column.
+    seen = []
+
+    def recording_fit_channel_pair(table_x, table_y, config):
+        seen.append((table_x, table_y))
+        return fit_channel_pair(table_x, table_y, config)
+
+    monkeypatch.setattr(pipeline, "fit_channel_pair", recording_fit_channel_pair)
+    feat_x, feat_y = _searched_columns()
+    model_set, _ = fit_model_set(feat_x, feat_y, emfit.EmConfig())
+    assert len(seen) == 9
+    for k, ((rx, ecdf_x), (ry, ecdf_y)) in enumerate(seen):
+        c1, c2 = divmod(k, 3)
+        assert (ecdf_x[rx].tobytes()
+                == model_set.ecdfs_x[c1](feat_x[:, c1]).tobytes())
+        assert (ecdf_y[ry].tobytes()
+                == model_set.ecdfs_y[c2](feat_y[:, c2]).tobytes())
+
+
+def test_fit_model_set_matches_pair_fits_on_searched_ecdfs():
+    # fit_model_set ranks each column once and reads its ECDF by rank. That
+    # must give, bit for bit, the models and traces of a fit whose tau comes
+    # from the raw values and whose pseudo-observations search the stored
+    # ECDFs. The stored column is np.sort's, byte for byte, signed zeros
+    # included. float32 columns fit as their exact float64 copies do.
+    feat_x, feat_y = _searched_columns()
+    n = len(feat_x)
     config = emfit.EmConfig()
     model_set, traces = fit_model_set(feat_x, feat_y, config)
     orientations = set()
     for (c1, c2), model in model_set.models.items():
         x, y = feat_x[:, c1 - 1], feat_y[:, c2 - 1]
         tau = kendall_tau(x, y)
-        u, v = pseudo_obs(x, y, model_set.ecdfs_x[c1 - 1], model_set.ecdfs_y[c2 - 1],
+        u, v = pseudo_obs(model_set.ecdfs_x[c1 - 1](x), model_set.ecdfs_y[c2 - 1](y),
                           tau < 0, n)
         lower, upper = tail_dependence(u, v)
         tail_mode = TAIL_CLAYTON if lower > upper else TAIL_CLAYTON_SURVIVAL
@@ -188,7 +191,13 @@ def test_fit_model_set_matches_pair_fits_on_searched_ecdfs():
         orientations.add(orientation)
     assert model_set.models[2, 2].orientation == ORIENT_NEGATED
     assert orientations == {ORIENT_NEGATED, ORIENT_IDENTITY}
-    assert model_set.ecdfs_x[1].sorted.tobytes() == np.sort(tied).tobytes()
+    assert model_set.ecdfs_x[1].sorted.tobytes() == np.sort(feat_x[:, 1]).tobytes()
+
+    f32 = [f.astype(np.float32) for f in (feat_x, feat_y)]
+    fit32, traces32 = fit_model_set(*f32, config)
+    fit64, traces64 = fit_model_set(*(f.astype(np.float64) for f in f32), config)
+    assert fit32.to_json() == fit64.to_json()
+    assert traces32 == traces64
 
 
 def test_fit_model_set_single_pair_from_sample_columns():

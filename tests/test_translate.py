@@ -112,20 +112,30 @@ _TARGETS = {
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 5000),
        levels=st.integers(1, 60), unique_share=st.floats(0.0, 1.0),
-       target=st.sampled_from(sorted(_TARGETS)))
-@example(seed=0, size=4000, levels=2, unique_share=0.0, target="wide")  # long runs
-@example(seed=1, size=50, levels=1, unique_share=0.0, target="float32")  # constant
-@example(seed=2, size=300, levels=10, unique_share=1.0, target="float32")  # no ties
-@example(seed=3, size=2000, levels=15, unique_share=0.5, target="signed zeros")
+       target=st.sampled_from(sorted(_TARGETS)), negated=st.booleans())
+@example(seed=0, size=4000, levels=2, unique_share=0.0, target="wide",
+         negated=False)  # long runs
+@example(seed=1, size=50, levels=1, unique_share=0.0, target="float32",
+         negated=False)  # constant
+@example(seed=2, size=300, levels=10, unique_share=1.0, target="float32",
+         negated=False)  # no ties
+@example(seed=3, size=2000, levels=15, unique_share=0.5, target="signed zeros",
+         negated=False)
+@example(seed=4, size=2000, levels=15, unique_share=0.5, target="wide",
+         negated=True)  # -0.0 and 0.0 tied in the last run
 def test_match_channel_is_the_run_loop_bit_for_bit(seed, size, levels, unique_share,
-                                                    target):
+                                                    target, negated):
     """Quantized float32 sources, some values made unique so that runs of
     one sit between tied runs, the last run tied or not, match the loop of
-    ``tests/translate_oracle.py`` byte for byte."""
+    ``tests/translate_oracle.py`` byte for byte. A negated source ends on
+    its run of zeros, every other one of them 0.0 and the rest -0.0."""
     rng = np.random.default_rng(seed)
     src = np.floor(rng.random(size) * levels)
     unique = rng.random(size) < unique_share
     src[unique] = levels + rng.random(int(unique.sum()))
+    if negated:
+        src = -src
+        src[np.flatnonzero(src == 0)[::2]] = 0.0
     src = src.astype(np.float32)
     tgt = _TARGETS[target](rng, size)
     assert (_match_channel(src, tgt).tobytes()
