@@ -91,7 +91,7 @@ def cmd_synth(args) -> int:
     save_raster(x, os.path.join(out, "pre"))
     save_raster(y, os.path.join(out, "post"))
     save_binary_map(gt, os.path.join(out, "gt"))
-    export_graymap(gt.astype(np.float64) * 255.0, os.path.join(out, "gt.pgm"))
+    export_graymap(gt.astype(np.uint8) * 255, os.path.join(out, "gt.pgm"))
     print(f"wrote pre/post/gt to {out} (changed pixels: {int(gt.sum())})")
     return EXIT_OK
 

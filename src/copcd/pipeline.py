@@ -89,8 +89,6 @@ class StageError(Exception):
 def _stage(name, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except StageError:
-        raise
     except Exception as exc:
         raise StageError(name, exc) from exc
 
@@ -148,22 +146,25 @@ def fit_model_set(feat_x: np.ndarray, feat_y: np.ndarray, em_config: emfit.EmCon
 def _segment(a: Raster, b: Raster, config: PipelineConfig, field: str, least: int):
     """One SLIC on the bands of ``a`` then ``b``, stacked, at twice the target
     of config field ``field``, or at one superpixel per MIN_AREA pixels if
-    that is fewer. An error names the field when it exceeds the pixel count
-    or the map has fewer than ``least`` regions, and the floor when it bound."""
+    that is fewer. Returns (seg, feat_a, feat_b): the map and the features
+    of ``a`` and of ``b`` over it; the stacked copy is freed when SLIC
+    returns. An error names the field when it exceeds the pixel count or the
+    map has fewer than ``least`` regions, and the floor when it bound."""
     target, pixels = getattr(config, field), math.prod(a.data.shape[:2])
     if target > pixels:
         raise StageError("segment", ValueError(
             f"config field {field!r} = {target} exceeds the {pixels} pixels of this scene"))
     cap = max(1, pixels // MIN_AREA)
-    stack = Raster(np.concatenate([a.data, b.data], axis=2))
-    seg = _stage("segment", segmentation.slic, stack, min(2 * target, cap))
+    seg = _stage("segment", segmentation.slic,
+                 Raster(np.concatenate([a.data, b.data], axis=2)), min(2 * target, cap))
     if seg.count < least:
         capped = (f", capped at {cap} by the floor of {MIN_AREA} pixels a superpixel"
                   if cap < 2 * target else "")
         raise StageError("segment", ValueError(
             f"config field {field!r} = {target} gives {seg.count} "
             f"superpixels on this scene{capped}; at least {least} are needed"))
-    return seg
+    return (seg, _stage("features", segmentation.extract_features, a, seg),
+            _stage("features", segmentation.extract_features, b, seg))
 
 
 def write_traces_csv(traces: dict, path: str) -> None:
@@ -188,44 +189,46 @@ def refuse_constant(name: str, samples: np.ndarray, unit: str = "band") -> None:
                          "it carries no information")
 
 
-def _load_pair(config: PipelineConfig):
-    """Load the pre/post rasters; a pair of different pixel sizes, or a band
-    whose values are all equal, is refused. The band counts may differ."""
+def _load_inputs(config: PipelineConfig):
+    """Load the pre/post rasters and the ``--translated`` one, or None; a pair
+    of different pixel sizes, a translation of another shape than the post
+    raster, or a band whose values are all equal, is refused. The band counts
+    of pre and post may differ."""
     if config.pre is None or config.post is None:
         raise StageError("load", ValueError("--pre and --post are required"))
-    pair = _stage("load", load_raster, config.pre), _stage("load", load_raster, config.post)
-    (m, n), (pm, pn) = (r.data.shape[:2] for r in pair)
+    x, y = _stage("load", load_raster, config.pre), _stage("load", load_raster, config.post)
+    (m, n), (pm, pn) = x.data.shape[:2], y.data.shape[:2]
     if (m, n) != (pm, pn):
         raise StageError("load", ValueError(
             f"post raster is {pm}x{pn} pixels, pre raster {m}x{n}"))
-    for name, r in zip(("pre", "post"), pair):
+    for name, r in (("pre", x), ("post", y)):
         _stage("load", refuse_constant, name, r.data)
-    return pair
+    if config.translated is None:
+        return x, y, None
+    y_t = _stage("load", load_raster, config.translated)
+    if y_t.data.shape != y.data.shape:
+        raise StageError("load", ValueError(
+            "translated raster is {}x{} pixels of {} bands, post raster {}x{} of {}"
+            .format(*y_t.data.shape, *y.data.shape)))
+    _stage("load", refuse_constant, "translated", y_t.data)
+    return x, y, y_t
 
 
-def _fit(x: Raster, y: Raster, config: PipelineConfig):
-    """Training half on the loaded rasters: translate X (or load the supplied
-    translation, which must match Y's shape), segment (X, Y'), then fit
-    every channel pair. Returns {"model_set", "traces"}, the EM trace of each pair."""
-    if config.translated is not None:
-        y_t = _stage("translate", load_raster, config.translated)
-        if y_t.data.shape != y.data.shape:
-            raise StageError("translate",
-                             ValueError("translated raster shape mismatch"))
-        _stage("translate", refuse_constant, "translated", y_t.data)
-    else:
+def _fit(x: Raster, y: Raster, y_t, config: PipelineConfig):
+    """Training half on the loaded rasters: translate X, unless ``y_t`` is the
+    loaded translation, segment (X, Y'), then fit every channel pair.
+    Returns {"model_set", "traces"}, the EM trace of each pair."""
+    if y_t is None:
         y_t = _stage("translate", translate.translate_baseline, x, y)
-    seg = _segment(x, y_t, config, "ns_model", emfit.MIN_PAIRS)
-    feat_x = _stage("features", segmentation.extract_features, x, seg)
-    feat_y = _stage("features", segmentation.extract_features, y_t, seg)
+    _, feat_x, feat_y = _segment(x, y_t, config, "ns_model", emfit.MIN_PAIRS)
     model_set, traces = _stage("fit", fit_model_set, feat_x, feat_y, config.em_config())
     return {"model_set": model_set, "traces": traces}
 
 
 def run_fit(config: PipelineConfig) -> dict:
-    """Training half of the pipeline: ``_fit`` on the loaded pre/post rasters.
+    """Training half of the pipeline: ``_fit`` on the loaded input rasters.
     Returns the dict {"model_set", "traces"}."""
-    return _fit(*_load_pair(config), config)
+    return _fit(*_load_inputs(config), config)
 
 
 def run_detect(config: PipelineConfig) -> dict:
@@ -236,7 +239,7 @@ def run_detect(config: PipelineConfig) -> dict:
     With ``config.model`` set, the model file replaces the training half:
     only the pre/post rasters are read, and the dict has no ``traces``.
     """
-    x, y = _load_pair(config)
+    x, y, y_t = _load_inputs(config)
     if config.gt is not None:
         gt = _stage("load", load_binary_map, config.gt)
         if gt.shape != x.data.shape[:2]:
@@ -247,16 +250,16 @@ def run_detect(config: PipelineConfig) -> dict:
         # thread fits while this thread segments (X, Y). When both fail, the
         # training error is raised, as in serial order.
         with ThreadPoolExecutor(max_workers=1) as pool:
-            training = pool.submit(_fit, x, y, config)
+            training = pool.submit(_fit, x, y, y_t, config)
             try:
-                seg_test = _segment(x, y, config, "ns_test", detector.STAGE1_K)
+                seg_test, feat_x_test, feat_y_test = _segment(
+                    x, y, config, "ns_test", detector.STAGE1_K)
             finally:
                 out = training.result()
     else:
         out = {"model_set": _stage("load", load_model_set, config.model)}
-        seg_test = _segment(x, y, config, "ns_test", detector.STAGE1_K)
-    feat_x_test = _stage("features", segmentation.extract_features, x, seg_test)
-    feat_y_test = _stage("features", segmentation.extract_features, y, seg_test)
+        seg_test, feat_x_test, feat_y_test = _segment(x, y, config, "ns_test",
+                                                      detector.STAGE1_K)
 
     t = _stage("detect", detector.test_statistics, feat_x_test, feat_y_test, out["model_set"])
     di = _stage("detect", detector.fuse_difference, t)
@@ -292,7 +295,7 @@ def write_artifacts(result: dict, out_dir: str) -> None:
 
         bcm = result["bcm"]
         save_binary_map(bcm, join("bcm"))
-        export_graymap(bcm.astype(np.float64) * 255.0, join("bcm.pgm"))
+        export_graymap(bcm.astype(np.uint8) * 255, join("bcm.pgm"))
 
     if "report" in result:
         result["report"].write(join("metrics.json"))

@@ -116,20 +116,20 @@ def load_binary_map(path: str) -> np.ndarray:
 
 
 def export_graymap(values: np.ndarray, path: str) -> None:
-    """Write per-pixel values as a binary PGM (P5), min-max scaled to 0-255.
+    """Write per-pixel values as a binary PGM (P5). A uint8 array holds gray
+    levels and is written by value; any other is min-max scaled to 0-255.
 
-    Constant input maps to all-zero; rounding is half-away-from-zero.
+    Constant scaled input maps to all-zero; rounding is half-away-from-zero.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = np.asarray(values)
     if values.ndim != 2:
         raise ValueError("graymap values must be 2-D")
-    lo, hi = values.min(), values.max()
-    if hi > lo:
-        scaled = (values - lo) / (hi - lo) * 255.0
-    else:
-        scaled = np.zeros_like(values)
-    pix = np.trunc(scaled + 0.5).astype(np.uint8)
+    if values.dtype != np.uint8:
+        values = values.astype(np.float64)
+        lo, hi = values.min(), values.max()
+        scaled = (values - lo) / (hi - lo) * 255.0 if hi > lo else np.zeros_like(values)
+        values = np.trunc(scaled + 0.5).astype(np.uint8)
     h, w = values.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(pix.tobytes())
+        fh.write(values.tobytes())

@@ -30,21 +30,15 @@ SLIC_BLOCK_ENTRIES = 2 ** 18
 
 @dataclass(frozen=True)
 class SegmentationMap:
-    """Per-pixel labels in [1, count]; each label forms a 4-connected region."""
+    """Per-pixel labels in [1, count]; each label forms a 4-connected region.
+    ``count``, the largest label, is read from the labels at construction."""
 
-    count: int
     labels: np.ndarray = field(repr=False)
+    count: int = field(init=False)
 
     def __post_init__(self):
         self.labels.setflags(write=False)
-
-
-def _relabel_contiguous(labels: np.ndarray) -> SegmentationMap:
-    """Number the non-negative values of ``labels`` 1, 2, ... in value order."""
-    rank = np.zeros(int(labels.max()) + 1, dtype=np.int64)
-    rank[labels.ravel()] = 1
-    np.cumsum(rank, out=rank)
-    return SegmentationMap(int(rank[-1]), rank[labels])
+        object.__setattr__(self, "count", int(self.labels.max()))
 
 
 def _connected_regions(code: np.ndarray) -> np.ndarray:
@@ -201,41 +195,42 @@ def _merge_pieces(labels: np.ndarray) -> SegmentationMap:
     comp = _connected_regions(labels).ravel()
     sizes = np.bincount(comp)
     keep = _largest_per_label(comp, labels, sizes)
-    return _relabel_contiguous(_grow_kept(comp, keep, sizes, labels.shape))
+    return SegmentationMap(_grow_kept(comp, keep, sizes, labels.shape))
 
 
 def _largest_per_label(comp: np.ndarray, labels: np.ndarray,
                        sizes: np.ndarray) -> np.ndarray:
     """Mask of the pieces of the flat piece map ``comp`` that are the
-    largest piece of their value of ``labels`` (ties: lowest piece id)."""
-    n = len(sizes)
-    piece_label = np.empty(n, dtype=np.int64)
+    largest piece of their value of ``labels`` (ties: lowest piece id, as
+    ``np.lexsort`` is stable): the run starts of the sorted piece labels."""
+    piece_label = np.empty(len(sizes), dtype=np.int64)
     piece_label[comp] = labels.ravel()
-    order = np.lexsort((np.arange(n), -sizes, piece_label))
-    _, first = np.unique(piece_label[order], return_index=True)
-    keep = np.zeros(n, dtype=bool)
-    keep[order[first]] = True
+    order = np.lexsort((-sizes, piece_label))
+    sorted_label = piece_label[order]
+    keep = np.zeros(len(sizes), dtype=bool)
+    keep[order[np.r_[True, sorted_label[1:] != sorted_label[:-1]]]] = True
     return keep
 
 
 def _grow_kept(comp: np.ndarray, keep: np.ndarray, sizes: np.ndarray,
                shape) -> np.ndarray:
     """Grow the kept pieces of the flat piece map ``comp`` into the other
-    pixels, the orphans, in synchronous passes; return the (m, n) map of kept
-    piece ids. In a pass every remaining orphan reads its up, down, left and
-    right neighbours, in that order, and takes the first whose kept piece is
-    largest; only then are the labels written. Pass d labels the orphans at
-    taxicab distance d from the nearest kept pixel (the grid has no walls),
-    so each pass visits only that layer, reading the neighbours from a label
-    array padded with -1. ``tests/segmentation_oracle.py`` keeps the loop
-    over all remaining orphans.
+    pixels, the orphans, in synchronous passes; return the (m, n) map of the
+    kept pieces, numbered 1, 2, ... in piece order. In a pass every remaining
+    orphan reads its up, down, left and right neighbours, in that order, and
+    takes the first whose kept piece is largest; only then are the labels
+    written. Pass d labels the orphans at taxicab distance d from the nearest
+    kept pixel (the grid has no walls), so each pass visits only that layer,
+    reading the neighbours from a label array padded with 0, no piece.
+    ``tests/segmentation_oracle.py`` keeps the loop over all remaining
+    orphans.
     """
     m, n = shape
-    padded = np.full((m + 2, n + 2), -1, dtype=np.int64)
-    padded[1:-1, 1:-1] = np.where(keep[comp], comp, -1).reshape(m, n)
-    layer = ndimage.distance_transform_cdt(padded[1:-1, 1:-1] < 0, metric="taxicab")
+    padded = np.zeros((m + 2, n + 2), dtype=np.int64)
+    padded[1:-1, 1:-1] = np.where(keep, np.cumsum(keep), 0)[comp].reshape(m, n)
+    layer = ndimage.distance_transform_cdt(padded[1:-1, 1:-1] == 0, metric="taxicab")
     flat = padded.ravel()
-    size_of = np.append(sizes, -1)  # a -1 neighbour has no piece
+    size_of = np.append(-1, sizes[keep])  # a 0 neighbour has no piece
     steps = np.array([-(n + 2), n + 2, -1, 1])  # up, down, left, right
     for d in range(1, layer.max() + 1):
         at = np.flatnonzero(layer == d)

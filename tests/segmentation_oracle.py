@@ -22,9 +22,9 @@ from copcd.segmentation import COMPACTNESS, SLIC_ITERS, SegmentationMap
 
 def relabel_contiguous(labels: np.ndarray) -> SegmentationMap:
     """Number the distinct values of ``labels`` 1, 2, ... in sorted order."""
-    uniq, inv = np.unique(labels, return_inverse=True)
+    _, inv = np.unique(labels, return_inverse=True)
     out = (inv + 1).reshape(labels.shape).astype(np.int64)
-    return SegmentationMap(len(uniq), out)
+    return SegmentationMap(out)
 
 
 def connected_regions(code: np.ndarray) -> np.ndarray:

@@ -35,6 +35,9 @@ def test_synth_writes_all_artifacts(tmp_path, capsys):
     for name in ("pre.hdr.json", "pre.f32", "post.hdr.json", "post.f32",
                  "gt.hdr.json", "gt.u8", "gt.pgm"):
         assert os.path.exists(os.path.join(out, name))
+    gt = load_binary_map(os.path.join(out, "gt"))
+    with open(os.path.join(out, "gt.pgm"), "rb") as fh:
+        assert fh.read() == b"P5\n32 32\n255\n" + (255 * gt).tobytes()
     assert "changed pixels" in capsys.readouterr().out
 
 
@@ -438,7 +441,8 @@ def test_fit_rejects_translated_raster_of_wrong_shape(small_scene, tmp_path, cap
     args = _fit_args(small_scene, str(tmp_path / "fit"))
     args += ["--translated", str(tmp_path / "translated")]
     assert cli.main(args) == cli.EXIT_CONTRACT
-    assert "stage 'translate': translated raster shape mismatch" in capsys.readouterr().err
+    assert ("stage 'load': translated raster is 48x48 pixels of 2 bands, post raster 48x48 "
+            "of 1" in capsys.readouterr().err)
     assert not os.path.exists(tmp_path / "fit" / "model.json")
 
 
@@ -561,7 +565,7 @@ def test_too_few_test_superpixels_names_ns_test(small_scene, fitted_model, tmp_p
     halves[:, 24:] = 2
     # The floor is named only when it capped SLIC's target: 48 * 48 // 20 =
     # 115 is below twice 80 but not below twice 40.
-    monkeypatch.setattr(segmentation, "slic", lambda *args: SegmentationMap(2, halves))
+    monkeypatch.setattr(segmentation, "slic", lambda *args: SegmentationMap(halves))
     args = _detect_args(small_scene, str(tmp_path / "run")) + ["--model", fitted_model]
     for ns, capped in (("80", ", capped at 115 by the floor of 20 pixels a superpixel"),
                        ("40", "")):
@@ -590,7 +594,7 @@ def test_ns_above_the_pixel_count_names_the_field(small_scene, tmp_path, capsys,
          ("detect", "fit", "detect --model")),
         ("pre-band-2-constant", "pre", "stage 'load': pre raster band 2",
          ("detect", "fit", "detect --model")),
-        ("all-zero-translated", "translated", "stage 'translate': translated raster band 1",
+        ("all-zero-translated", "translated", "stage 'load': translated raster band 1",
          ("detect", "fit")),
         ("pairs-column-2-zero", "pairs", "pairs raster column 2", ("fit --pairs",)),
     ) for command in commands])

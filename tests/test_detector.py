@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from copcd import detector
 from copcd.copula import ChannelPairModels, CopulaMixtureModel, sample_mixture
 from copcd.dependence import EmpiricalCdf
 from copcd.detector import (
@@ -133,6 +134,30 @@ def test_kmeans_k_equals_point_count():
     assert sorted(assign.tolist()) == [0, 1, 2]
 
 
+@pytest.mark.filterwarnings("error")
+def test_kmeans_seeding_past_the_last_distance_mass():
+    # Two distinct points for three centres: once both are centres no
+    # distance mass is left, and the third centre is drawn uniformly, not
+    # from a 0 / 0 weighting. It duplicates a centre, so its cluster is
+    # empty and is re-seeded at points[0]: every point is 0 from its centroid.
+    pts = np.array([[0.0], [0.0], [5.0], [5.0]])
+    assign, centroids = kmeans(pts, 3, seed=1)
+    assert assign.tolist() == [0, 0, 1, 1]
+    assert centroids.ravel().tolist() == [0.0, 5.0, 0.0]
+
+
+def test_kmeans_reseeds_an_empty_cluster_at_the_farthest_point():
+    # Seed 122 starts the three centres on points 6, 0 and 3; after the first
+    # update cluster 2 is empty, and it is re-seeded at the point farthest
+    # from its centroid, point 6 at (4.2, 8.9), which it keeps alone.
+    pts = np.array([[0.4, 0.0], [4.0, 4.9], [2.5, 6.7], [0.2, 1.7],
+                    [3.7, 4.4], [5.6, 5.3], [4.2, 8.9], [2.9, 0.1]])
+    assign, centroids = kmeans(pts, 3, seed=122)
+    assert assign.tolist() == [1, 0, 0, 1, 0, 0, 2, 1]
+    for j in range(3):
+        assert np.allclose(centroids[j], pts[assign == j].mean(axis=0))
+
+
 def test_kmeans_deterministic_and_validates():
     rng = np.random.default_rng(8)
     pts = rng.normal(size=(40, 2))
@@ -145,7 +170,7 @@ def test_kmeans_deterministic_and_validates():
 
 def _unit_segmentation(m, n):
     labels = np.arange(1, m * n + 1, dtype=np.int64).reshape(m, n)
-    return SegmentationMap(m * n, labels)
+    return SegmentationMap(labels)
 
 
 def test_two_stage_bcm_flags_high_di_superpixels():
@@ -176,7 +201,7 @@ def test_two_stage_bcm_degenerate_input_is_all_unchanged():
 def test_two_stage_bcm_constant_per_superpixel():
     rng = np.random.default_rng(10)
     labels = np.repeat(np.repeat(np.arange(1, 10).reshape(3, 3), 4, axis=0), 4, axis=1)
-    seg = SegmentationMap(9, labels.astype(np.int64))
+    seg = SegmentationMap(labels.astype(np.int64))
     rep = rng.normal(size=(9, 3))
     di = rng.random(9)
     bcm = two_stage_bcm(rep, di, seg, seed=1)
@@ -192,6 +217,18 @@ def test_two_stage_bcm_alpha_zero_still_uses_di_for_selection():
     rep = representative_vectors(np.zeros((n, 1)), np.zeros((n, 1)), di, alpha=0.0)
     bcm = two_stage_bcm(rep, di, _unit_segmentation(4, 4), seed=0)
     assert not bcm.any()
+
+
+def test_two_stage_bcm_breaks_an_overlap_tie_by_mean_di(monkeypatch):
+    # Stage 1 picks cluster 2 = superpixels {3, 4}, the highest mean DI; each
+    # stage-2 cluster holds one of them, so the one of larger mean DI,
+    # cluster 1 = {2, 4} (DI 3.5 against 2.5), is the change.
+    di = np.array([0.0, 1.0, 5.0, 6.0])
+    stages = {detector.STAGE1_K: np.array([0, 1, 2, 2]), 2: np.array([0, 1, 0, 1])}
+    monkeypatch.setattr(detector, "kmeans", lambda rep, k, seed: (stages[k], None))
+    rep = np.arange(8.0).reshape(4, 2)
+    bcm = two_stage_bcm(rep, di, _unit_segmentation(2, 2), seed=0)
+    assert bcm.ravel().tolist() == [0, 1, 0, 1]
 
 
 def test_two_stage_bcm_validates_shapes():

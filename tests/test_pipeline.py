@@ -225,8 +225,8 @@ def test_threaded_run_detect_matches_serial_fit_then_segment(tmp_path, size, ban
     threads = threading.active_count()
     got = run_detect(config)
     assert threading.active_count() == threads
-    want = pipeline._fit(x, y, config)
-    seg = pipeline._segment(x, y, config, "ns_test", detector.STAGE1_K)
+    want = pipeline._fit(x, y, None, config)
+    seg, _, _ = pipeline._segment(x, y, config, "ns_test", detector.STAGE1_K)
     assert got["model_set"].to_json() == want["model_set"].to_json()
     assert got["traces"] == want["traces"]
     assert got["seg_test"].count == seg.count
@@ -249,10 +249,12 @@ def test_segment_runs_one_slic_on_the_stacked_bands(monkeypatch, ns, target):
         return slic(r, count)
 
     monkeypatch.setattr(segmentation, "slic", recording_slic)
-    seg = pipeline._segment(a, b, PipelineConfig(ns_test=ns), "ns_test", 1)
+    seg, feat_a, feat_b = pipeline._segment(a, b, PipelineConfig(ns_test=ns), "ns_test", 1)
     [(stack, count)] = calls
     assert pipeline.MIN_AREA == 20 and count == target
     assert stack.data.tobytes() == np.concatenate([a.data, b.data], axis=2).tobytes()
     want = slic(stack, target)
     assert seg.count == want.count
     assert seg.labels.tobytes() == want.labels.tobytes()
+    assert feat_a.tobytes() == segmentation.extract_features(a, want).tobytes()
+    assert feat_b.tobytes() == segmentation.extract_features(b, want).tobytes()

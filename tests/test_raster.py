@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from copcd import cli
+from copcd.pipeline import write_artifacts
 from copcd.raster import (
     Raster,
     export_graymap,
@@ -17,6 +18,7 @@ from copcd.raster import (
     save_binary_map,
     save_raster,
 )
+from copcd.segmentation import SegmentationMap
 
 
 def test_from_array_2d_adds_channel_axis():
@@ -207,6 +209,13 @@ def test_graymap_binary_maps_to_extremes(tmp_path):
     path = str(tmp_path / "b.pgm")
     export_graymap(np.array([[0.0, 1.0]]), path)
     assert _read_pgm(path).tolist() == [[0, 255]]
+    # The change map's view is written by value: an all-changed map is all
+    # 255, not the all-0 of a constant scaled map.
+    seg = SegmentationMap(np.arange(1, 7).reshape(2, 3))
+    for bcm in ([[0, 1, 1], [0, 0, 1]], [[1, 1, 1], [1, 1, 1]]):
+        bcm = np.array(bcm, dtype=np.uint8)
+        write_artifacts({"seg_test": seg, "di": np.arange(6.0), "bcm": bcm}, str(tmp_path))
+        assert _read_pgm(str(tmp_path / "bcm.pgm")).tolist() == (255 * bcm).tolist()
 
 
 def test_graymap_midpoint_rounds_half_away_from_zero(tmp_path):

@@ -17,7 +17,6 @@ from copcd.segmentation import (
     _connected_regions,
     _grow_kept,
     _merge_pieces,
-    _relabel_contiguous,
     _update_centers,
     extract_features,
     slic,
@@ -320,14 +319,16 @@ def test_enforce_connectivity_deep_orphan():
        st.integers(1, 8), st.integers(1, 4), st.floats(0.0, 1.0))
 def test_grow_kept_layers_match_the_pass_loop(seed, m, n, n_labels, block, kept_share):
     """Any kept set of pieces, from one piece to all, grows as in the loop
-    over all remaining orphans of ``tests/segmentation_oracle.py``."""
+    over all remaining orphans of ``tests/segmentation_oracle.py``, and the
+    kept pieces are numbered as the oracle's relabelling numbers them."""
     comp = _connected_regions(_block_map(seed, m, n, n_labels, block)).ravel()
     sizes = np.bincount(comp)
     rng = np.random.default_rng(seed)
     keep = rng.random(len(sizes)) < kept_share
     keep[rng.integers(len(sizes))] = True
     got = _grow_kept(comp, keep, sizes, (m, n))
-    assert np.array_equal(got, oracle.grow_kept_passes(comp, keep, sizes, (m, n)))
+    want = oracle.relabel_contiguous(oracle.grow_kept_passes(comp, keep, sizes, (m, n)))
+    assert np.array_equal(got, want.labels)
 
 
 def _grid_map(m, n, rows, cols):
@@ -335,7 +336,7 @@ def _grid_map(m, n, rows, cols):
     ys = (np.arange(m) * rows // m)[:, None]
     xs = (np.arange(n) * cols // n)[None, :]
     labels = (ys * cols + xs + 1).astype(np.int64)
-    return SegmentationMap(rows * cols, np.ascontiguousarray(labels))
+    return SegmentationMap(np.ascontiguousarray(labels))
 
 
 @settings(max_examples=150, deadline=None)
@@ -348,13 +349,11 @@ def _grid_map(m, n, rows, cols):
 def test_connected_regions_and_relabel_match_oracle(seed, m, n, n_labels, block,
                                                      offset, stride):
     # Block maps with few values split each value into several components;
-    # the values have gaps and need not start at 0.
+    # the values have gaps and need not start at 0. The cleanup numbers its
+    # kept pieces as it grows them, checked against the oracle's relabelling
+    # in test_grow_kept_layers_match_the_pass_loop.
     code = _block_map(seed, m, n, n_labels, block, offset, stride)
     assert np.array_equal(_connected_regions(code), oracle.connected_regions(code))
-    got = _relabel_contiguous(code)
-    want = oracle.relabel_contiguous(code)
-    assert got.count == want.count
-    assert np.array_equal(got.labels, want.labels)
 
 
 def test_extract_features_constant_channel():
@@ -376,7 +375,7 @@ def test_extract_features_single_region_global_mean():
 def test_extract_features_hand_case():
     arr = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
     labels = np.array([[1, 2], [1, 2]], dtype=np.int64)
-    seg = SegmentationMap(2, labels)
+    seg = SegmentationMap(labels)
     feats = extract_features(Raster.from_array(arr), seg)
     assert feats[:, 0].tolist() == [2.0, 3.0]
 
