@@ -11,12 +11,14 @@ theta = 0.1 or 20), how many of all the channel pairs fit on an end of
 that box, the share of pixels the change map flags, the AUC of the DI over
 the test superpixels (a superpixel counts as changed when most of its pixels
 are, and ties count half; `nan` when no superpixel, or every one, is
-changed), the seconds of `run_detect`, and a digest: the first 12 hex digits
-of the sha256 of the run's di.f32, bcm.u8, model.json and em_trace.csv bytes,
-so that two sweeps with byte-identical artifacts and fits print the same
-digests. A last line gives the median and minimum KC, the gate failures, the
-box-end fits, the median AUC over the rows that have one (`nan` if none does)
-and the median seconds. `--change-fraction` sets the changed share of each
+changed), the seconds of `run_detect`, and two digests, each the first 12 hex
+digits of a sha256: of the run's bcm.u8 bytes alone, and of its di.f32,
+bcm.u8, model.json and em_trace.csv bytes. Two sweeps with byte-identical
+artifacts and fits print the same digests; a change that moves the DI or
+the fits only in their last bits, and no decision, keeps the first. A last
+line gives the median and minimum KC, the gate failures, the box-end fits,
+the median AUC over the rows that have one (`nan` if none does) and the
+median seconds. `--change-fraction` sets the changed share of each
 scene (default 0.1); at 0 nothing changes, so KC and F-measure read 0, the
 AUC reads `nan` and the flagged share is the whole of the false alarms. With
 the defaults each scene is perfbench's `scene256` scene for that data seed (at
@@ -95,10 +97,10 @@ def run_one(size, rho, w, data_seed, pipeline_seed, ns_model, ns_test, alpha,
     result = run_detect(pipeline)
     elapsed = time.monotonic() - start
     write_artifacts(result, pipeline.out_dir)
-    digest = hashlib.sha256()
+    artifacts = {}
     for name in ("di.f32", "bcm.u8", "model.json", "em_trace.csv"):
         with open(os.path.join(base, name), "rb") as fh:
-            digest.update(fh.read())
+            artifacts[name] = fh.read()
     report, model_set = result["report"], result["model_set"]
     fitted = model_set.models[1, 1]
     rho_end, theta_end = box_ends(fitted)
@@ -112,13 +114,14 @@ def run_one(size, rho, w, data_seed, pipeline_seed, ns_model, ns_test, alpha,
         "box_end_pairs": sum(any(box_ends(m)) for m in model_set.models.values()),
         "pairs": len(model_set.models), "flagged": float(result["bcm"].mean()),
         "auc": superpixel_auc(result["di"], result["seg_test"].labels, gt),
-        "sec": elapsed, "digest": digest.hexdigest()[:12],
+        "sec": elapsed, "bcm_digest": hashlib.sha256(artifacts["bcm.u8"]).hexdigest()[:12],
+        "digest": hashlib.sha256(b"".join(artifacts.values())).hexdigest()[:12],
     }
 
 
 HEADER = (f"{'data':>4} {'pipe':>4} {'KC':>7} {'Fm':>7} {'ACC':>7} {'gate':>4} "
           f"{'sp':>5} {'rho':>7} {'theta':>8} {'w':>6} {'ends':>5} {'flag':>6} {'auc':>6} "
-          f"{'sec':>6} {'digest':>12}")
+          f"{'sec':>6} {'bcm':>12} {'digest':>12}")
 
 
 def format_row(row) -> str:
@@ -128,7 +131,8 @@ def format_row(row) -> str:
             f"{row['acc']:>7.3f} {row['gate']:>4} {row['superpixels']:>5} "
             f"{row['rho']:>6.4f}{rho_mark} {row['theta']:>7.3f}{theta_mark} "
             f"{row['w']:>6.3f} {row['box_end_pairs']:>3}/{row['pairs']:<1} "
-            f"{row['flagged']:>6.1%} {row['auc']:>6.3f} {row['sec']:>6.1f} {row['digest']}")
+            f"{row['flagged']:>6.1%} {row['auc']:>6.3f} {row['sec']:>6.1f} "
+            f"{row['bcm_digest']} {row['digest']}")
 
 
 def summary(rows) -> str:

@@ -83,11 +83,11 @@ def kmeans(points: np.ndarray, k: int, seed: int):
     d2 = ((points - centroids[0]) ** 2).sum(axis=1)
     for j in range(1, k):
         total = d2.sum()
-        if total <= 0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(np.searchsorted(np.cumsum(d2 / total), rng.random()))
-            idx = min(idx, n - 1)
+        # With no distance mass left every point coincides with a centre,
+        # and points[0] stands in for a draw from a 0 / 0 weighting.
+        idx = 0
+        if total > 0:
+            idx = min(int(np.searchsorted(np.cumsum(d2 / total), rng.random())), n - 1)
         centroids[j] = points[idx]
         d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
 

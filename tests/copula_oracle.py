@@ -10,6 +10,9 @@ module, and not ``copcd``, imports ``scipy.integrate``. The two pair
 samplers draw what ``copcd.copula.sample_mixture`` draws for one component,
 from a caller's generator, and ``clamp_pseudo_obs`` is the clamp that
 ``copcd.copula.pseudo_obs`` applies to ECDF values, after any reflection.
+``logaddexp_clayton_logpdf`` and ``logaddexp_mixture`` are the forms the
+Clayton and mixture log densities had before they were written without
+``np.logaddexp``.
 """
 
 import numpy as np
@@ -21,11 +24,14 @@ from copcd.copula import (
     _clayton_conditional_inverse,
     clayton_logpdf_at,
     gaussian_logpdf_at,
+    log_expm1,
     mixture_logpdf_at,
     normal_scores,
     tail_logs,
 )
 from copcd.dependence import TAIL_CLAYTON, TAIL_CLAYTON_SURVIVAL
+
+LOG_FLOOR = 1e-300  # the floor of logaddexp_mixture's responsibility denominator
 
 
 def gaussian_logpdf(u1, u2, rho: float):
@@ -56,6 +62,31 @@ def mixture_logpdf_and_gamma(u1, u2, rho: float, theta: float, w: float, tail_mo
 def mixture_density(u1, u2, model: CopulaMixtureModel):
     return np.exp(mixture_logpdf_and_gamma(u1, u2, model.rho, model.theta, model.w,
                                            model.tail_mode)[0])
+
+
+def logaddexp_clayton_logpdf(u1, u2, theta: float, tail_mode: str):
+    """The Clayton log density with log s = log(expm1(logaddexp(-theta l1,
+    -theta l2))), l = log u (log(1 - u) for the survival copula), the
+    logarithm taken past expm1's overflow by ``log_expm1``."""
+    if tail_mode == TAIL_CLAYTON_SURVIVAL:
+        u1, u2 = 1.0 - np.asarray(u1), 1.0 - np.asarray(u2)
+    l1, l2 = np.log(u1), np.log(u2)
+    return (np.log1p(theta) + (-1 - theta) * (l1 + l2)
+            + (-1 / theta - 2) * log_expm1(np.logaddexp(-theta * l1, -theta * l2)))
+
+
+def logaddexp_mixture(lg, lc, w: float):
+    """(log f, gamma_1) of the mixture from its component log densities:
+    log f by np.logaddexp and gamma_1 = w f_g / f, the denominator floored
+    at LOG_FLOOR and the quotient clipped to [0, 1]."""
+    if w >= 1.0:
+        return lg, np.ones_like(lg)
+    if w <= 0.0:
+        return lc, np.zeros_like(lc)
+    fg = w * np.exp(lg)
+    fc = (1 - w) * np.exp(lc)
+    return (np.logaddexp(np.log(w) + lg, np.log1p(-w) + lc),
+            np.clip(fg / np.maximum(fg + fc, LOG_FLOOR), 0.0, 1.0))
 
 
 def clamp_pseudo_obs(u, n_train: int):

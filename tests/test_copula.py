@@ -3,6 +3,7 @@
 import itertools
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,8 @@ from copula_oracle import (
     clayton_density,
     gaussian_cdf,
     gaussian_density,
+    logaddexp_clayton_logpdf,
+    logaddexp_mixture,
     mixture_cdf,
     mixture_density,
     sclayton_cdf,
@@ -23,7 +26,6 @@ from copula_oracle import (
     sample_gaussian_pairs,
 )
 from copcd.copula import (
-    LOG_FLOOR,
     RHO_MAX,
     RHO_MIN,
     THETA_MAX,
@@ -104,17 +106,55 @@ def test_log_expm1_switches_form_only_where_expm1_overflows():
     assert np.isfinite(got[:-1]).all() and got[-1] == np.inf
 
 
+def _inline_clayton_logpdf(a, b, theta):
+    """The Clayton log density of (a, b) written out as one expression:
+    log s = theta t_hi + log1p(e^(-theta (t_hi - t_lo)) * -expm1(-theta t_lo))
+    with t_hi >= t_lo the two -log u."""
+    l1, l2 = np.log(a), np.log(b)
+    t_hi, t_lo = -np.minimum(l1, l2), -np.maximum(l1, l2)
+    log_s = theta * t_hi + np.log1p(np.exp(-theta * (t_hi - t_lo)) * -np.expm1(-theta * t_lo))
+    return np.log1p(theta) + (1 + theta) * (t_hi + t_lo) + (-1 / theta - 2) * log_s
+
+
 def test_clayton_logpdf_keeps_its_bits_and_survives_large_theta():
+    """The in-place kernel gives the bytes of its formula written as one
+    expression, stays within 1e-13 of the former logaddexp form relative to
+    max(1, |log c|), and is finite without a warning at theta = 5000."""
     rng = np.random.default_rng(2)
     u1, u2 = rng.uniform(0.001, 0.999, (2, 500))
-    l1, l2 = np.log(u1), np.log(u2)
     for theta in (0.05, 2.0, 20.0):
-        old = (np.log1p(theta) + (-1 - theta) * (l1 + l2) + (-1 / theta - 2)
-               * np.log(np.expm1(np.logaddexp(-theta * l1, -theta * l2))))
-        assert np.array_equal(clayton_logpdf_at(tail_logs(u1, u2, TAIL_CLAYTON), theta), old)
+        got = clayton_logpdf_at(tail_logs(u1, u2, TAIL_CLAYTON), theta)
+        assert np.array_equal(got, _inline_clayton_logpdf(u1, u2, theta))
+        old = logaddexp_clayton_logpdf(u1, u2, theta, TAIL_CLAYTON)
+        assert (np.abs(got - old) <= 1e-13 * np.maximum(1.0, np.abs(old))).all()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.isfinite(clayton_logpdf_at(tail_logs(u1, u2, TAIL_CLAYTON), 5000.0)).all()
+
+
+def _mp_clayton_logpdf(u1, u2, theta):
+    """The Clayton log density at the float64 values u1, u2 and theta, to 50
+    digits."""
+    with mpmath.workdps(50):
+        u1, u2, theta = mpmath.mpf(u1), mpmath.mpf(u2), mpmath.mpf(theta)
+        s = u1 ** -theta + u2 ** -theta - 1
+        return float(mpmath.log1p(theta) - (1 + theta) * (mpmath.log(u1) + mpmath.log(u2))
+                     - (1 / theta + 2) * mpmath.log(s))
+
+
+def test_clayton_logpdf_is_as_accurate_as_the_logaddexp_form():
+    """Against 50-digit mpmath, on u and v at delta, at 1 - delta and in
+    between, the largest error relative to max(1, |log c|) is no larger than
+    that of the former logaddexp form at each theta."""
+    delta = 1 / (2 * 500)
+    grid = np.r_[delta, 1 - delta, np.random.default_rng(3).uniform(delta, 1 - delta, 10)]
+    u1, u2 = (a.ravel() for a in np.meshgrid(grid, grid))
+    for theta in (0.1, 2.0, 20.0, 5000.0):
+        exact = np.array([_mp_clayton_logpdf(a, b, theta) for a, b in zip(u1, u2)])
+        scale = np.maximum(1.0, np.abs(exact))
+        new = clayton_logpdf_at(tail_logs(u1, u2, TAIL_CLAYTON), theta)
+        old = logaddexp_clayton_logpdf(u1, u2, theta, TAIL_CLAYTON)
+        assert np.max(np.abs(new - exact) / scale) <= np.max(np.abs(old - exact) / scale)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -122,7 +162,9 @@ def test_transform_formulas_equal_the_public_densities_bit_for_bit(seed):
     """The formulas on normal_scores and tail_logs, and the mixture that EM
     and detection evaluate through them, give the bytes of the densities'
     inline expressions, on (u, v) clamped at delta next to 0 and 1, with rho
-    and theta at both ends of the box EM fits in and w at 0, 0.4 and 1."""
+    and theta at both ends of the box EM fits in and w at 0, 0.4 and 1. The
+    mixture stays within 1e-13 of the former logaddexp form, relative to
+    max(1, |log f|), and its responsibilities within 1e-13."""
     n_train = 500
     u, v = clamp_pseudo_obs(np.random.default_rng(seed).uniform(-0.01, 1.01, (2, 3000)),
                             n_train)
@@ -137,10 +179,9 @@ def test_transform_formulas_equal_the_public_densities_bit_for_bit(seed):
             return lg, np.ones_like(lg)
         if w == 0.0:
             return lc, np.zeros_like(lc)
-        fg = w * np.exp(lg)
-        fc = (1 - w) * np.exp(lc)
-        return (np.logaddexp(np.log(w) + lg, np.log1p(-w) + lc),
-                np.clip(fg / np.maximum(fg + fc, LOG_FLOOR), 0.0, 1.0))
+        a, b = np.log(w) + lg, np.log1p(-w) + lc
+        logf = np.maximum(a, b) + np.log1p(np.exp(-np.abs(a - b)))
+        return logf, np.exp(a - logf)
 
     scores = normal_scores(u, v)
     x1, x2 = ndtri(u), ndtri(v)
@@ -152,15 +193,16 @@ def test_transform_formulas_equal_the_public_densities_bit_for_bit(seed):
         assert same_bytes(gaussian_logpdf_at(scores, rho), gaussian[rho])
     for mode, (a, b) in ((TAIL_CLAYTON, (u, v)), (TAIL_CLAYTON_SURVIVAL, (1.0 - u, 1.0 - v))):
         logs = tail_logs(u, v, mode)
-        l1, l2 = np.log(a), np.log(b)
         for theta in (THETA_MIN, 2.0, THETA_MAX):
-            tail = (np.log1p(theta) + (-1 - theta) * (l1 + l2) + (-1 / theta - 2)
-                    * log_expm1(np.logaddexp(-theta * l1, -theta * l2)))
+            tail = _inline_clayton_logpdf(a, b, theta)
             assert same_bytes(clayton_logpdf_at(logs, theta), tail)
             for (rho, lg), w in itertools.product(gaussian.items(), (0.0, 0.4, 1.0)):
                 got = mixture_logpdf_at(scores, logs, rho, theta, w)
                 want = inline_mixture(lg, tail, w)
                 assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
+                old = logaddexp_mixture(lg, tail, w)
+                assert (np.abs(got[0] - old[0]) <= 1e-13 * np.maximum(1.0, np.abs(old[0]))).all()
+                assert (np.abs(got[1] - old[1]) <= 1e-13).all()
 
 
 def test_sclayton_is_reflection():

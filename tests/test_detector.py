@@ -137,7 +137,7 @@ def test_kmeans_k_equals_point_count():
 @pytest.mark.filterwarnings("error")
 def test_kmeans_seeding_past_the_last_distance_mass():
     # Two distinct points for three centres: once both are centres no
-    # distance mass is left, and the third centre is drawn uniformly, not
+    # distance mass is left, and the third centre is points[0], not a draw
     # from a 0 / 0 weighting. It duplicates a centre, so its cluster is
     # empty and is re-seeded at points[0]: every point is 0 from its centroid.
     pts = np.array([[0.0], [0.0], [5.0], [5.0]])

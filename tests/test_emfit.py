@@ -15,11 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copcd import cli, emfit
-from copcd.copula import (
-    LOG_FLOOR,
-    CopulaMixtureModel,
-    sample_mixture,
-)
+from copcd.copula import CopulaMixtureModel, sample_mixture
 from copcd.dependence import TAIL_CLAYTON, TAIL_CLAYTON_SURVIVAL
 from copcd.emfit import (
     RHO_MAX,
@@ -28,6 +24,7 @@ from copcd.emfit import (
     STATUS_MAX_ITERS,
     THETA_MAX,
     THETA_MIN,
+    THETA_START,
     EmConfig,
     EmTrace,
     fit,
@@ -121,7 +118,8 @@ def test_m_step_recovers_clayton_theta():
 def test_exact_m_step_beats_grid_oracle(seed, n, tail_mode, rho_cur, theta_cur):
     """On random responsibilities the exact M-step's rho and theta score at
     least as well as the grid search's under the grid's own objectives, and
-    stay inside the box [0.01, 0.99] x [0.1, 20]."""
+    stay inside the box [0.01, 0.99] x [0.1, 20]. The theta of safeguarded
+    Newton also scores at least as well as the theta of Brent's search did."""
     rng = np.random.default_rng(seed)
     model = CopulaMixtureModel(rho=float(rng.uniform(0, 0.95)),
                                theta=float(rng.uniform(0.2, 8)),
@@ -135,8 +133,41 @@ def test_exact_m_step_beats_grid_oracle(seed, n, tail_mode, rho_cur, theta_cur):
     _, rho_obj, theta_obj = emfit_oracle.component_objectives(u, v, gamma, tail_mode)
     assert w == w_grid
     assert RHO_MIN <= rho <= RHO_MAX and THETA_MIN <= theta <= THETA_MAX
-    for obj, exact, grid in ((rho_obj, rho, rho_grid), (theta_obj, theta, theta_grid)):
-        assert obj(exact) >= obj(grid) - 1e-12 * abs(obj(grid))
+    theta_brent = emfit_oracle.brent_theta(theta_obj, theta_cur)
+    for obj, exact, other in ((rho_obj, rho, rho_grid), (theta_obj, theta, theta_grid),
+                              (theta_obj, theta, theta_brent)):
+        assert obj(exact) >= obj(other) - 1e-12 * abs(obj(other))
+
+
+@pytest.mark.parametrize("bound, theta_cur", [(THETA_MIN, THETA_MIN), (THETA_MIN, THETA_START),
+                                              (THETA_MIN, THETA_MAX), (THETA_MAX, THETA_MAX)])
+def test_m_step_binding_at_a_bound_makes_at_most_three_passes(monkeypatch, bound,
+                                                              theta_cur):
+    """An M-step whose theta binds at THETA_MIN (independent pairs) or at
+    THETA_MAX (comonotone pairs) evaluates the Clayton kernel at most three
+    times: from theta_cur at the bound, as in a fit once theta has reached
+    it, and at THETA_MIN also from the fit's start or the other bound. (From
+    the start, comonotone pairs take Newton five passes to THETA_MAX: on them
+    the objective rises all the way to the bound, and each step about
+    doubles theta.)"""
+    rng = np.random.default_rng(12)
+    if bound == THETA_MIN:
+        u, v = rng.uniform(0.01, 0.99, (2, 2000))
+    else:
+        u = v = (np.arange(1, 2001) - 0.5) / 2000
+    tf = fit_transforms(u, v, TAIL_CLAYTON)
+    passes = []
+    kernel = emfit.clayton_log_s
+
+    def counting(logs, theta):
+        passes.append(theta)
+        return kernel(logs, theta)
+
+    monkeypatch.setattr(emfit, "clayton_log_s", counting)
+    for gamma in (np.zeros(2000), rng.random(2000)):
+        passes.clear()
+        assert m_step(tf, gamma, 0.5, theta_cur)[2] == bound
+        assert len(passes) <= 3, passes
 
 
 @pytest.mark.parametrize("peak, max_calls", [(1.234, 10), (6.1, 10), (0.0005, 30),
@@ -150,7 +181,7 @@ def test_brent_max_takes_parabolic_steps(peak, max_calls):
         calls.append(x)
         return -(x - peak) ** 2
 
-    x = emfit._brent_max(f, 0.0, 10.0, 1e-9)
+    x = emfit_oracle.brent_max(f, 0.0, 10.0, 1e-9)
     assert abs(x - peak) < 1e-6 and 0.0 < min(calls) and max(calls) < 10.0
     assert len(calls) <= max_calls
 
@@ -264,16 +295,21 @@ def test_trace_csv_export(tmp_path):
 
 def _two_pass_logpdf_and_gamma(u, v, rho, theta, w, tail_mode):
     """The mixture log density and the responsibilities each evaluated on
-    their own, the reference for the shared one-pass evaluator."""
+    their own, the reference for the shared one-pass evaluator: with
+    a = log w + log f_gaussian and b = log(1-w) + log f_tail,
+    log f = max(a, b) + log1p(e^-|a-b|) and gamma_1 = e^(a - log f)."""
     if w >= 1.0:
         return gaussian_logpdf(u, v, rho), np.ones_like(u)
     if w <= 0.0:
         return tail_logpdf(u, v, theta, tail_mode), np.zeros_like(u)
-    logf = np.logaddexp(np.log(w) + gaussian_logpdf(u, v, rho),
-                        np.log1p(-w) + tail_logpdf(u, v, theta, tail_mode))
-    fg = w * np.exp(gaussian_logpdf(u, v, rho))
-    fc = (1 - w) * np.exp(tail_logpdf(u, v, theta, tail_mode))
-    return logf, np.clip(fg / np.maximum(fg + fc, LOG_FLOOR), 0.0, 1.0)
+
+    def weighted():
+        return (np.log(w) + gaussian_logpdf(u, v, rho),
+                np.log1p(-w) + tail_logpdf(u, v, theta, tail_mode))
+
+    a, b = weighted()
+    logf = np.maximum(a, b) + np.log1p(np.exp(-np.abs(a - b)))
+    return logf, np.exp(weighted()[0] - logf)
 
 
 @pytest.mark.parametrize("tail_mode", [TAIL_CLAYTON, TAIL_CLAYTON_SURVIVAL])

@@ -1,5 +1,5 @@
 """The sweep script's per-seed row: its scene, gate, superpixel count,
-fitted parameters, box-end marks and counts, DI AUC, and artifact digest."""
+fitted parameters, box-end marks and counts, DI AUC, and artifact digests."""
 
 import hashlib
 import importlib.util
@@ -83,6 +83,7 @@ def test_row_reports_the_gate_and_the_fitted_pair(sweep, tmp_path):
     artifacts = b"".join((out / name).read_bytes()
                          for name in ("di.f32", "bcm.u8", "model.json", "em_trace.csv"))
     assert row["digest"] == hashlib.sha256(artifacts).hexdigest()[:12]
+    assert row["bcm_digest"] == hashlib.sha256((out / "bcm.u8").read_bytes()).hexdigest()[:12]
     assert row["flagged"] == load_binary_map(str(out / "bcm")).mean()
     assert 0 <= row["auc"] <= 1
     assert row["auc"] == pytest.approx(_pairwise_auc(tmp_path / "d5_p0", 80), abs=1e-12)
@@ -92,7 +93,7 @@ def test_row_reports_the_gate_and_the_fitted_pair(sweep, tmp_path):
     assert line.count("*") == row["rho_on_bound"] + row["theta_on_bound"]
     assert str(row["superpixels"]) in line.split()
     assert f"{row['box_end_pairs']}/1" in line.split()
-    assert line.split()[-1] == row["digest"]
+    assert line.split()[-2:] == [row["bcm_digest"], row["digest"]]
     assert f"{row['flagged']:.1%}" in line.split()
     assert f"{row['auc']:.3f}" in line.split()
     # A fit at theta's lower end is marked as one at its upper end is.
